@@ -6,20 +6,27 @@ Run from the repository root; the program is imported from ./src.  Each pass
 runs the whole workload once in a fresh single-threaded Python process
 (worker.py) with RR5_CACHE_DIR pointing at a fresh directory, and every
 output is checked against the references in perfbench/refs.  A run makes at
-least MIN_PASSES passes, then more while the next one still fits in S
-seconds.
+least one pass (one untraced and one traced with --trace 1), then more
+while the next one still fits in S seconds.
 
 --trace 0 prints the end-to-end metrics (medians over the passes):
   wall_s       wall time of one pass
   cpu_s        process CPU time of one pass, children included
   setup_s      interpreter start plus `import rrcf5.cli`, median of
-               2 * SETUP_SAMPLES fresh processes, half before the passes
-               and half after
+               SETUP_SAMPLES fresh processes before the passes and
+               SETUP_SAMPLES more after each pass
   peak_rss_mb  peak resident memory of the workload process
+The three times are scaled to a fixed machine speed.  Every worker times
+fixed pure-Python loops (worker.calibration_s) after set-up, and an untraced
+pass's worker again once a second while the items run, leaving the loops'
+time out of the pass's.  A pass's wall and CPU time are multiplied by
+CALIB_REF_S / (the median loop time of that pass), and the median set-up
+time by CALIB_REF_S / (the median loop time of the set-up samples).  The
+unscaled medians are printed on a comment line.
 --trace 1 alternates untraced and traced passes and prints the per-layer
 metrics of tracer.METRICS plus trace.overhead_s (traced minus untraced
-wall_s).  The last line of stdout is one JSON object with the keys
-correct, attempted, failed and metrics.
+wall_s, both at the reference speed).  The last line of stdout is one JSON
+object with the keys correct, attempted, failed and metrics.
 """
 
 from __future__ import annotations
@@ -46,15 +53,15 @@ import workloads  # noqa: E402
 END_TO_END = (("wall_s", "s"), ("cpu_s", "s"), ("setup_s", "s"),
               ("peak_rss_mb", "MB"))
 PER_LAYER = tuple((n, u) for n, u, _ in tracer.METRICS) + (("trace.overhead_s", "s"),)
-# set-up is sampled this many times before the passes and again after them
-SETUP_SAMPLES = 5
-# The machine's speed drifts over tens of seconds, so a run always spans at
-# least two passes (one untraced-traced pair when tracing).
-MIN_PASSES = 2
-# a run must end within 180 s: no pass may take longer than PASS_TIMEOUT_S,
-# and the passes after the first must be expected to end by RUN_LIMIT_S
+# set-up is sampled this many times before the passes and again after each
+# pass, so that its samples span the run as the passes do
+SETUP_SAMPLES = 4
+# The machine's speed drifts by up to +-25% within minutes, and fixed loops
+# of the kind of work the program does drift with it, so times are reported
+# at the speed where the loops take CALIB_REF_S.
+CALIB_REF_S = 0.07
+# a run must end within 180 s, so no pass may take longer than this
 PASS_TIMEOUT_S = 150
-RUN_LIMIT_S = 150
 
 
 class PassError(RuntimeError):
@@ -118,6 +125,11 @@ def check_pass(workload, items, result, entries, refs):
     return failed
 
 
+def scaled(result, key):
+    """A pass's `key` time at the reference speed."""
+    return CALIB_REF_S * result[key] / statistics.median(result["calibration_s"])
+
+
 def measure(workload, seed, seconds, trace):
     refs = workloads.load_refs(workload)
     items = workloads.make_items(workload, seed)
@@ -130,9 +142,8 @@ def measure(workload, seed, seconds, trace):
     setups = setup_samples(1 if trace else SETUP_SAMPLES)
 
     kinds = [False, True] if trace else [False]
-    min_rounds = 1 if trace else MIN_PASSES
     passes = {False: [], True: []}
-    failed_items, attempted, durations, rounds = 0, 0, [], 0
+    failed_items, attempted, durations = 0, 0, []
     start = time.perf_counter()
     while True:
         for kind in kinds:
@@ -146,33 +157,40 @@ def measure(workload, seed, seconds, trace):
                 break
             passes[kind].append(result)
             durations.append(result["duration_s"])
+            if not trace:
+                setups += setup_samples(SETUP_SAMPLES)
         else:
-            rounds += 1
             step = statistics.median(durations) * len(kinds)
-            budget = seconds if rounds >= min_rounds else RUN_LIMIT_S
-            if time.perf_counter() - start + step <= budget:
+            if time.perf_counter() - start + step <= seconds:
                 continue
         break
 
-    if not trace:
-        setups += setup_samples(SETUP_SAMPLES)
     untraced = passes[False]
     if trace:
         traced = passes[True]
         metrics = {name: statistics.median(p["metrics"][name] for p in traced)
                    for name, _ in PER_LAYER[:-1]} if traced else {}
         if traced and untraced:
-            metrics["trace.overhead_s"] = (statistics.median(p["wall_s"] for p in traced)
-                                           - statistics.median(p["wall_s"] for p in untraced))
+            metrics["trace.overhead_s"] = (
+                statistics.median(scaled(p, "wall_s") for p in traced)
+                - statistics.median(scaled(p, "wall_s") for p in untraced))
         units = dict(PER_LAYER)
+        unscaled = {}
     else:
-        metrics = {"setup_s": statistics.median(s["setup_s"] for s in setups)}
-        for name in ("wall_s", "cpu_s", "peak_rss_mb"):
-            if untraced:
-                metrics[name] = statistics.median(p[name] for p in untraced)
+        setup_calib = statistics.median(s["calibration_s"][0] for s in setups)
+        unscaled = {"setup_s": statistics.median(s["setup_s"] for s in setups)}
+        metrics = {"setup_s": CALIB_REF_S * unscaled["setup_s"] / setup_calib}
+        if untraced:
+            for name in ("wall_s", "cpu_s"):
+                metrics[name] = statistics.median(scaled(p, name) for p in untraced)
+                unscaled[name] = statistics.median(p[name] for p in untraced)
+            metrics["peak_rss_mb"] = statistics.median(p["peak_rss_mb"] for p in untraced)
+        unscaled["calibration_s"] = statistics.median(
+            c for r in setups + untraced for c in r["calibration_s"])
         units = dict(END_TO_END)
     info = {"env": setups[0]["env"], "nproc": len(os.sched_getaffinity(0)),
-            "passes": {"untraced": len(untraced), "traced": len(passes[True])}}
+            "passes": {"untraced": len(untraced), "traced": len(passes[True])},
+            "unscaled": unscaled}
     return attempted, failed_items, {n: {"value": v, "unit": units[n]} for n, v in metrics.items()}, info
 
 
@@ -198,6 +216,8 @@ def main(argv=None):
           f"passes={info['passes']['untraced']}+{info['passes']['traced']} traced")
     print(f"# python={env['python']} mpmath={env['mpmath']} "
           f"backend={env['backend']} nproc={info['nproc']}")
+    if info["unscaled"]:
+        print("# unscaled " + " ".join(f"{k}={v:.6g}" for k, v in info["unscaled"].items()))
     for name, m in metrics.items():
         print(f"{name:<42} {m['value']:>16.6g} {m['unit']}")
     print(f"{'failed_frac':<42} {failed / attempted:>16.6g} ({failed}/{attempted} items)")

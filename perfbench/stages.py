@@ -1,35 +1,33 @@
 """Prints the traced stage split of every workload as a markdown table.
 
-    python3 perfbench/stages.py [--seed N]
+    python3 perfbench/stages.py
 
-One traced pass per workload at the seed (default 0).  Each `.self_s` cell
-also gives its share of the traced pass's wall time; the self times of the
-wrapped functions partition the time spent inside `cli.main`.  The inputs
-the seed picks are listed first.
+One traced pass per workload at seed 0.  Each `.self_s` cell also gives
+its share of the traced pass's wall time; the self times of the wrapped
+functions partition the time spent inside `cli.main`.  The inputs the seed
+picks are listed first.
 """
 
-import argparse
 import sys
 
 import run
 import tracer
 import workloads as wl
 
+SEED = 0
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seed", type=int, default=0)
-    seed = ap.parse_args(argv).seed
+
+def main():
     results = {}
     for workload in wl.WORKLOADS:
-        items = wl.make_items(workload, seed)
+        items = wl.make_items(workload, SEED)
         result, entries = run.run_pass([i["argv"] for i in items], trace=True)
         failed = run.check_pass(workload, items, result, entries, wl.load_refs(workload))
         if failed:
             sys.exit(f"{workload}: {failed}")
         results[workload] = result
         keys = [i["key"] for i in items]
-        print(f"- `{workload}` (seed {seed}): "
+        print(f"- `{workload}` (seed {SEED}): "
               + (f"{len(keys)} d in seeded order" if workload == "tables" else ", ".join(keys)))
     print()
     print("| metric | " + " | ".join(wl.WORKLOADS) + " |")

@@ -8,9 +8,12 @@ takes about 30 s.
 """
 
 import copy
+import importlib
 import json
 import os
 import sys
+
+import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -71,6 +74,24 @@ def test_negative_control_perturbed_p_coefficient_fails():
     assert _failed_frac("census_large_h", items, outputs, entries) > 0
 
 
+def test_negative_control_missing_census_flag_fails():
+    items, outputs, entries = _census_outputs(231)
+    report = json.loads(outputs[0]["stdout"])
+    del report["flags"]["disc_exact_power"]
+    outputs[0]["stdout"] = json.dumps(report)
+    assert _failed_frac("census_large_h", items, outputs, entries) > 0
+
+
+def test_trace_refuses_a_missing_function(monkeypatch):
+    import tracer
+
+    monkeypatch.syspath_prepend(run.SRC)
+    mods = [importlib.import_module(f"rrcf5.{m}") for m in tracer.MODULES]
+    monkeypatch.delattr(mods[0], "eta")  # hpnum.eta, the first function wrapped
+    with pytest.raises(LookupError, match="hpnum.eta"):
+        tracer.Tracer().install()
+
+
 def test_negative_control_perturbed_eval_r_residual_fails():
     tau = wl.eval_r_grid()[-1]
     ref = wl.load_refs("eval_r_cusp")[tau]
@@ -112,3 +133,14 @@ def test_trace_binds_cyclo_mul_on_exact_identities():
                               lambda item: item["key"] in ("identities", "examples"))
     assert metrics["exactmath.CycloElem.mul.calls"] > 0
     assert metrics["pipeline.verify_T_invariance.self_s"] > 0
+
+
+def test_untraced_pass_samples_the_calibration_loops_outside_its_times():
+    items = [i for i in wl.make_items("tables", 0) if i["d"] in (11, 19, 24, 31, 36, 39)]
+    result, entries = run.run_pass([i["argv"] for i in items])
+    assert run.check_pass("tables", items, result, entries, wl.load_refs("tables")) == {}
+    calibs = result["calibration_s"]
+    assert len(calibs) >= 1 + int(result["wall_s"])  # one after set-up, then one a second
+    items_s = sum(out["wall_s"] for out in result["outputs"])
+    assert result["wall_s"] < items_s - 0.5 * sum(calibs[1:])
+

@@ -207,16 +207,17 @@ class Tracer:
             owner = getattr(mods[m], owner_name, None) if owner_name else mods[m]
             orig = vars(owner).get(attr) if owner is not None else None
             if orig is None:
-                continue  # gone from the program; its metrics read 0
+                raise LookupError(f"rrcf5.{m}.{path} is gone; {prefix} cannot be traced")
             if timed:
                 wrapped = self.timed(prefix, orig, **self._hooks(prefix))
             else:
                 wrapped = self.counted(prefix, orig)
             self._rebind(pkg if not owner_name else [owner], orig, wrapped)
-        policy = mods["hpnum"].PrecisionPolicy
-        if "ladder" in vars(policy):
-            self._rebind([policy], vars(policy)["ladder"],
-                         self.ladder(vars(policy)["ladder"]))
+        ladder = vars(mods["hpnum"].PrecisionPolicy).get("ladder")
+        if ladder is None:
+            raise LookupError("rrcf5.hpnum.PrecisionPolicy.ladder is gone; "
+                              "pipeline.ladder cannot be traced")
+        self._rebind([mods["hpnum"].PrecisionPolicy], ladder, self.ladder(ladder))
 
     @staticmethod
     def _rebind(owners, orig, wrapped):

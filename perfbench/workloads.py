@@ -164,11 +164,11 @@ def _check_tables(d, report):
 
 def _check_census(report, ref):
     problems = _differing(report, ref, CENSUS_REPORT_FIELDS)
-    # flags the output still carries must match; the disc-report flags are
-    # compared with the reference, not required to be true
+    # every reference flag must be present and equal; the disc-report flags
+    # are compared with the reference, not required to be true
     flags, ref_flags = report.get("flags", {}), ref["flags"]
     problems += [f"flag {k} differs from the reference" for k in ref_flags
-                 if k in flags and flags[k] != ref_flags[k]]
+                 if flags.get(k) != ref_flags[k]]
     return problems
 
 
