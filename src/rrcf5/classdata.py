@@ -8,7 +8,7 @@ from math import gcd, isqrt
 
 from mpmath import mp, mpc
 
-from .hpnum import PrecisionError, PrecisionPolicy, j_from_tau, reconstruct_int_poly
+from .hpnum import PrecisionPolicy, climb, j_from_tau, reconstruct_int_poly
 
 
 class ClassDataError(ValueError):
@@ -183,16 +183,14 @@ def n_system(cd: ClassData, v: int, N: int = 25):
 
 def class_poly(cd: ClassData, policy: PrecisionPolicy | None = None):
     """The class polynomial prod_A (x - j(w_A)) as an integer coefficient
-    tuple (lowest degree first), via high-precision j-values."""
-    if policy is None:
-        policy = PrecisionPolicy.for_discriminant(cd.d, cd.h)
+    tuple (lowest degree first), via high-precision j-values checked against
+    the r(tau) route."""
     v, _ = choose_v(cd.d, cd.f)
     args = n_system(cd, v, N=25)
-    last_err = None
-    for bits in policy.ladder():
-        try:
-            roots = [j_from_tau(arg.w(bits + 64), bits) for arg in args]
-            return reconstruct_int_poly(roots, bits)
-        except PrecisionError as e:
-            last_err = e
-    raise PrecisionError(f"class polynomial for d={cd.d} failed: {last_err}")
+
+    def roots_at(bits, cross_check=False):
+        return [j_from_tau(arg.w(bits + 64), bits, cross_check) for arg in args]
+
+    return climb(policy,
+                 lambda bits: reconstruct_int_poly(roots_at(bits, True), bits),
+                 lambda bits: [roots_at(bits)], f"class polynomial for d={cd.d}")

@@ -19,18 +19,13 @@ from mpmath import mp, mpc, mpf
 from . import cache, tables
 from .classdata import ClassDataError, class_poly, is_admissible, reduced_forms
 from .exactmath import Poly
-from .hpnum import PrecisionError, PrecisionPolicy, eta, rr_r
+from .hpnum import PrecisionError, PrecisionPolicy, rr_r
 
 
-def _policy(args, d=None, h=None):
-    if getattr(args, "prec", None):
-        return PrecisionPolicy(initial_bits=args.prec,
-                               max_bits=args.max_prec or (1 << 20))
-    if args.max_prec and d is not None and h is not None:
-        base = PrecisionPolicy.for_discriminant(d, h)
-        return PrecisionPolicy(initial_bits=base.initial_bits,
-                               max_bits=args.max_prec)
-    return None
+def _policy(args):
+    """--prec sets the first precision step (otherwise a 64-bit pass sizes
+    it); --max-prec caps the ladder."""
+    return PrecisionPolicy(initial_bits=args.prec, max_bits=args.max_prec or (1 << 20))
 
 
 def _poly_list(p: Poly):
@@ -237,7 +232,7 @@ def cmd_classpoly(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        coeffs = class_poly(cd, _policy(args, args.d, cd.h))
+        coeffs = class_poly(cd, _policy(args))
     except PrecisionError as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return 3

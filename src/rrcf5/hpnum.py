@@ -1,6 +1,7 @@
 """Arbitrary-precision numerics: Dedekind eta, the Rogers-Ramanujan
 continued fraction r(tau), the modular j-invariant, complex root finding,
-and reconstruction of integer polynomials from floating root lists.
+reconstruction of integer polynomials from floating root lists, and the
+precision ladder those reconstructions climb.
 
 All precision arguments are in bits.  mpmath supplies the underlying
 floating type; every public function sets its own working precision and
@@ -9,7 +10,8 @@ restores the caller's on exit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from math import log, pi
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -19,86 +21,111 @@ class PrecisionError(ArithmeticError):
     """Raised when a computation cannot be certified at the working precision."""
 
 
+# The cheap first pass that sizes a ladder's first step runs at this many bits.
+SIZING_BITS = 64
+# Bits added to the sized step.  reconstruct_int_poly accepts a coefficient
+# within 2^-32 of an integer, so a sized step leaves the rounding error about
+# 2^-64, far below that tolerance.
+GUARD_BITS = 64
+
+
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """Escalation schedule for precision-sensitive computations."""
+    """Doubling precision steps from initial_bits up to max_bits; with
+    initial_bits None, climb sizes the first step."""
 
-    initial_bits: int
+    initial_bits: int | None = None
     max_bits: int = 1 << 20
-    growth: int = 2
 
     def ladder(self):
         bits = self.initial_bits
         while bits <= self.max_bits:
             yield bits
-            bits *= self.growth
-
-    @classmethod
-    def for_discriminant(cls, d: int, h: int, max_bits: int = 1 << 20):
-        # coefficient sizes grow roughly like exp(pi sqrt(d) * (class-number
-        # sums)); the constant below is generous and the ladder doubles
-        base = int(4.6 * (d**0.5) * h) + 96 * h + 128
-        return cls(initial_bits=base, max_bits=max_bits)
+            bits *= 2
 
 
-TWO_PI_I = None  # computed lazily at working precision
+def climb(policy: PrecisionPolicy | None, step, roots_at, what: str):
+    """step(bits) at the first step of policy.ladder() where it raises no
+    PrecisionError.
+
+    A policy without a first step (None means PrecisionPolicy()) gets one
+    from a cheap pass: the root lists roots_at(SIZING_BITS) returns, one per
+    polynomial step reconstructs, give the largest log2 prod(1 + |root|), a
+    bound on the bits of the largest coefficient, and GUARD_BITS are added.
+    """
+    policy = policy or PrecisionPolicy()
+    if policy.initial_bits is None:
+        with mp.workprec(SIZING_BITS):
+            top = max(sum(mpmath.log(1 + abs(r), 2) for r in roots)
+                      for roots in roots_at(SIZING_BITS))
+        policy = replace(policy, initial_bits=int(mpmath.ceil(top)) + GUARD_BITS)
+    last = None
+    for bits in policy.ladder():
+        try:
+            return step(bits)
+        except PrecisionError as exc:
+            last = exc
+    reason = f"last failure: {last}" if last else "the first step is above the ceiling"
+    raise PrecisionError(f"{what}: no step from {policy.initial_bits} bits up to the "
+                         f"ceiling of {policy.max_bits} bits succeeded; {reason}")
 
 
-def _qtau(tau, prec):
-    """q = exp(2 pi i tau) at the given precision (caller sets workprec)."""
-    return mpmath.exp(2j * mp.pi * tau)
+def _jacobi_f(tau, a: int, b: int, prec: int):
+    """The Jacobi triple product f(-q^a, -q^b), q = e^(2 pi i tau):
+
+        sum_{n in Z} (-1)^n q^(a n(n+1)/2 + b n(n-1)/2)
+
+    to relative 2^-prec.  Every term has modulus at most 1, so truncation and
+    rounding errors are absolute, about 2^-bits: the terms kept are those
+    above 2^-bits, counted from -log2|q| = 2 pi Im(tau) / ln 2 before the sum
+    starts.  A sum below 2^-(extra + 32) has lost more bits to cancellation
+    than the guard allows for, and is summed again with that many more.
+    """
+    if tau.imag <= 0:
+        raise ValueError("q-series need Im(tau) > 0")
+    extra = 0
+    while True:
+        bits = prec + 64 + extra
+        with mp.workprec(bits):
+            q = mpmath.exp(2j * mp.pi * tau)
+            qab = q ** (a + b)
+            top = bits * log(2) / (2 * pi * float(tau.imag))  # largest exponent kept
+            total = mpc(1)
+            # n >= 1 steps by q^(a n + b (n-1)); n <= -1 is the same with a, b swapped
+            for first in (a, b):
+                term, step, e, de, sign = mpc(1), q**first, first, first, -1
+                while e <= top:
+                    term *= step
+                    total += sign * term
+                    step *= qab
+                    de += a + b
+                    e += de
+                    sign = -sign
+            lost = -mpmath.mag(total)
+        if lost <= extra + 32:
+            return total
+        extra = lost
 
 
 def eta(tau, prec: int):
-    """Dedekind eta(tau) = q^{1/24} prod_{n>=1} (1 - q^n), Im(tau) > 0."""
+    """Dedekind eta(tau) = q^{1/24} prod_{n>=1} (1 - q^n), Im(tau) > 0,
+    summed as Euler's pentagonal series q^{1/24} f(-q, -q^2)."""
     with mp.workprec(prec + 64):
         tau = mpc(tau)
-        if tau.imag <= 0:
-            raise ValueError("eta requires Im(tau) > 0")
-        q = _qtau(tau, prec)
-        prefactor = mpmath.exp(1j * mp.pi * tau / 12)
-        prod = mpf(1)
-        qn = mpc(1)
-        tiny = mpf(2) ** (-(prec + 64))
-        for _ in range(1, 10_000_000):
-            qn = qn * q
-            prod = prod * (1 - qn)
-            if abs(qn) < tiny:
-                break
-        else:
-            raise PrecisionError("eta product did not converge")
-        result = prefactor * prod
+        result = mpmath.exp(1j * mp.pi * tau / 12) * _jacobi_f(tau, 1, 2, prec)
     with mp.workprec(prec):
         return mpc(result)
 
 
 def rr_r(tau, prec: int):
     """The Rogers-Ramanujan continued fraction
-    r(tau) = q^{1/5} prod_{n>=1} (1 - q^n)^{(n|5)}   with (n|5) the Legendre symbol.
+    r(tau) = q^{1/5} prod_{n>=1} (1 - q^n)^{(n|5)}   with (n|5) the Legendre symbol,
+    summed as q^{1/5} f(-q, -q^4) / f(-q^2, -q^3).
     """
-    legendre = (0, 1, -1, -1, 1)  # (n|5) by n mod 5
     with mp.workprec(prec + 64):
         tau = mpc(tau)
-        if tau.imag <= 0:
-            raise ValueError("r(tau) requires Im(tau) > 0")
-        q = _qtau(tau, prec)
-        prefactor = mpmath.exp(2j * mp.pi * tau / 5)
-        num = mpc(1)
-        den = mpc(1)
-        qn = mpc(1)
-        tiny = mpf(2) ** (-(prec + 64))
-        for n in range(1, 10_000_000):
-            qn = qn * q
-            s = legendre[n % 5]
-            if s == 1:
-                num = num * (1 - qn)
-            elif s == -1:
-                den = den * (1 - qn)
-            if abs(qn) < tiny:
-                break
-        else:
-            raise PrecisionError("r(tau) product did not converge")
-        result = prefactor * num / den
+        result = (mpmath.exp(2j * mp.pi * tau / 5)
+                  * _jacobi_f(tau, 1, 4, prec) / _jacobi_f(tau, 2, 3, prec))
     with mp.workprec(prec):
         return mpc(result)
 
@@ -109,33 +136,41 @@ def weber_x1(tau, prec: int):
         return eta(mpc(tau) / 5, prec + 32) ** 2 / eta(tau, prec + 32) ** 2
 
 
+def j_from_c(c):
+    """j = (c^2 + 10 c + 5)^3 / c with c = x1^3 = (eta(tau/5)/eta(tau))^6
+    (caller sets workprec)."""
+    return (c**2 + 10 * c + 5) ** 3 / c
+
+
+def check_j_by_r(j, tau, prec: int):
+    """The independent route: j recomputed from r(tau) through
+
+        j = (r^20 - 228 r^15 + 494 r^10 + 228 r^5 + 1)^3 / (r^5 (1 - 11 r^5 - r^10)^5)
+
+    must agree with j to relative 2^(32-prec); raises PrecisionError if not.
+    """
+    with mp.workprec(prec + 64):
+        r5 = rr_r(tau, prec + 64) ** 5
+        num = (r5**4 - 228 * r5**3 + 494 * r5**2 + 228 * r5 + 1) ** 3
+        den = r5 * (1 - 11 * r5 - r5**2) ** 5
+        if abs(j - num / den) / max(abs(j), mpf(1)) > mpf(2) ** (32 - prec):
+            raise PrecisionError("j-invariant routes disagree; raise the precision")
+
+
 def j_from_tau(tau, prec: int, cross_check: bool = True):
     """Modular j-invariant via the level-5 eta quotient:
 
         j = (x1^6 + 10 x1^3 + 5)^3 / x1^3,   x1 = (eta(tau/5)/eta(tau))^2.
 
-    With cross_check=True the value is recomputed from r(tau) through
-
-        j = (r^20 - 228 r^15 + 494 r^10 + 228 r^5 + 1)^3 / (r^5 (1 - 11 r^5 - r^10)^5)
-
+    With cross_check=True the value is recomputed from r(tau) (check_j_by_r)
     and the two routes must agree to relative 2^(32-prec).
     """
     with mp.workprec(prec + 64):
-        x1 = weber_x1(tau, prec + 64)
-        c = x1**3
-        j1 = (c**2 + 10 * c + 5) ** 3 / c
+        j = j_from_c(weber_x1(tau, prec + 64) ** 3)
         if cross_check:
-            r = rr_r(tau, prec + 64)
-            r5 = r**5
-            num = (r5**4 - 228 * r5**3 + 494 * r5**2 + 228 * r5 + 1) ** 3
-            den = r5 * (1 - 11 * r5 - r5**2) ** 5
-            j2 = num / den
-            scale = max(abs(j1), mpf(1))
-            if abs(j1 - j2) / scale > mpf(2) ** (32 - prec):
-                raise PrecisionError("j-invariant routes disagree; raise the precision")
-        out = j1
+            check_j_by_r(j, tau, prec)
     with mp.workprec(prec):
-        return mpc(out)
+        return mpc(j)
 
 
 def _squarefree_check(coeffs):
@@ -206,11 +241,6 @@ def reconstruct_int_poly(roots, prec: int, leading: int = 1, tol_bits: int = 32)
                 raise PrecisionError("coefficient too far from an integer")
             out.append(n)
     return tuple(out)
-
-
-def as_mpc(value, prec: int):
-    with mp.workprec(prec):
-        return mpc(value)
 
 
 def close(a, b, bits: int):

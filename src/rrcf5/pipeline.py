@@ -12,8 +12,7 @@ from math import isqrt
 
 from mpmath import mp, mpc, mpf
 
-from . import tables
-from .classdata import ClassData, choose_v, class_poly, n_system, reduced_forms
+from .classdata import choose_v, n_system, reduced_forms
 from .exactmath import (
     CycloElem,
     Poly,
@@ -21,7 +20,15 @@ from .exactmath import (
     poly_compose_rational,
     poly_discriminant,
 )
-from .hpnum import PrecisionError, PrecisionPolicy, eta, reconstruct_int_poly
+from .hpnum import (
+    PrecisionError,
+    PrecisionPolicy,
+    check_j_by_r,
+    climb,
+    eta,
+    j_from_c,
+    reconstruct_int_poly,
+)
 
 
 class PipelineIntegrityError(RuntimeError):
@@ -36,75 +43,77 @@ J55_NUM = Poly((1, 228, 494, -228, 1)) ** 3
 J55_DEN = Poly((0, 1)) * Poly((1, -11, -1)) ** 5
 
 
-def _z_from_x1_cubed(c):
-    return -11 - c
+def _with_conjugates(values):
+    """values followed by their complex conjugates (caller sets workprec)."""
+    return values + [mpc(v.real, -v.imag) for v in values]
+
+
+def heegner_values(args, prec: int):
+    """z, s and j at each Heegner argument w, from eta(w), eta(w/5) and
+    eta(w/25), each evaluated once:
+
+        c = (eta(w/5)/eta(w))^6,  z = -11 - c,  s = -1 - eta(w/25)/eta(w),
+        j = (c^2 + 10 c + 5)^3 / c.
+
+    Returns (zs, ss, js); zs and ss also carry the complex conjugates, the
+    other h roots of R and S.
+    """
+    zs, ss, js = [], [], []
+    with mp.workprec(prec + 32):
+        for arg in args:
+            w = arg.w(prec + 32)
+            e1 = eta(w, prec)
+            c = (eta(w / 5, prec) / e1) ** 6
+            zs.append(-11 - c)
+            ss.append(-1 - eta(w / 25, prec) / e1)
+            js.append(j_from_c(c))
+        return _with_conjugates(zs), _with_conjugates(ss), js
+
+
+def _check_z_s_link(zs, ss, prec: int):
+    """Every s-value lifts to its z-value through z = s^5 + 5 s^3 + 5 s."""
+    with mp.workprec(prec + 32):
+        tol = mpf(2) ** (-(prec // 2))
+        for s, z in zip(ss, zs):
+            if abs(s**5 + 5 * s**3 + 5 * s - z) > tol * max(1, abs(z)):
+                raise PrecisionError("s-value failed the z cross-link")
 
 
 def compute_z_values(args, prec: int):
     """z(w) = -11 - (eta(w/5)/eta(w))^6 at each argument, plus conjugates."""
-    values = []
-    with mp.workprec(prec + 32):
-        for arg in args:
-            w = arg.w(prec + 32)
-            x1c = (eta(w / 5, prec) / eta(w, prec)) ** 6
-            z = _z_from_x1_cubed(x1c)
-            values.append(z)
-        values += [mpc(z.real, -z.imag) for z in values]
-    return values
+    return heegner_values(args, prec)[0]
 
 
 def compute_s_values(args, prec: int, z_values=None):
     """s(w) = -1 - eta(w/25)/eta(w) plus conjugates; cross-checked against
     the z-values through z = s^5 + 5 s^3 + 5 s."""
-    values = []
-    with mp.workprec(prec + 32):
-        for arg in args:
-            w = arg.w(prec + 32)
-            s = -1 - eta(w / 25, prec) / eta(w, prec)
-            values.append(s)
-        values += [mpc(s.real, -s.imag) for s in values]
-        if z_values is None:
-            z_values = compute_z_values(args, prec)
-        tol = mpf(2) ** (-(prec // 2))
-        for s, z in zip(values, z_values):
-            lift = s**5 + 5 * s**3 + 5 * s
-            if abs(lift - z) > tol * max(1, abs(z)):
-                raise PrecisionError("s-value failed the z cross-link")
-    return values
+    zs, ss, _ = heegner_values(args, prec)
+    _check_z_s_link(zs if z_values is None else z_values, ss, prec)
+    return ss
+
+
+def _heegner_args(d: int):
+    cd = reduced_forms(d)
+    v, relaxed = choose_v(d, cd.f)
+    return cd, v, relaxed, n_system(cd, v, N=25)
+
+
+def _minimal_poly(d: int, policy, values, name: str):
+    """The monic integer polynomial whose roots values(args, bits) returns."""
+    args = _heegner_args(d)[3]
+    return climb(policy,
+                 lambda bits: Poly(reconstruct_int_poly(values(args, bits), bits)),
+                 lambda bits: [values(args, bits)], f"{name} for d={d}")
 
 
 def build_R(d: int, policy: PrecisionPolicy | None = None):
     """Monic integral minimal polynomial of the z-conjugates (degree 2h)."""
-    cd = reduced_forms(d)
-    if policy is None:
-        policy = PrecisionPolicy.for_discriminant(d, cd.h)
-    v, _ = choose_v(d, cd.f)
-    args = n_system(cd, v, N=25)
-    last = None
-    for bits in policy.ladder():
-        try:
-            zs = compute_z_values(args, bits)
-            return Poly(reconstruct_int_poly(zs, bits))
-        except PrecisionError as e:
-            last = e
-    raise PrecisionError(f"R for d={d}: {last}")
+    return _minimal_poly(d, policy, compute_z_values, "R")
 
 
 def build_S(d: int, policy: PrecisionPolicy | None = None):
     """Monic integral minimal polynomial of the s-conjugates (degree 2h)."""
-    cd = reduced_forms(d)
-    if policy is None:
-        policy = PrecisionPolicy.for_discriminant(d, cd.h)
-    v, _ = choose_v(d, cd.f)
-    args = n_system(cd, v, N=25)
-    last = None
-    for bits in policy.ladder():
-        try:
-            ss = compute_s_values(args, bits)
-            return Poly(reconstruct_int_poly(ss, bits))
-        except PrecisionError as e:
-            last = e
-    raise PrecisionError(f"S for d={d}: {last}")
+    return _minimal_poly(d, policy, compute_s_values, "S")
 
 
 def _lift_through_x_minus_inv(S: Poly) -> Poly:
@@ -312,34 +321,31 @@ def _heegner_numeric_check(H: Poly, z_values, prec: int) -> bool:
 
 
 def run_pipeline(d: int, policy: PrecisionPolicy | None = None) -> PipelineResult:
+    """The whole tower for d.  H, R and S are reconstructed in one precision
+    ladder from the values of heegner_values; its first step is sized by a
+    64-bit pass unless the policy names one."""
     if d == 4:
         raise PipelineIntegrityError(
             "d = 4 produces square factors; use the cyclotomic corpus instead"
         )
-    cd = reduced_forms(d)
+    cd, v, relaxed, args = _heegner_args(d)
     h = cd.h
-    if policy is None:
-        policy = PrecisionPolicy.for_discriminant(d, h)
-    v, relaxed = choose_v(d, cd.f)
-    args = n_system(cd, v, N=25)
 
-    H = Poly(class_poly(cd, policy))
-
-    last = None
-    for bits in policy.ladder():
+    def step(bits):
+        zs, ss, js = heegner_values(args, bits)
+        _check_z_s_link(zs, ss, bits)
+        for arg, j in zip(args, js):
+            check_j_by_r(j, arg.w(bits + 64), bits)
+        H, R, S = (Poly(reconstruct_int_poly(roots, bits)) for roots in (js, zs, ss))
         try:
-            zs = compute_z_values(args, bits)
-            ss = compute_s_values(args, bits, z_values=zs)
-            R = Poly(reconstruct_int_poly(zs, bits))
-            S = Poly(reconstruct_int_poly(ss, bits))
             Q = build_Q(R)
             p, q = build_p_q(S, Q)
-            used = bits
-            break
-        except (PrecisionError, PipelineIntegrityError) as e:
-            last = e
-    else:
-        raise PrecisionError(f"pipeline for d={d} exhausted precision: {last}")
+        except PipelineIntegrityError as exc:
+            raise PrecisionError(str(exc)) from exc
+        return bits, zs, H, R, S, Q, p, q
+
+    used, zs, H, R, S, Q, p, q = climb(
+        policy, step, lambda bits: heegner_values(args, bits), f"pipeline for d={d}")
 
     if p.degree != 4 * h or q.degree != 16 * h:
         raise PipelineIntegrityError("degree bookkeeping failed")

@@ -62,6 +62,16 @@ def test_classpoly_command(cachedir, capsys):
     assert main(["classpoly", "-d", "6"]) == 2
 
 
+@pytest.mark.parametrize("argv", (["pipeline", "-d", "24"], ["classpoly", "-d", "24"],
+                                  ["verify-tables", "--range", "24..24"]))
+def test_max_prec_caps_the_sized_ladder(cachedir, capsys, argv):
+    assert main(argv + ["--max-prec", "8"]) == 3
+    err = capsys.readouterr().err
+    assert "ceiling of 8 bits" in err and "None" not in err
+    assert main(argv + ["--prec", "32", "--max-prec", "64"]) == 3
+    assert "from 32 bits up to the ceiling of 64 bits" in capsys.readouterr().err
+
+
 def test_verify_tables_range(cachedir, capsys):
     assert main(["verify-tables", "--range", "11..19", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)

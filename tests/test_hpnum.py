@@ -3,8 +3,10 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from rrcf5.hpnum import (
+    GUARD_BITS,
     PrecisionError,
     PrecisionPolicy,
+    climb,
     close,
     eta,
     j_from_tau,
@@ -16,6 +18,45 @@ from rrcf5.hpnum import (
 )
 
 PREC = 256
+
+
+def _eta_product(tau, prec):
+    """Reference: q^{1/24} prod_{n>=1} (1 - q^n), the product formula."""
+    with mp.workprec(prec + 64):
+        tau = mpc(tau)
+        q = mpmath.exp(2j * mp.pi * tau)
+        prod, qn, tiny = mpc(1), mpc(1), mpf(2) ** (-(prec + 64))
+        while abs(qn) >= tiny:
+            qn *= q
+            prod *= 1 - qn
+        return mpmath.exp(1j * mp.pi * tau / 12) * prod
+
+
+def _rr_r_product(tau, prec):
+    """Reference: q^{1/5} prod_{n>=1} (1 - q^n)^{(n|5)}, the product formula."""
+    legendre = (0, 1, -1, -1, 1)
+    with mp.workprec(prec + 64):
+        tau = mpc(tau)
+        q = mpmath.exp(2j * mp.pi * tau)
+        num, den, qn, tiny = mpc(1), mpc(1), mpc(1), mpf(2) ** (-(prec + 64))
+        n = 0
+        while abs(qn) >= tiny:
+            n += 1
+            qn *= q
+            if legendre[n % 5] == 1:
+                num *= 1 - qn
+            elif legendre[n % 5] == -1:
+                den *= 1 - qn
+        return mpmath.exp(2j * mp.pi * tau / 5) * num / den
+
+
+@pytest.mark.parametrize("im", (0.02, 0.2, 2))
+@pytest.mark.parametrize("re", (0, 0.3, -0.47))
+def test_series_matches_product_formula(re, im):
+    prec = 160
+    tau = mpc(re, im)
+    assert close(eta(tau, prec), _eta_product(tau, prec), prec - 16)
+    assert close(rr_r(tau, prec), _rr_r_product(tau, prec), prec - 16)
 
 
 def test_eta_at_i():
@@ -126,5 +167,19 @@ def test_reconstruct_rejects_garbage():
 def test_precision_policy_ladder():
     pol = PrecisionPolicy(initial_bits=100, max_bits=500)
     assert list(pol.ladder()) == [100, 200, 400]
-    pol2 = PrecisionPolicy.for_discriminant(19, 1)
-    assert pol2.initial_bits > 128
+
+
+def test_climb_sizes_the_first_step_and_names_it_on_exhaustion():
+    steps = []
+
+    def step(bits):
+        steps.append(bits)
+        raise PrecisionError("never enough")
+
+    roots = [mpc(2**20 - 1), mpc(0)]  # log2 prod(1 + |root|) = 20
+    first = 20 + GUARD_BITS
+    with pytest.raises(PrecisionError, match=f"from {first} bits up to the ceiling of {3 * first} bits"):
+        climb(PrecisionPolicy(max_bits=3 * first), step, lambda bits: [roots], "demo")
+    assert steps == [first, 2 * first]
+    with pytest.raises(PrecisionError, match="first step is above the ceiling"):
+        climb(PrecisionPolicy(max_bits=8), step, lambda bits: [roots], "demo")

@@ -2,6 +2,7 @@ import pytest
 
 from rrcf5 import tables
 from rrcf5.exactmath import Poly
+from rrcf5.hpnum import PrecisionPolicy
 from rrcf5.pipeline import (
     PipelineIntegrityError,
     build_F_G,
@@ -108,6 +109,49 @@ def test_run_pipeline_d24_intermediates():
     assert r.p == Poly(tables.P_TABLE[24])
     # Q(x^5) = p * q exactly
     assert r.Q.subst_x_pow(5) == r.p * r.q
+
+
+# d = 119 (h = 10) is beyond the printed H and R tables; these are the
+# polynomials the product-formula kernel reconstructed at 1,589 bits.
+H119 = (
+    -11669920442373800031513478208679663025064587635901689887,
+    346485626218561739292181172729923937711295004460654234,
+    -292223928830848711011022637790896567674102040378617,
+    29494022920507896313766601313371285654722780443,
+    12480611255809545689627144542329203076373873,
+    4794937071328670764609540039796857947016,
+    -52855712468679496581065487695942573, 585035810262130969538043606647,
+    -70241355662808988599, 764872171216961, 1,
+)
+R119 = (
+    10664149813577101068217, 11493740669938481544102, 739626422216774521067,
+    -3741852526689683635534, -245890793852055939393, 749378610723234587160,
+    355237628469700124261, 86014078537699894859, 14470050016221731194,
+    2037415884757129573, 241637776424241245, 19935597905633026,
+    823975385356532, -6305525408205, -1893713649200, -37734693822, 1828910742,
+    85093915, 1047667, 1634, 1,
+)
+S119 = (
+    392407, -758898, 1435817, -1525394, 1683482, -1280160, 1073931, -652581,
+    463394, -236767, 147415, -62764, 33982, -11405, 5325, -1267, 532, -70, 32,
+    -1, 1,
+)
+
+
+def test_run_pipeline_d119_sized_first_step():
+    r = run_pipeline(119)
+    assert r.precision_used < 400
+    assert (r.H, r.R, r.S) == (Poly(H119), Poly(R119), Poly(S119))
+    assert r.p == Poly(tables.P_TABLE[119]) and r.all_ok
+
+
+def test_run_pipeline_escalates_from_a_low_first_step():
+    r = run_pipeline(24, PrecisionPolicy(initial_bits=32))
+    assert r.precision_used > 32
+    assert r.H == Poly(tables.H_TABLE[24])
+    assert r.R == Poly(tables.R_TABLE[24])
+    assert r.S == Poly((7, -10, 5, -2, 1))
+    assert r.p == Poly(tables.P_TABLE[24]) and r.all_ok
 
 
 def test_run_pipeline_rejects_d4():
