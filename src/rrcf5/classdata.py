@@ -162,19 +162,21 @@ def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
     return (r1 + m1 * t) % lcm
 
 
-def n_system(cd: ClassData, v: int, N: int = 25):
+# The argument systems have level 25: b_adj = -v (mod 2 * 25).
+_B_MOD = 50
+
+
+def n_system(cd: ClassData, v: int):
     """One Heegner argument per class with 5 not dividing a and
-    b_adj = -v (mod 2N).  Correctness is certified downstream by exact
+    b_adj = -v (mod 50).  Correctness is certified downstream by exact
     integer reconstruction and divisibility, not assumed here."""
-    if N not in (5, 25):
-        raise ClassDataError("system level must be 5 or 25")
     args = []
     for fm in cd.forms:
         g = _equivalent_with_a_coprime_to_5(fm)
-        b_adj = _crt(g.b % (2 * g.a), 2 * g.a, (-v) % (2 * N), 2 * N)
+        b_adj = _crt(g.b % (2 * g.a), 2 * g.a, (-v) % _B_MOD, _B_MOD)
         # keep |b_adj| moderate for fast eta convergence (larger Im(w)/Re ratio
         # does not change convergence, but small |Re w| avoids cancellation)
-        lcm = (2 * g.a) * (2 * N) // gcd(2 * g.a, 2 * N)
+        lcm = (2 * g.a) * _B_MOD // gcd(2 * g.a, _B_MOD)
         if b_adj > lcm // 2:
             b_adj -= lcm
         args.append(HeegnerArg(form=g, b_adj=b_adj, d=cd.d))
@@ -186,7 +188,7 @@ def class_poly(cd: ClassData, policy: PrecisionPolicy | None = None):
     tuple (lowest degree first), via high-precision j-values checked against
     the r(tau) route."""
     v, _ = choose_v(cd.d, cd.f)
-    args = n_system(cd, v, N=25)
+    args = n_system(cd, v)
 
     def roots_at(bits, cross_check=False):
         return [j_from_tau(arg.w(bits + 64), bits, cross_check) for arg in args]

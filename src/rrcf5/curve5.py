@@ -14,7 +14,7 @@ from mpmath import mp, mpc, mpf
 
 from . import tables
 from .classdata import choose_v, reduced_forms
-from .exactmath import CycloElem, Poly, RatFunc, lift_to_cyclo
+from .exactmath import CycloElem, Poly, RatFunc, lift_to_cyclo, poly_compose_rational
 from .hpnum import eta, rr_r
 from .pipeline import J5_DEN, J5_NUM, J55_DEN, J55_NUM
 
@@ -193,21 +193,6 @@ def torsion_A_coeffs(alpha=None):
     return A4, A3, A2, A1, A0
 
 
-def _cleared(p: Poly, num: Poly, den: Poly, total: int) -> Poly:
-    """den^total * p(num/den) for deg p <= total."""
-    acc = Poly()
-    np = Poly((_c(1),))
-    den_pows = [Poly((_c(1),))]
-    for _ in range(total):
-        den_pows.append(den_pows[-1] * den)
-    for k, coeff in enumerate(p.coeffs):
-        if coeff:
-            acc = acc + np * den_pows[total - k] * coeff
-        if k < p.degree:
-            np = np * num
-    return acc
-
-
 def master_torsion_identity(twist: int = 0, perturb_A1: int = 0) -> bool:
     """psi_5(X(u), b(u)) = 0 identically in u over Q(sqrt5), where
     b = (eps^5 u^5 + epsbar^5)/(u^5 + 1) and X is the explicit degree-4
@@ -226,7 +211,7 @@ def master_torsion_identity(twist: int = 0, perturb_A1: int = 0) -> bool:
     # clear b = bnum/bden out of each A_k (deg_b <= 2) and attach u^k
     XA = Poly()
     for k, Ak in enumerate((A0, A1, A2, A3, A4)):
-        CAk = _cleared(Ak, bnum, bden, 2)
+        CAk = poly_compose_rational(Ak, bnum, bden, 2)
         if twist:
             CAk = CAk * zeta ** (k * twist)  # (zeta^t u)^k picks up zeta^{tk}
         XA = XA + CAk * Poly([_c(0)] * k + [_c(1)])
@@ -239,7 +224,7 @@ def master_torsion_identity(twist: int = 0, perturb_A1: int = 0) -> bool:
     for j, cj in enumerate(psi5.coeffs):
         if cj:  # cj is a Poly in b with integer coefficients, deg <= 9
             cj_c = lift_to_cyclo(cj)
-            Cj = _cleared(cj_c, bnum, bden, 9)
+            Cj = poly_compose_rational(cj_c, bnum, bden, 9)
             total = total + Cj * (lam**j) * XA_pow * bden ** (24 - 2 * j)
         if j < psi5.degree:
             XA_pow = XA_pow * XA
@@ -465,13 +450,9 @@ def verify_C5_solution(d: int, prec: int = 512) -> C5Report:
         residual = abs(X**5 + Y**5 - eps5 * (1 - X**5 * Y**5))
         res_bits = int(-mpmath.log(residual, 2)) if residual > 0 else prec
         tol = mpf(2) ** (-(prec // 2))
-
-        def p_at(val):
-            return abs(sum(mpc(c) * val**k for k, c in enumerate(p.coeffs)))
-
-        p_ok = p_at(X) < tol
+        p_ok = abs(p(X)) < tol
         zeta = mpmath.exp(2j * mp.pi / 5)
-        hits = [j for j in range(1, 5) if p_at(zeta**j * Y) < tol]
+        hits = [j for j in range(1, 5) if abs(p(zeta**j * Y)) < tol]
         j_idx = hits[0] if len(hits) == 1 else 0
         # xi^5 = tau(eta^5) with eta = X, xi = zeta^j Y: fifth powers kill zeta
         b = X**5

@@ -103,11 +103,7 @@ class CycloElem:
             return self
         if not (self.order == 5 and order == 20):
             raise ExactDomainError("only the embedding Q(zeta_5) -> Q(zeta_20) is supported")
-        z4 = CycloElem.zeta(20) ** 4
-        acc = CycloElem.from_rational(20, 0)
-        for c in reversed(self.coords):
-            acc = acc * z4 + CycloElem.from_rational(20, c)
-        return acc
+        return self._at(CycloElem.zeta(20) ** 4)
 
     # -- ring structure -----------------------------------------------------
 
@@ -178,21 +174,18 @@ class CycloElem:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         # extended Euclid of the coordinate polynomial against the minimal
         # polynomial of zeta_n, over Q
-        mod = [Fraction(c) for c in _CYCLO_POLY[self.order]]
-        a = [Fraction(c) for c in self.coords]
-        r0, r1 = mod, _trim(a)
-        s0, s1 = [], [Fraction(1)]
-        while _deg(r1) > 0:
-            q, r = _list_divmod(r0, r1)
+        r0 = Poly([Fraction(c) for c in _CYCLO_POLY[self.order]])
+        r1 = Poly([Fraction(c) for c in self.coords])
+        s0, s1 = Poly(), Poly((Fraction(1),))
+        while r1.degree > 0:
+            q, r = divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _list_sub(s0, _list_mul(q, s1))
+            s0, s1 = s1, s0 - q * s1
         if not r1:
             raise ZeroDivisionError("not invertible (should not happen in a field)")
-        inv_c = 1 / r1[0]
-        coeffs = [c * inv_c for c in s1]
-        phi = _PHI[self.order]
-        coeffs += [Fraction(0)] * (phi - len(coeffs))
-        return CycloElem(self.order, tuple(coeffs[:phi]))
+        coeffs = (s1 * (1 / r1.coeffs[0])).coeffs
+        coeffs += (Fraction(0),) * (_PHI[self.order] - len(coeffs))
+        return CycloElem(self.order, coeffs)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -229,19 +222,15 @@ class CycloElem:
         """Apply the automorphism zeta -> zeta^k (k coprime to the order)."""
         if _igcd(k, self.order) != 1:
             raise ExactDomainError("automorphism exponent must be a unit")
-        zk = CycloElem.zeta(self.order) ** k
-        acc = CycloElem.from_rational(self.order, 0)
-        for c in reversed(self.coords):
-            acc = acc * zk + CycloElem.from_rational(self.order, c)
-        return acc
+        return self._at(CycloElem.zeta(self.order) ** k)
+
+    def _at(self, image):
+        """The coordinate polynomial at image, a CycloElem (zero included)."""
+        return CycloElem.from_rational(image.order, 0) + Poly(self.coords)(image)
 
     def evaluate(self, zeta_value):
         """Numeric value given a numeric primitive root of unity."""
-        acc = 0
-        for c in reversed(self.coords):
-            f = Fraction(c)
-            acc = acc * zeta_value + f.numerator / (zeta_value * 0 + f.denominator)
-        return acc
+        return Poly(self.coords)(zeta_value)
 
     def __repr__(self):
         return f"CycloElem({self.order}, {self.coords})"
@@ -255,50 +244,6 @@ def golden_unit(order=5):
 def golden_unit_conj(order=5):
     """epsilon-bar = (-1 - sqrt(5))/2."""
     return (-CycloElem.sqrt5(order) - 1) * Fraction(1, 2)
-
-
-# small helpers on bare coefficient lists (used by CycloElem.inverse)
-
-def _trim(cs):
-    cs = list(cs)
-    while cs and not cs[-1]:
-        cs.pop()
-    return cs
-
-
-def _deg(cs):
-    return len(cs) - 1
-
-
-def _list_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return _trim([x - y for x, y in zip(a, b)])
-
-
-def _list_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _list_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        coef = a[k + len(b) - 1] * inv
-        q[k] = coef
-        if coef:
-            for j, y in enumerate(b):
-                a[k + j] -= coef * y
-    return _trim(q), _trim(a)
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +412,6 @@ class Poly:
             acc = acc * value + c
         return acc
 
-    def compose(self, inner):
-        """self(inner) for a polynomial inner."""
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.const(c)
-        return acc
-
     def subst_x_pow(self, k):
         """Substitute x -> x^k by spreading coefficients."""
         if self.is_zero():
@@ -507,24 +445,6 @@ class Poly:
         if not self.is_integral():
             raise ExactDomainError("polynomial is not integral")
         return tuple(int(c) for c in self.coeffs)
-
-    def content(self):
-        """Positive rational content (coefficients must be int/Fraction)."""
-        if self.is_zero():
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            f = Fraction(c)
-            num = _igcd(num, f.numerator)
-            den = den * f.denominator // _igcd(den, f.denominator)
-        return Fraction(num, den)
-
-    def primitive(self):
-        c = self.content()
-        if not c:
-            return self
-        return self.map_coeffs(lambda a: Fraction(a) / c)
 
     def __repr__(self):
         if self.is_zero():
@@ -636,12 +556,13 @@ def poly_discriminant(p):
 
 
 def poly_compose_rational(H, num, den, h):
-    """Denominator-cleared composition den^h * H(num/den).
+    """Denominator-cleared composition den^h * H(num/den), for h >= deg H.
 
-    Returns sum_k H_k * num^k * den^(h-k); integral whenever H is.
+    Returns sum_k H_k * num^k * den^(h-k); integral whenever H, num and den
+    are.  Every homogenised composition in the package goes through here.
     """
-    if h != H.degree:
-        raise ExactDomainError("h must equal deg H")
+    if h < H.degree:
+        raise ExactDomainError("h must be at least deg H")
     num_pow = Poly((1,))
     den_pows = [Poly((1,))]
     for _ in range(h):
@@ -650,7 +571,7 @@ def poly_compose_rational(H, num, den, h):
     for k, c in enumerate(H.coeffs):
         if c:
             total = total + num_pow * den_pows[h - k] * c
-        if k < h:
+        if k < H.degree:
             num_pow = num_pow * num
     return total
 
@@ -738,36 +659,16 @@ class RatFunc:
         """Compose: self(inner(x)) for a RatFunc (or Poly) inner."""
         if isinstance(inner, Poly):
             inner = RatFunc(inner)
-        n, m = self.num.degree, self.den.degree
-        k = max(n, m)
-        gnum, gden = inner.num, inner.den
-        gden_pows = [Poly((1,))]
-        for _ in range(k):
-            gden_pows.append(gden_pows[-1] * gden)
-
-        def cleared(p):
-            # gden^k * p(gnum/gden)
-            acc = Poly()
-            gp = Poly((1,))
-            for i, c in enumerate(p.coeffs):
-                if c:
-                    acc = acc + gp * gden_pows[k - i] * c
-                if i < p.degree:
-                    gp = gp * gnum
-            return acc
-
-        return RatFunc(cleared(self.num), cleared(self.den))
+        # both sides cleared by the same power gden^k of the inner denominator
+        k = max(self.num.degree, self.den.degree)
+        return RatFunc(poly_compose_rational(self.num, inner.num, inner.den, k),
+                       poly_compose_rational(self.den, inner.num, inner.den, k))
 
     def __call__(self, value):
         return self.num(value) / self.den(value)
 
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"
-
-
-def ratfunc_equal(f, g):
-    """Cross-multiplication equality in the function field."""
-    return f == g
 
 
 # ---------------------------------------------------------------------------
@@ -850,41 +751,22 @@ class MoebiusMap:
             raise ZeroDivisionError("pole of Moebius map")
         return (self.a * z + self.b) / den
 
-    def apply_numeric(self, z, zeta_value):
-        """Numeric action, evaluating entries at a numeric root of unity."""
-        a, b, c, d = (e.evaluate(zeta_value) for e in self.entries())
-        return (a * z + b) / (c * z + d)
-
     def __repr__(self):
         return f"MoebiusMap({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
 
-def moebius_act_on_poly(M, p, normalize=True):
-    """Denominator-cleared pullback (cx+d)^deg(p) * p((ax+b)/(cx+d)).
+def moebius_act_on_poly(M, p):
+    """Denominator-cleared pullback (cx+d)^deg(p) * p((ax+b)/(cx+d)), made
+    monic.
 
-    Coefficients are lifted to Q(zeta_n).  With normalize=True the result is
-    scaled to leading coefficient 1, giving a canonical projective
-    representative; the action is then a right group action up to scalars.
+    Coefficients are lifted to Q(zeta_n).  The monic result is a canonical
+    projective representative; the action is then a right group action up to
+    scalars.
     """
     if p.is_zero():
         raise ExactDomainError("cannot act on the zero polynomial")
-    order = M.order
-    p = p.map_coeffs(lambda c: _as_cyclo(c, order))
-    n = p.degree
-    num = Poly((M.b, M.a))
-    den = Poly((M.d, M.c))
-    den_pows = [Poly((CycloElem.from_rational(order, 1),))]
-    for _ in range(n):
-        den_pows.append(den_pows[-1] * den)
-    acc = Poly()
-    num_pow = Poly((CycloElem.from_rational(order, 1),))
-    for k, c in enumerate(p.coeffs):
-        if c:
-            acc = acc + num_pow * den_pows[n - k] * c
-        if k < n:
-            num_pow = num_pow * num
+    p = p.map_coeffs(lambda c: _as_cyclo(c, M.order))
+    acc = poly_compose_rational(p, Poly((M.b, M.a)), Poly((M.d, M.c)), p.degree)
     if acc.is_zero():
         raise ExactDomainError("pullback collapsed to zero (degenerate map)")
-    if normalize:
-        acc = acc.monic()
-    return acc
+    return acc.monic()

@@ -23,9 +23,11 @@ class PrecisionError(ArithmeticError):
 
 # The cheap first pass that sizes a ladder's first step runs at this many bits.
 SIZING_BITS = 64
-# Bits added to the sized step.  reconstruct_int_poly accepts a coefficient
-# within 2^-32 of an integer, so a sized step leaves the rounding error about
-# 2^-64, far below that tolerance.
+# reconstruct_int_poly accepts a coefficient within 2^-ROUND_TOL_BITS of an
+# integer.
+ROUND_TOL_BITS = 32
+# Bits added to the sized step.  A sized step leaves the rounding error about
+# 2^-64, far below the 2^-ROUND_TOL_BITS tolerance.
 GUARD_BITS = 64
 
 
@@ -217,23 +219,30 @@ def poly_complex_roots(coeffs, prec: int, require_squarefree: bool = True):
         return [mpc(r) for r in roots]
 
 
-def reconstruct_int_poly(roots, prec: int, leading: int = 1, tol_bits: int = 32):
-    """Expand leading * prod (x - root) and round to the nearest integers.
+def expand_roots(roots):
+    """Coefficients of prod (x - root), lowest degree first (caller sets
+    workprec)."""
+    coeffs = [mpc(1)]
+    for r in roots:
+        r = mpc(r)
+        nxt = [mpc(0)] + coeffs  # multiply by x
+        for i, c in enumerate(coeffs):
+            nxt[i] -= r * c      # subtract r * p
+        coeffs = nxt
+    return coeffs
 
-    Raises PrecisionError when any coefficient sits farther than 2^-tol_bits
-    from an integer, or when the imaginary parts do not cancel.
+
+def reconstruct_int_poly(roots, prec: int):
+    """Expand prod (x - root) and round to the nearest integers.
+
+    Raises PrecisionError when any coefficient sits farther than
+    2^-ROUND_TOL_BITS from an integer, or when the imaginary parts do not
+    cancel.
     """
     with mp.workprec(prec + 64):
-        coeffs = [mpc(leading)]  # lowest-degree first throughout
-        for r in roots:
-            r = mpc(r)
-            nxt = [mpc(0)] + coeffs  # multiply by x
-            for i, c in enumerate(coeffs):
-                nxt[i] -= r * c      # subtract r * p
-            coeffs = nxt
-        tol = mpf(2) ** (-tol_bits)
+        tol = mpf(2) ** (-ROUND_TOL_BITS)
         out = []
-        for c in coeffs:
+        for c in expand_roots(roots):
             if abs(c.imag) > tol:
                 raise PrecisionError("imaginary parts failed to cancel")
             n = int(mpmath.nint(c.real))

@@ -19,6 +19,7 @@ from .exactmath import (
     RatFunc,
     lift_to_cyclo,
     moebius_act_on_poly,
+    poly_compose_rational,
     poly_discriminant,
 )
 from .hpnum import rr_r
@@ -214,13 +215,6 @@ def verify_d4_corpus() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _poly_at(coeffs, val):
-    acc = mpc(0)
-    for c in reversed(tuple(coeffs)):
-        acc = acc * val + mpc(c)
-    return acc
-
-
 def nested_radical_example1(prec: int = 384):
     """The real value (-8-3s5-sqrt(125+60 s5)+sqrt(250+108 s5+(16+6 s5)
     sqrt(125+60 s5)))/4, taking the positive branch of every radical."""
@@ -251,7 +245,7 @@ def t_fixed_point_check(ds, prec: int = 256) -> bool:
         if abs(t_of_z1 - z1) > mpf(2) ** (-(prec - 32)):
             return False
         floor = mpf(2) ** (-32)
-        return all(abs(_poly_at(tables.P_TABLE[d], z1)) > floor for d in ds)
+        return all(abs(Poly(tables.P_TABLE[d])(z1)) > floor for d in ds)
 
 
 def verify_worked_examples(prec: int = 384) -> dict:
@@ -262,14 +256,14 @@ def verify_worked_examples(prec: int = 384) -> dict:
     # Example 1: the nested radical is a root of the printed degree-8 poly
     with mp.workprec(prec):
         alpha = nested_radical_example1(prec)
-        out["ex1_radical_root"] = abs(_poly_at(tables.P19_TILDE_NEG, alpha)) < tol
+        out["ex1_radical_root"] = abs(Poly(tables.P19_TILDE_NEG)(alpha)) < tol
 
         # -alpha is a root of q_19(T(zeta^2 x))
         zeta = mpmath.exp(2j * mp.pi / 5)
         s5 = mpmath.sqrt(mpf(5))
         arg = zeta**2 * (-alpha)
         val = (-(1 + s5) * arg + 2) / (2 * arg + 1 + s5)
-        out["ex1_q19_root"] = abs(_poly_at(tables.Q19_COFACTOR, val)) < tol
+        out["ex1_q19_root"] = abs(Poly(tables.Q19_COFACTOR)(val)) < tol
 
     # ptilde_19(x) divides G_19(x^5) exactly over Q
     ptilde = Poly([(-1) ** k * c for k, c in enumerate(tables.P19_TILDE_NEG)])
@@ -282,7 +276,7 @@ def verify_worked_examples(prec: int = 384) -> dict:
     with mp.workprec(prec):
         r3i = rr_r(mpc(0, 3), prec)
         out["ex2_r3i_radical"] = abs(r3i - ramanujan_r3i(prec)) < tol
-        out["ex2_r3i_min_poly"] = abs(_poly_at(tables.M36, r3i)) < tol
+        out["ex2_r3i_min_poly"] = abs(Poly(tables.M36)(r3i)) < tol
 
     # m(x) divides G_36(x^5) exactly
     m = Poly(tables.M36)
@@ -302,14 +296,8 @@ def verify_worked_examples(prec: int = 384) -> dict:
 
     # m1(x) = x^4 m2(x - 1/x)
     m2 = sqrt5_poly(tables.M36_QUARTIC_SQRT5)
-    lifted = Poly()
     num, den = Poly((_c(-1), _c(0), _c(1))), Poly((_c(0), _c(1)))
-    npow = Poly((_c(1),))
-    for k, coeff in enumerate(m2.coeffs):
-        lifted = lifted + npow * den ** (4 - k) * coeff
-        if k < 4:
-            npow = npow * num
-    out["ex2_m1_from_m2"] = lifted == m1
+    out["ex2_m1_from_m2"] = poly_compose_rational(m2, num, den, 4) == m1
 
     # m2 = (x^2 + (19+11s5)/2 x + (27+11s5)/2)^2 - 75 ((1+s5)/2)^4 (x+1)^2
     half = Fraction(1, 2)
@@ -336,11 +324,9 @@ def orbit_root_match(d: int, orbit, prec: int = 256):
         zeta = mpmath.exp(2j * mp.pi / 5)
         tol = mpf(2) ** (-(prec // 2))
         for idx, q in enumerate(sorted(orbit, key=repr)):
+            q_num = q.map_coeffs(lambda c: c.evaluate(zeta))
             for j in range(5):
                 val = zeta**j * Y
-                acc = mpc(0)
-                for c in reversed(q.coeffs):
-                    acc = acc * val + c.evaluate(zeta)
-                if abs(acc) < tol * max(1, abs(val)) ** q.degree:
+                if abs(q_num(val)) < tol * max(1, abs(val)) ** q.degree:
                     return idx, j
     return None

@@ -26,6 +26,7 @@ from .hpnum import (
     check_j_by_r,
     climb,
     eta,
+    expand_roots,
     j_from_c,
     reconstruct_int_poly,
 )
@@ -95,7 +96,7 @@ def compute_s_values(args, prec: int, z_values=None):
 def _heegner_args(d: int):
     cd = reduced_forms(d)
     v, relaxed = choose_v(d, cd.f)
-    return cd, v, relaxed, n_system(cd, v, N=25)
+    return cd, v, relaxed, n_system(cd, v)
 
 
 def _minimal_poly(d: int, policy, values, name: str):
@@ -247,15 +248,9 @@ def irreducibility_proxy(p: Poly, prec: int = 320) -> bool:
         tol = mpf(2) ** (-32)
         for k in range(1, n):
             for subset in combinations(range(n), k):
-                cs = [mpc(1)]
-                for i in subset:
-                    nxt = [mpc(0)] + cs
-                    for j, c in enumerate(cs):
-                        nxt[j] -= roots[i] * c
-                    cs = nxt
                 if all(
                     abs(c.imag) < tol and abs(c.real - mp.nint(c.real)) < tol
-                    for c in cs
+                    for c in expand_roots(roots[i] for i in subset)
                 ):
                     return False
     return True
@@ -309,13 +304,12 @@ def _heegner_numeric_check(H: Poly, z_values, prec: int) -> bool:
     """j5(b) and j55(b), written as rational functions of z, are roots of H."""
     with mp.workprec(prec + 32):
         tol = mpf(2) ** (-(prec // 4))
+        H_abs = H.map_coeffs(abs)
         for z in z_values:
             j5 = -((z**2 + 12 * z + 16) ** 3) / (z + 11)
             j55 = -((z**2 - 228 * z + 496) ** 3) / (z + 11) ** 5
             for j in (j5, j55):
-                scale = sum(abs(mpc(c)) * max(1, abs(j)) ** k for k, c in enumerate(H.coeffs))
-                val = sum(mpc(c) * j**k for k, c in enumerate(H.coeffs))
-                if abs(val) > tol * scale:
+                if abs(H(j)) > tol * H_abs(max(1, abs(j))):
                     return False
     return True
 

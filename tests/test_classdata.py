@@ -102,7 +102,7 @@ def test_n_system_invariants():
     for d in (11, 24, 56, 84, 119):
         cd = reduced_forms(d)
         v, _ = choose_v(d, cd.f)
-        args = n_system(cd, v, N=25)
+        args = n_system(cd, v)
         assert len(args) == cd.h
         for arg in args:
             a = arg.form.a
@@ -115,7 +115,7 @@ def test_n_system_invariants():
 def test_n_system_level_refinement():
     cd = reduced_forms(24)
     v, _ = choose_v(24, cd.f)
-    for arg in n_system(cd, v, N=25):
+    for arg in n_system(cd, v):
         # a level-25 argument also satisfies the level-5 condition
         assert (arg.b_adj + v) % 10 == 0
 

@@ -179,6 +179,11 @@ def test_compose_rational_cleared():
     got = poly_compose_rational(H, num, den, 2)
     x = Fraction(7)
     assert got(x) == (den(x) ** 2) * H(num(x) / den(x))
+    # a surplus power of den is allowed; a shortfall is refused
+    got = poly_compose_rational(H, num, den, 3)
+    assert got(x) == (den(x) ** 3) * H(num(x) / den(x))
+    with pytest.raises(ExactDomainError):
+        poly_compose_rational(H, num, den, 1)
 
 
 # ------------------------------------------------------------------ RatFunc
@@ -204,6 +209,11 @@ def test_ratfunc_substitute():
     x = Poly.x().map_coeffs(Fraction)
     f = RatFunc(x**2 + 1, x)
     g = RatFunc(x - 1, x + 1)
+    h = f.substitute(g)
+    for v in (Fraction(2), Fraction(5), Fraction(-3, 7)):
+        assert h(v) == f(g(v))
+    # numerator degree below denominator degree: both sides cleared to deg den
+    f = RatFunc(1, x**2 + 1)
     h = f.substitute(g)
     for v in (Fraction(2), Fraction(5), Fraction(-3, 7)):
         assert h(v) == f(g(v))
