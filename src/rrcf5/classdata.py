@@ -3,7 +3,7 @@ Heegner parameter v, level-25 argument systems, and class polynomials."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, isqrt
 
 from mpmath import mp, mpc

@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -143,7 +142,7 @@ def cmd_verify_tables(args) -> int:
 
 def cmd_identities(args) -> int:
     from . import curve5
-    from .pipeline import build_R, verify_cor42, verify_T_invariance
+    from .pipeline import verify_cor42, verify_T_invariance
 
     report = {}
     report["j_forms_match"] = curve5.verify_j_forms()

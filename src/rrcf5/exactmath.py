@@ -9,7 +9,8 @@ this module ever rounds.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _igcd
+from math import gcd as _igcd, lcm as _ilcm
+from operator import add as _add, sub as _sub
 
 
 class ExactDomainError(ValueError):
@@ -48,34 +49,44 @@ _POWERS = {n: _power_table(n) for n in _CYCLO_POLY}
 
 
 class CycloElem:
-    """Element of Q(zeta_n), n in {5, 20}, as coordinates in the power basis."""
+    """Element of Q(zeta_n), n in {5, 20}, in the power basis.
 
-    __slots__ = ("order", "coords")
+    Stored as integer numerators ``nums`` over one positive integer ``den``
+    with gcd(den, *nums) = 1, so the representation is canonical and equality
+    is a tuple comparison.
+    """
 
-    def __init__(self, order, coords):
+    __slots__ = ("order", "nums", "den")
+
+    def __new__(cls, order, coords):
         if order not in _CYCLO_POLY:
             raise ExactDomainError(f"unsupported cyclotomic order {order}")
-        phi = _PHI[order]
         cs = tuple(coords)
-        if len(cs) != phi:
-            raise ExactDomainError(f"need {phi} coordinates for order {order}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coords", cs)
+        if len(cs) != _PHI[order]:
+            raise ExactDomainError(f"need {_PHI[order]} coordinates for order {order}")
+        # ints and Fractions both carry numerator/denominator
+        den = _ilcm(*(c.denominator for c in cs))
+        return _cyclo(order, tuple(c.numerator * (den // c.denominator) for c in cs), den)
 
     def __setattr__(self, *a):
         raise AttributeError("CycloElem is immutable")
+
+    @property
+    def coords(self):
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zeta(cls, order):
         phi = _PHI[order]
-        return cls(order, tuple(1 if i == 1 else 0 for i in range(phi)))
+        return _cyclo(order, tuple(1 if i == 1 else 0 for i in range(phi)), 1)
 
     @classmethod
     def from_rational(cls, order, value):
         phi = _PHI[order]
-        return cls(order, (value,) + (0,) * (phi - 1))
+        return _cyclo(order, (value.numerator,) + (0,) * (phi - 1), value.denominator)
 
     @classmethod
     def sqrt5(cls, order=5):
@@ -108,64 +119,73 @@ class CycloElem:
     # -- ring structure -----------------------------------------------------
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.nums)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return all(a == b for a, b in zip(self.coords, o.coords))
+        return self.den == o.den and self.nums == o.nums
 
     def __hash__(self):
         if self.is_rational():
-            return hash(Fraction(self.coords[0]))
-        return hash((self.order,) + tuple(Fraction(c) for c in self.coords))
+            return hash(self.as_fraction())
+        return hash((self.order, self.den, self.nums))
 
-    def __add__(self, other):
+    def _plus(self, other, op):
+        """self op other, for op in (operator.add, operator.sub)."""
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CycloElem(self.order, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        da, db = self.den, o.den
+        if da == db:
+            return _cyclo(self.order, tuple(map(op, self.nums, o.nums)), da)
+        # over lcm(da, db)
+        g = _igcd(da, db)
+        ma, mb = db // g, da // g
+        return _cyclo(self.order, tuple(op(a * ma, b * mb) for a, b in zip(self.nums, o.nums)),
+                      da * ma)
+
+    def __add__(self, other):
+        return self._plus(other, _add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloElem(self.order, tuple(-a for a in self.coords))
+        return _cyclo(self.order, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return CycloElem(self.order, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return self._plus(other, _sub)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloElem(self.order, tuple(c * other for c in self.coords))
         if not isinstance(other, CycloElem):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            n = other.numerator
+            return _cyclo(self.order, tuple(c * n for c in self.nums),
+                          self.den * other.denominator)
         if other.order != self.order:
             raise ExactDomainError("mixed cyclotomic orders; embed first")
-        phi = _PHI[self.order]
-        a, b = self.coords, other.coords
+        a, b = self.nums, other.nums
+        phi = len(a)
         conv = [0] * (2 * phi - 1)
         for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    conv[i + j] += ai * bj
+            if ai:
+                for k, bj in enumerate(b, i):
+                    conv[k] += ai * bj
+        # only the rows k >= phi need folding back into the power basis
+        out = conv[:phi]
         powers = _POWERS[self.order]
-        out = [0] * phi
-        for k, ck in enumerate(conv):
+        for k in range(phi, 2 * phi - 1):
+            ck = conv[k]
             if ck:
-                row = powers[k]
-                for i in range(phi):
-                    if row[i]:
-                        out[i] += ck * row[i]
-        return CycloElem(self.order, tuple(out))
+                for i, r in enumerate(powers[k]):
+                    if r:
+                        out[i] += ck * r
+        return _cyclo(self.order, tuple(out), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -175,7 +195,7 @@ class CycloElem:
         # extended Euclid of the coordinate polynomial against the minimal
         # polynomial of zeta_n, over Q
         r0 = Poly([Fraction(c) for c in _CYCLO_POLY[self.order]])
-        r1 = Poly([Fraction(c) for c in self.coords])
+        r1 = Poly(self.coords)
         s0, s1 = Poly(), Poly((Fraction(1),))
         while r1.degree > 0:
             q, r = divmod(r0, r1)
@@ -211,12 +231,12 @@ class CycloElem:
     # -- structure queries --------------------------------------------------
 
     def is_rational(self):
-        return not any(self.coords[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self):
         if not self.is_rational():
             raise ExactDomainError("not a rational element")
-        return Fraction(self.coords[0])
+        return Fraction(self.nums[0], self.den)
 
     def galois(self, k):
         """Apply the automorphism zeta -> zeta^k (k coprime to the order)."""
@@ -234,6 +254,20 @@ class CycloElem:
 
     def __repr__(self):
         return f"CycloElem({self.order}, {self.coords})"
+
+
+def _cyclo(order, nums, den):
+    """The CycloElem nums/den in lowest terms; den must be positive."""
+    if den != 1:
+        g = _igcd(den, *nums)
+        if g != 1:
+            nums = tuple(c // g for c in nums)
+            den //= g
+    e = object.__new__(CycloElem)
+    object.__setattr__(e, "order", order)
+    object.__setattr__(e, "nums", nums)
+    object.__setattr__(e, "den", den)
+    return e
 
 
 def golden_unit(order=5):

@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrcf5.exactmath import (
     CycloElem,
@@ -93,6 +97,105 @@ def test_division_by_zero():
     z = CycloElem.from_rational(5, 0)
     with pytest.raises(ZeroDivisionError):
         z.inverse()
+
+
+# ------------------------------------- CycloElem against sympy (differential)
+
+PHI = {5: 4, 20: 8}
+SX = sympy.Symbol("x")
+diff_settings = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+coordinate = (st.integers(-10**12, 10**12)
+              | st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6))
+
+
+def cyclo_elems(order):
+    return st.lists(coordinate, min_size=PHI[order], max_size=PHI[order]).map(
+        lambda cs: CycloElem(order, cs))
+
+
+orders_and_pairs = st.sampled_from([5, 20]).flatmap(
+    lambda n: st.tuples(st.just(n), cyclo_elems(n), cyclo_elems(n)))
+
+
+def canonical(e):
+    """e, after checking that it is stored in lowest terms over den > 0."""
+    assert type(e.den) is int and e.den > 0
+    assert all(type(c) is int for c in e.nums) and len(e.nums) == PHI[e.order]
+    assert gcd(e.den, *e.nums) == 1
+    return e
+
+
+def sympy_coords(e):
+    return sympy.Poly([sympy.Rational(c) for c in reversed(e.coords)], SX, domain="QQ")
+
+
+@diff_settings
+@given(orders_and_pairs)
+def test_cyclo_mul_add_sub_match_sympy(case):
+    n, a, b = case
+    prod = sympy.rem(sympy_coords(a) * sympy_coords(b),
+                     sympy.Poly(sympy.cyclotomic_poly(n, SX), SX, domain="QQ"))
+    want = [Fraction(int(c.p), int(c.q)) for c in reversed(prod.all_coeffs())]
+    want += [Fraction(0)] * (PHI[n] - len(want))
+    assert canonical(a * b).coords == tuple(want)
+    assert canonical(a + b).coords == tuple(x + y for x, y in zip(a.coords, b.coords))
+    assert canonical(a - b).coords == tuple(x - y for x, y in zip(a.coords, b.coords))
+    assert canonical(-a).coords == tuple(-x for x in a.coords)
+
+
+@diff_settings
+@given(orders_and_pairs)
+def test_cyclo_inverse_property(case):
+    _, a, _ = case
+    if not a:
+        return
+    inv = canonical(a.inverse())
+    assert canonical(a * inv) == 1
+    assert canonical(a / a) == 1
+
+
+@diff_settings
+@given(orders_and_pairs, st.fractions().filter(bool))
+def test_cyclo_routes_agree_and_hash_equal(case, f):
+    _, a, b = case
+    for other in (canonical((a * Fraction(3, 7)) * Fraction(7, 3)),
+                  canonical((a + b) - b),
+                  canonical((a * f) * (1 / f)),
+                  canonical(b + a - b)):
+        assert other == a
+        assert hash(other) == hash(a)
+    assert canonical(a * b) == canonical(b * a)
+    assert canonical(a - a) == 0
+    assert canonical(a * 0).den == 1
+
+
+def test_rational_cyclo_hashes_like_fraction():
+    assert hash(CycloElem.from_rational(5, Fraction(3, 2))) == hash(Fraction(3, 2))
+    assert hash(CycloElem.from_rational(20, -7)) == hash(-7) == hash(Fraction(-7))
+    z_half = CycloElem.zeta(5) * Fraction(1, 2)
+    half = canonical(z_half - z_half + Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert {CycloElem.from_rational(5, 2): "x"}[2] == "x"
+
+
+def test_cyclo_constructor_takes_ints_and_fractions_and_reduces():
+    e = canonical(CycloElem(5, [Fraction(1, 2), Fraction(1, 3), 0, Fraction(5, 6)]))
+    assert (e.nums, e.den) == ((3, 2, 0, 5), 6)
+    e = canonical(CycloElem(5, [Fraction(4, 6)] * 4))
+    assert (e.nums, e.den) == ((2, 2, 2, 2), 3)
+    e = canonical(CycloElem(20, [2, 4, -6, 8, 0, 0, 0, 0]))
+    assert (e.nums, e.den) == ((2, 4, -6, 8, 0, 0, 0, 0), 1)
+    assert CycloElem(5, (Fraction(2, 4), Fraction(3, 3), 0, 0)) == \
+        CycloElem(5, (Fraction(1, 2), 1, 0, 0))
+    zero = canonical(CycloElem(5, [Fraction(0, 9)] * 4))
+    assert (zero.nums, zero.den) == ((0, 0, 0, 0), 1) and not zero
+    assert CycloElem(5, [1, Fraction(1, 2), 0, 0]).coords == (1, Fraction(1, 2), 0, 0)
+    with pytest.raises(AttributeError):
+        e.den = 2
+    with pytest.raises(ExactDomainError):
+        CycloElem(7, [1] * 6)
+    with pytest.raises(ExactDomainError):
+        CycloElem(5, [1] * 8)
 
 
 # --------------------------------------------------------------------- Poly
