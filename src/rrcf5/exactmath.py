@@ -9,6 +9,7 @@ this module ever rounds.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain as _chain
 from math import gcd as _igcd, lcm as _ilcm
 from operator import add as _add, sub as _sub
 
@@ -170,22 +171,12 @@ class CycloElem:
         if other.order != self.order:
             raise ExactDomainError("mixed cyclotomic orders; embed first")
         a, b = self.nums, other.nums
-        phi = len(a)
-        conv = [0] * (2 * phi - 1)
+        conv = [0] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for k, bj in enumerate(b, i):
                     conv[k] += ai * bj
-        # only the rows k >= phi need folding back into the power basis
-        out = conv[:phi]
-        powers = _POWERS[self.order]
-        for k in range(phi, 2 * phi - 1):
-            ck = conv[k]
-            if ck:
-                for i, r in enumerate(powers[k]):
-                    if r:
-                        out[i] += ck * r
-        return _cyclo(self.order, tuple(out), self.den * other.den)
+        return _cyclo(self.order, _fold(self.order, conv), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -256,6 +247,21 @@ class CycloElem:
         return f"CycloElem({self.order}, {self.coords})"
 
 
+def _fold(order, conv):
+    """Power-basis numerators of sum conv[k] zeta^k, k = 0 .. 2*phi(n)-2."""
+    phi = _PHI[order]
+    # only the rows k >= phi need folding back into the power basis
+    out = conv[:phi]
+    powers = _POWERS[order]
+    for k in range(phi, 2 * phi - 1):
+        ck = conv[k]
+        if ck:
+            for i, r in enumerate(powers[k]):
+                if r:
+                    out[i] += ck * r
+    return tuple(out)
+
+
 def _cyclo(order, nums, den):
     """The CycloElem nums/den in lowest terms; den must be positive."""
     if den != 1:
@@ -295,6 +301,74 @@ def _inv_coeff(c):
             return c
         raise ExactDomainError("leading coefficient is not a unit")
     return 1 / c
+
+
+def _cyclo_order(coeffs):
+    """n if every coefficient is an int, a Fraction or a CycloElem of order n
+    and at least one is a CycloElem; otherwise None."""
+    order = None
+    for c in coeffs:
+        if isinstance(c, CycloElem):
+            if order is None:
+                order = c.order
+            elif c.order != order:
+                return None
+        elif not isinstance(c, (int, Fraction)):
+            return None
+    return order
+
+
+def _numerator_rows(coeffs, phi):
+    """(integer numerator rows, common positive denominator) of coefficients
+    that are ints, Fractions or CycloElems with phi coordinates."""
+    den = _ilcm(*(c.den if isinstance(c, CycloElem) else c.denominator for c in coeffs))
+    rows = []
+    for c in coeffs:
+        if isinstance(c, CycloElem):
+            m = den // c.den
+            rows.append(c.nums if m == 1 else tuple(x * m for x in c.nums))
+        else:
+            rows.append((c.numerator * (den // c.denominator),) + (0,) * (phi - 1))
+    return rows, den
+
+
+def _kronecker_mul(a, b, order):
+    """Coefficients of the product of two coefficient tuples over Q(zeta_n),
+    by one big-integer multiplication (Kronecker substitution).
+
+    Each operand becomes one integer in base 2^(8*kb) with 2*phi - 1 digits
+    per power of x, so the zeta-degrees 0 .. 2*phi-2 of a product coefficient
+    never reach the next power's digits.  Every product digit is a sum of at
+    most min(len a, len b) * phi terms, which bounds it and sets kb.
+    """
+    phi = _PHI[order]
+    stride = 2 * phi - 1
+    ra, da = _numerator_rows(a, phi)
+    rb, db = _numerator_rows(b, phi)
+    bound = (min(len(a), len(b)) * phi * max(map(abs, _chain.from_iterable(ra)))
+             * max(map(abs, _chain.from_iterable(rb))))
+    # a sign bit and one bit of headroom above the bound
+    kb = (bound.bit_length() + 2 + 7) // 8
+    # Digits are stored offset by half = 2^(8*kb-1), so each lies in
+    # [0, 2^(8*kb)) and to_bytes/from_bytes convert all of them at once.
+    half = 1 << (8 * kb - 1)
+    half_digit = half.to_bytes(kb, "little")
+    zeros = (0,) * (phi - 1)
+
+    def offset(count):
+        return int.from_bytes(half_digit * count, "little")
+
+    def pack(rows):
+        digits = [(x + half).to_bytes(kb, "little")
+                  for x in _chain.from_iterable(r + zeros for r in rows)]
+        return int.from_bytes(b"".join(digits), "little") - offset(len(digits))
+
+    n = (len(a) + len(b) - 1) * stride
+    raw = (pack(ra) * pack(rb) + offset(n)).to_bytes(n * kb, "little")
+    digits = [int.from_bytes(raw[i:i + kb], "little") - half for i in range(0, n * kb, kb)]
+    den = da * db
+    return [_cyclo(order, _fold(order, digits[i:i + stride]), den)
+            for i in range(0, n, stride)]
 
 
 class Poly:
@@ -357,10 +431,10 @@ class Poly:
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return Poly([x + y for x, y in zip(a, b)])
+        a, b = self.coeffs, other.coeffs
+        n = min(len(a), len(b))
+        # one of the two tails is empty; the other is copied unchanged
+        return Poly([x + y for x, y in zip(a, b)] + list(a[n:] + b[n:]))
 
     __radd__ = __add__
 
@@ -386,6 +460,9 @@ class Poly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Poly()
+        order = _cyclo_order(self.coeffs + other.coeffs)
+        if order is not None:
+            return Poly(_kronecker_mul(self.coeffs, other.coeffs, order))
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:

@@ -133,9 +133,9 @@ def orbit_and_stabilizer(p: Poly, group: G60Group, Gd5: Poly):
         orbit.add(image)
         if image == base:
             stabilizer.append(m)
-        quo, rem = divmod(lifted_G, image)
-        if not rem.is_zero():
-            raise IcosaError("orbit element does not divide G_d(x^5)")
+    # one division per distinct image, not one per group element
+    if not all(image.divides(lifted_G) for image in orbit):
+        raise IcosaError("orbit element does not divide G_d(x^5)")
     return frozenset(orbit), frozenset(stabilizer)
 
 

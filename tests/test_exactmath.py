@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpc
 
 from rrcf5.exactmath import (
     CycloElem,
@@ -243,6 +244,97 @@ def test_poly_over_cyclo_coeffs():
     q = p * p.map_coeffs(lambda c: c.galois(2) if isinstance(c, CycloElem) else c)
     # (x + z)(x + z^2) = x^2 + (z + z^2) x + z^3
     assert q == Poly((z**3, z + z**2, CycloElem.from_rational(5, 1)))
+
+
+def test_poly_add_copies_the_longer_tail():
+    z = CycloElem.zeta(5)
+    p, q = Poly((z, 2, z, Fraction(1, 3))), Poly((1,))
+    for s in (p + q, q + p):
+        assert s == Poly((z + 1, 2, z, Fraction(1, 3)))
+        assert all(c is d for c, d in zip(s.coeffs[1:], p.coeffs[1:]))
+    assert (p - q).coeffs[1:] == p.coeffs[1:]
+
+
+# ------------------- Poly products over Q(zeta_n): one big-integer product
+
+
+def schoolbook_product(a, b, n):
+    """Reference: the double loop over CycloElem.__mul__, every coefficient
+    lifted to Q(zeta_n) first."""
+    lift = [[c if isinstance(c, CycloElem) else CycloElem.from_rational(n, c) for c in p]
+            for p in (a, b)]
+    out = [CycloElem.from_rational(n, 0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(lift[0]):
+        for j, y in enumerate(lift[1]):
+            out[i + j] = out[i + j] + x * y
+    return Poly(out)
+
+
+def check_cyclo_product(a, b, n):
+    pa, pb = Poly(a), Poly(b)
+    got = pa * pb
+    assert got.coeffs == schoolbook_product(pa.coeffs, pb.coeffs, n).coeffs
+    for c in got.coeffs:
+        assert isinstance(c, CycloElem) and c.order == n
+        canonical(c)
+
+
+big = st.integers(-2**300, 2**300)
+
+
+def cyclo_poly_coeffs(n):
+    elem = st.builds(lambda nums, den: CycloElem(n, [Fraction(x, den) for x in nums]),
+                     st.lists(big, min_size=PHI[n], max_size=PHI[n]), st.integers(1, 2**64))
+    coeff = (big | st.builds(Fraction, big, st.integers(1, 2**64)) | elem
+             | st.sampled_from([0, Fraction(0), CycloElem(n, [0] * PHI[n])]))
+    return st.lists(coeff, min_size=1, max_size=40)
+
+
+kronecker_cases = st.sampled_from([5, 20]).flatmap(lambda n: st.tuples(
+    st.just(n), cyclo_poly_coeffs(n), cyclo_poly_coeffs(n),
+    cyclo_elems(n).filter(bool), st.integers(0, 39)))
+
+
+@diff_settings
+@given(kronecker_cases)
+def test_cyclo_poly_product_matches_schoolbook(case):
+    n, a, b, elem, i = case
+    # at least one CycloElem coefficient, so the product is over Q(zeta_n)
+    a[i % len(a)] = elem
+    check_cyclo_product(a, b, n)
+    check_cyclo_product(b, a, n)
+
+
+def test_cyclo_poly_product_attains_the_digit_bound():
+    # all coordinates +-M with one sign: the middle product digit is
+    # min(len a, len b) * phi * M^2, the bound the digit width is sized from;
+    # M runs through every bit length mod 8
+    for n in (5, 20):
+        for e in range(1, 41):
+            M = 2**e - 1
+            for sign in (1, -1):
+                a = [CycloElem(n, [M] * PHI[n])] * 3
+                b = [CycloElem(n, [sign * M] * PHI[n])] * 5
+                check_cyclo_product(a, b, n)
+
+
+def test_mixed_order_poly_product_raises():
+    p5 = Poly((CycloElem.zeta(5), 1))
+    p20 = Poly((CycloElem.zeta(20), 1))
+    with pytest.raises(ExactDomainError):
+        p5 * p20
+
+
+def test_other_coefficient_types_keep_the_generic_product():
+    p = Poly((mpc(1, 2), mpc(3, -1)))
+    q = Poly((mpc(0.5, 0), 2))
+    assert (p * q).coeffs == (mpc(0.5, 1), mpc(3.5, 3.5), mpc(6, -2))
+    x = Poly.x()
+    nested = Poly((x + 1, 2 * x)) * Poly((x, Poly((3,))))
+    assert nested.coeffs == (x * x + x, 2 * x * x + 3 * x + 3, 6 * x)
+    ints = Poly((1, 2)) * Poly((3, Fraction(1, 2)))
+    assert ints.coeffs == (3, Fraction(13, 2), 1)
+    assert [type(c) for c in ints.coeffs] == [int, Fraction, Fraction]
 
 
 # --------------------------------------------------- resultant/discriminant
