@@ -183,6 +183,8 @@ class CycloElem:
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
+        if self.is_rational():
+            return CycloElem.from_rational(self.order, 1 / self.as_fraction())
         # extended Euclid of the coordinate polynomial against the minimal
         # polynomial of zeta_n, over Q
         r0 = Poly([Fraction(c) for c in _CYCLO_POLY[self.order]])
@@ -293,7 +295,9 @@ def golden_unit_conj(order=5):
 
 def _inv_coeff(c):
     if isinstance(c, int):
-        return Fraction(1, c)
+        # a unit of Z inverts to itself, so division by a monic (or -monic)
+        # integer polynomial never leaves Z
+        return c if c in (1, -1) else Fraction(1, c)
     if isinstance(c, Poly):
         # nested coefficients: only division by a monic-in-the-unit sense
         # leading coefficient of 1 is exact

@@ -13,13 +13,7 @@ from math import isqrt
 from mpmath import mp, mpc, mpf
 
 from .classdata import choose_v, n_system, reduced_forms
-from .exactmath import (
-    CycloElem,
-    Poly,
-    lift_to_cyclo,
-    poly_compose_rational,
-    poly_discriminant,
-)
+from .exactmath import Poly, poly_compose_rational, poly_discriminant
 from .hpnum import (
     PrecisionError,
     PrecisionPolicy,
@@ -140,7 +134,7 @@ def build_p_q(S: Poly, Q: Poly):
         raise PipelineIntegrityError("p does not divide Q(x^5) exactly")
     if not quo.is_integral():
         raise PipelineIntegrityError("cofactor q is not integral")
-    return p, quo.map_coeffs(lambda c: int(Fraction(c)))
+    return p, Poly(quo.int_coeffs())
 
 
 def build_F_G(H: Poly, h: int):
@@ -161,18 +155,35 @@ def verify_cor42(R: Poly, h: int) -> bool:
     return lhs == R * (5 ** (3 * h))
 
 
+def _times_sqrt5(a, b):
+    """(a0 + a1 sqrt5)(b0 + b1 sqrt5) on coordinate pairs."""
+    return a[0] * b[0] + 5 * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
 def verify_T_invariance(p: Poly, h: int) -> bool:
-    """(2z+1+sqrt5)^{4h} p(T(z)) = 2^{4h} ((5+sqrt5)/2)^{2h} p(z) over
-    Q(sqrt5), with T(z) = (-(1+sqrt5)z+2)/(2z+1+sqrt5)."""
-    s5 = CycloElem.sqrt5()
-    one = CycloElem.from_rational(5, 1)
-    pc = lift_to_cyclo(p)
-    n = p.degree
-    num = Poly((2 * one, -(1 + s5)))
-    den = Poly((1 + s5, 2 * one))
-    lhs = poly_compose_rational(pc, num, den, n)
-    scale = (2 ** (4 * h)) * ((5 + s5) * Fraction(1, 2)) ** (2 * h)
-    return lhs == pc * scale
+    """(2z+1+sqrt5)^n p(T(z)) = 2^{2h} (5+sqrt5)^{2h} p(z) over Q(sqrt5),
+    n = deg p, with T(z) = (-(1+sqrt5)z+2)/(2z+1+sqrt5).
+
+    Both sides are polynomials in z of degree at most n, so they are equal
+    once they agree at the n + 1 points z = 0..n.  Values are pairs
+    (a, b) = a + b sqrt5; the left side is a homogeneous Horner pass in
+    N = 2 - z - z sqrt5 and D = 1 + 2z + sqrt5.
+    """
+    cs = p.coeffs
+    scale = (4**h, 0)
+    for _ in range(2 * h):
+        scale = _times_sqrt5(scale, (5, 1))
+    for z in range(len(cs)):
+        N, D = (2 - z, -z), (1 + 2 * z, 1)
+        acc, D_pow = (cs[-1], 0), (1, 0)
+        for c in reversed(cs[:-1]):
+            D_pow = _times_sqrt5(D_pow, D)
+            a, b = _times_sqrt5(acc, N)
+            acc = a + c * D_pow[0], b + c * D_pow[1]
+        pz = p(z)
+        if acc != (scale[0] * pz, scale[1] * pz):
+            return False
+    return True
 
 
 def _primes_up_to(n: int):
@@ -193,8 +204,18 @@ class DiscReport:
     smooth_ok: bool  # no prime factor exceeds d
 
 
-def disc_conjecture_check(p: Poly, d: int, h: int) -> DiscReport:
-    disc = poly_discriminant(p)
+def disc_conjecture_check(S: Poly, d: int, h: int) -> DiscReport:
+    """Factor disc(p) for p(x) = x^m S(x - 1/x), m = deg S.
+
+    Each root s of S gives the roots x, -1/x of p, with (x + 1/x)^2 = s^2 + 4;
+    the four differences between two such pairs multiply to -(s_k - s_l)^2.
+    So disc(p) = disc(S)^2 * prod (s_k^2 + 4) = disc(S)^2 * |S(2i)|^2, for
+    any leading coefficient of S.
+    """
+    re, im = 0, 0  # S(2i) by Horner over the Gaussian integers
+    for c in reversed(S.coeffs):
+        re, im = c - 2 * im, 2 * re
+    disc = poly_discriminant(S) ** 2 * (re * re + im * im)
     if isinstance(disc, Fraction):
         assert disc.denominator == 1
         disc = disc.numerator
@@ -355,7 +376,7 @@ def run_pipeline(d: int, policy: PrecisionPolicy | None = None) -> PipelineResul
     cor42 = verify_cor42(R, h)
     t_check = verify_T_invariance(p, h)
     heegner = _heegner_numeric_check(H, zs, used)
-    report = disc_conjecture_check(p, d, h)
+    report = disc_conjecture_check(S, d, h)
 
     return PipelineResult(
         d=d, f=cd.f, h=h, v=v, v_relaxed=relaxed,

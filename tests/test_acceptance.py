@@ -34,6 +34,7 @@ from rrcf5.pipeline import (
     build_p_q,
     build_Q,
     build_R,
+    disc_conjecture_check,
     run_pipeline,
     verify_cor42,
     verify_T_invariance,
@@ -69,6 +70,12 @@ def test_criterion_1_table1(pipeline_results):
 def test_criterion_2_table2(pipeline_results):
     ok = all(_table_ok(pipeline_results[d], d) for d in tables.TABLE2_DS)
     _report(2, "table 2 reproduction", ok)
+
+
+def test_disc_through_S_matches_the_subresultant_route(pipeline_results):
+    for d, res in pipeline_results.items():
+        report = disc_conjecture_check(res.S, d, res.h)
+        assert report.disc == poly_discriminant(res.p), d
 
 
 def test_criterion_3_printed_intermediates():

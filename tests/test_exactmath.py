@@ -170,6 +170,21 @@ def test_cyclo_routes_agree_and_hash_equal(case, f):
     assert canonical(a * 0).den == 1
 
 
+def test_rational_inverse_matches_euclid():
+    # rational elements are inverted directly; the reference is the extended
+    # Euclid inverse of the coordinate polynomial modulo Phi_n, from sympy
+    for n in (5, 20):
+        phi_n = sympy.Poly(sympy.cyclotomic_poly(n, SX), SX, domain="QQ")
+        for value in (1, -1, Fraction(3, 7), -5):
+            a = CycloElem.from_rational(n, value)
+            euclid = sympy.invert(sympy_coords(a), phi_n)
+            want = [Fraction(int(c.p), int(c.q)) for c in reversed(euclid.all_coeffs())]
+            want += [Fraction(0)] * (PHI[n] - len(want))
+            inv = canonical(a.inverse())
+            assert inv.coords == tuple(want)
+            assert inv == 1 / Fraction(value) and inv.is_rational()
+
+
 def test_rational_cyclo_hashes_like_fraction():
     assert hash(CycloElem.from_rational(5, Fraction(3, 2))) == hash(Fraction(3, 2))
     assert hash(CycloElem.from_rational(20, -7)) == hash(-7) == hash(Fraction(-7))
@@ -217,6 +232,36 @@ def test_poly_divmod_random():
         q, r = divmod(a.map_coeffs(Fraction), b.map_coeffs(Fraction))
         assert b * q + r == a.map_coeffs(Fraction)
         assert r.degree < b.degree
+
+
+def test_division_by_a_unit_leading_coefficient_stays_in_Z():
+    a = Poly((3, -1, 4, 1, -5, 9))
+    for lc in (1, -1):
+        b = Poly((2, -7, lc))
+        q, r = divmod(a, b)
+        assert q * b + r == a
+        for poly in (q, r, b.monic(), (a * b).exact_div(b)):
+            assert all(type(c) is int for c in poly.coeffs)
+    b = Poly((2, -7, 2))
+    q, r = divmod(a, b)
+    assert q * b + r == a
+    for poly in (q, b.monic(), (a * b).exact_div(b)):
+        assert all(type(c) is Fraction for c in poly.coeffs)
+
+
+int_coeffs = st.lists(st.integers(-10**30, 10**30), max_size=30)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(int_coeffs, int_coeffs, st.sampled_from([1, -1]))
+def test_divmod_by_monic_int_poly_matches_sympy(a_cs, b_cs, lc):
+    a, b = Poly(a_cs), Poly(b_cs + [lc])
+    q, r = divmod(a, b)
+    sq, sr = sympy.div(sympy.Poly(a_cs[::-1] or [0], SX, domain="ZZ"),
+                       sympy.Poly(b.coeffs[::-1], SX, domain="ZZ"))
+    for mine, ref in ((q, sq), (r, sr)):
+        assert all(type(c) is int for c in mine.coeffs)
+        assert mine == Poly([int(c) for c in reversed(ref.all_coeffs())])
 
 
 def test_exact_div_raises_on_remainder():

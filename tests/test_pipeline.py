@@ -1,7 +1,7 @@
 import pytest
 
 from rrcf5 import tables
-from rrcf5.exactmath import Poly
+from rrcf5.exactmath import Poly, poly_discriminant
 from rrcf5.hpnum import PrecisionPolicy
 from rrcf5.pipeline import (
     PipelineIntegrityError,
@@ -81,11 +81,26 @@ def test_verify_T_invariance():
     assert not verify_T_invariance(Poly((1, -1, 1, -1, 1)), 1)
 
 
+def test_verify_T_invariance_accepts_every_tabulated_p():
+    for d, coeffs in tables.P_TABLE.items():
+        assert verify_T_invariance(Poly(coeffs), tables.class_number(d)), d
+
+
+def test_verify_T_invariance_rejects_perturbed_p_and_wrong_h():
+    for d, coeffs in tables.P_TABLE.items():
+        h = tables.class_number(d)
+        for k in (0, 2 * h, 4 * h - 1):
+            bumped = list(coeffs)
+            bumped[k] += 1
+            assert not verify_T_invariance(Poly(bumped), h), (d, k)
+        assert not verify_T_invariance(Poly(coeffs), h + 1), d
+
+
 def test_disc_conjecture_examples():
-    rep = disc_conjecture_check(Poly(tables.P_TABLE[11]), 11, 1)
+    rep = disc_conjecture_check(Poly((3, -1, 1)), 11, 1)
     assert rep.disc == 5 * 11**2
     assert rep.exact_power_ok and rep.smooth_ok
-    rep = disc_conjecture_check(Poly(tables.P_TABLE[91]), 91, 2)
+    rep = disc_conjecture_check(Poly((23, -2, 3, 4, 1)), 91, 2)
     assert dict(rep.factors) == {2: 8, 3: 4, 5: 6, 7: 4, 13: 4}
     assert rep.cofactor == 1
 
@@ -152,6 +167,14 @@ def test_run_pipeline_escalates_from_a_low_first_step():
     assert r.R == Poly(tables.R_TABLE[24])
     assert r.S == Poly((7, -10, 5, -2, 1))
     assert r.p == Poly(tables.P_TABLE[24]) and r.all_ok
+
+
+def test_run_pipeline_d239_disc_through_S_and_T_check():
+    # h = 15, beyond the tables: the route through S equals the subresultant
+    # discriminant of the degree-60 polynomial p
+    r = run_pipeline(239)
+    assert r.T_check
+    assert r.disc_report.disc == poly_discriminant(r.p)
 
 
 def test_run_pipeline_rejects_d4():
