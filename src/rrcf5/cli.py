@@ -40,19 +40,6 @@ def _print_report(args, report: dict, title: str):
         print(f"  {key}: {report[key]}")
 
 
-def _flags_dict(res):
-    return {
-        "F_check": res.F_check,
-        "G_check": res.G_check,
-        "div_check": res.div_check,
-        "cor42_check": res.cor42_check,
-        "T_check": res.T_check,
-        "heegner_check": res.heegner_check,
-        "disc_exact_power": res.disc_report.exact_power_ok,
-        "disc_smooth": res.disc_report.smooth_ok,
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -84,7 +71,7 @@ def cmd_pipeline(args) -> int:
         "precision_used": res.precision_used,
         "p": _poly_list(res.p),
         "disc_factors": list(map(list, res.disc_report.factors)),
-        "flags": _flags_dict(res),
+        "flags": res.flags,
         "cache_file": path,
     }
     _print_report(args, report, f"pipeline d={d}")

@@ -1,6 +1,7 @@
 """Exact arithmetic core: dense polynomials over a field, cyclotomic field
-elements for Q(zeta_5) and Q(zeta_20), reduced rational functions, and
-projective Moebius maps acting on polynomials.
+elements for Q(zeta_5) and Q(zeta_20), rational functions kept as unreduced
+pairs and compared by cross-multiplication, and projective Moebius maps
+acting on polynomials.
 
 Every value is immutable and every operation is a pure function; nothing in
 this module ever rounds.
@@ -185,20 +186,12 @@ class CycloElem:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         if self.is_rational():
             return CycloElem.from_rational(self.order, 1 / self.as_fraction())
-        # extended Euclid of the coordinate polynomial against the minimal
-        # polynomial of zeta_n, over Q
-        r0 = Poly([Fraction(c) for c in _CYCLO_POLY[self.order]])
-        r1 = Poly(self.coords)
-        s0, s1 = Poly(), Poly((Fraction(1),))
-        while r1.degree > 0:
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if not r1:
-            raise ZeroDivisionError("not invertible (should not happen in a field)")
-        coeffs = (s1 * (1 / r1.coeffs[0])).coeffs
-        coeffs += (Fraction(0),) * (_PHI[self.order] - len(coeffs))
-        return CycloElem(self.order, coeffs)
+        # 1/a = (product of the other conjugates) / N(a), N(a) rational
+        others = CycloElem.from_rational(self.order, 1)
+        for k in range(2, self.order):
+            if _igcd(k, self.order) == 1:
+                others = others * self.galois(k)
+        return others * (1 / (self * others).as_fraction())
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -239,11 +232,12 @@ class CycloElem:
 
     def _at(self, image):
         """The coordinate polynomial at image, a CycloElem (zero included)."""
-        return CycloElem.from_rational(image.order, 0) + Poly(self.coords)(image)
+        return ((CycloElem.from_rational(image.order, 0) + Poly(self.nums)(image))
+                * Fraction(1, self.den))
 
     def evaluate(self, zeta_value):
         """Numeric value given a numeric primitive root of unity."""
-        return Poly(self.coords)(zeta_value)
+        return Poly(self.nums)(zeta_value) / self.den
 
     def __repr__(self):
         return f"CycloElem({self.order}, {self.coords})"
@@ -478,6 +472,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if n < 0:
+            raise ExactDomainError("negative power of a polynomial")
         result = Poly((1,))
         base = self
         while n:
@@ -697,27 +693,20 @@ def poly_compose_rational(H, num, den, h):
 
 
 class RatFunc:
-    """Reduced rational function num/den over a coefficient field."""
+    """Rational function num/den over a coefficient field, kept as the
+    unreduced pair it was built from and compared by cross-multiplication."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, reduce=True):
+    def __init__(self, num, den=1):
         if not isinstance(num, Poly):
             num = Poly.const(num)
-        if den is None:
-            den = Poly((1,))
-        elif not isinstance(den, Poly):
+        if not isinstance(den, Poly):
             den = Poly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if reduce and not num.is_zero():
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-        inv = _inv_coeff(den.lc)
-        object.__setattr__(self, "num", num * inv)
-        object.__setattr__(self, "den", den * inv)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("RatFunc is immutable")
@@ -732,18 +721,13 @@ class RatFunc:
             other = RatFunc(other)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    __radd__ = __add__
-
     def __neg__(self):
-        return RatFunc(-self.num, self.den, reduce=False)
+        return RatFunc(-self.num, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, RatFunc):
             other = RatFunc(other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         if not isinstance(other, RatFunc):
@@ -759,16 +743,8 @@ class RatFunc:
             raise ZeroDivisionError("division by the zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        return RatFunc(other) / self
-
     def __pow__(self, n):
-        if n < 0:
-            return RatFunc(self.den, self.num, reduce=False) ** (-n)
-        return RatFunc(self.num**n, self.den**n, reduce=False)
-
-    def is_zero(self):
-        return self.num.is_zero()
+        return RatFunc(self.num**n, self.den**n)
 
     def substitute(self, inner):
         """Compose: self(inner(x)) for a RatFunc (or Poly) inner."""
@@ -851,13 +827,15 @@ class MoebiusMap:
     def inverse(self):
         return MoebiusMap(self.d, -self.b, -self.c, self.a, order=self.order)
 
-    def element_order(self, limit=61):
+    def element_order(self):
+        """The order of the map, if it is at most 61 (every element of G60
+        qualifies)."""
         acc = self
-        for n in range(1, limit + 1):
+        for n in range(1, 62):
             if acc == MoebiusMap.identity(self.order):
                 return n
             acc = acc * self
-        raise ExactDomainError("order exceeds limit")
+        raise ExactDomainError("order exceeds 61")
 
     def apply(self, z):
         """Exact action on a field element z."""

@@ -177,11 +177,9 @@ def j_from_tau(tau, prec: int, cross_check: bool = True):
 
 def _squarefree_check(coeffs):
     """True if the integer polynomial is squarefree (gcd with derivative trivial)."""
-    from fractions import Fraction
-
     from .exactmath import Poly, poly_gcd
 
-    p = Poly([Fraction(c) for c in coeffs])
+    p = Poly(coeffs)
     g = poly_gcd(p, p.derivative())
     return g.degree <= 0
 

@@ -96,11 +96,11 @@ def f5_ratfunc() -> RatFunc:
     num = lift_to_cyclo(Poly((1, 228, 494, -228, 1)).subst_x_pow(5)) ** 3
     x5 = Poly([_c(0)] * 5 + [_c(1)])
     den = x5 * lift_to_cyclo(Poly((1, -11, -1)).subst_x_pow(5)) ** 5
-    return RatFunc(num, den, reduce=False)
+    return RatFunc(num, den)
 
 
 def _map_as_ratfunc(m: MoebiusMap) -> RatFunc:
-    return RatFunc(Poly((m.b, m.a)), Poly((m.d, m.c)), reduce=False)
+    return RatFunc(Poly((m.b, m.a)), Poly((m.d, m.c)))
 
 
 def verify_f5_invariance() -> bool:
@@ -165,10 +165,6 @@ def group_structure_report(group: G60Group) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _z20(coords) -> CycloElem:
-    return CycloElem(20, tuple(Fraction(c) for c in coords))
-
-
 def verify_d4_corpus() -> dict:
     """All exact Q(zeta_20) facts for the degenerate discriminant d = 4."""
     out = {}
@@ -188,21 +184,21 @@ def verify_d4_corpus() -> dict:
     # x_1, x_2, x_3 are roots of the quartic and the two octic factors
     root_checks = []
     for coords, fac in zip(tables.G4_FACTOR_ROOTS_Z20, tables.G4_FACTORS[1:]):
-        val = lift_to_cyclo(Poly(fac), order=20)(_z20(coords))
+        val = lift_to_cyclo(Poly(fac), order=20)(CycloElem(20, coords))
         root_checks.append(not val)
     out["G4_factor_roots"] = all(root_checks)
 
     # the quartic square factor f_4 of F_4 and its four zeta_20 roots
     f4 = lift_to_cyclo(Poly(tables.F4_FACTORS[1]), order=20)
-    alphas = [_z20(c) for c in tables.F4_QUARTIC_ROOTS_Z20]
+    alphas = [CycloElem(20, c) for c in tables.F4_QUARTIC_ROOTS_Z20]
     out["f4_roots"] = all(not f4(a) for a in alphas)
 
     # fifth-power relations among the roots
     a1, a2, a3, a4 = alphas
     w12, _, w14 = tables.F4_FIFTH_POWER_BASES
-    out["fifth_power_a1a22"] = a1 * a2 * a2 == _z20(w12) ** 5
+    out["fifth_power_a1a22"] = a1 * a2 * a2 == CycloElem(20, w12) ** 5
     out["a1a3_is_minus_one"] = a1 * a3 == _c(-1, order=20)
-    out["fifth_power_a1a43"] = a1 * a4**3 == _z20(w14) ** 5
+    out["fifth_power_a1a43"] = a1 * a4**3 == CycloElem(20, w14) ** 5
 
     # disc(f_4(x^5)) = 2^40 3^20 5^35
     disc = poly_discriminant(Poly(tables.F4_FACTORS[1]).subst_x_pow(5))
@@ -268,9 +264,7 @@ def verify_worked_examples(prec: int = 384) -> dict:
     # ptilde_19(x) divides G_19(x^5) exactly over Q
     ptilde = Poly([(-1) ** k * c for k, c in enumerate(tables.P19_TILDE_NEG)])
     _, G19x5 = build_F_G(Poly(tables.H_TABLE[19]), 1)
-    out["ex1_ptilde_divides_G19"] = ptilde.map_coeffs(Fraction).divides(
-        G19x5.map_coeffs(Fraction)
-    )
+    out["ex1_ptilde_divides_G19"] = ptilde.divides(G19x5)
 
     # Example 2: r(3i) equals the Ramanujan radical
     with mp.workprec(prec):
@@ -281,9 +275,7 @@ def verify_worked_examples(prec: int = 384) -> dict:
     # m(x) divides G_36(x^5) exactly
     m = Poly(tables.M36)
     _, G36x5 = build_F_G(Poly(tables.H_TABLE[36]), 2)
-    out["ex2_m_divides_G36"] = m.map_coeffs(Fraction).divides(
-        G36x5.map_coeffs(Fraction)
-    )
+    out["ex2_m_divides_G36"] = m.divides(G36x5)
 
     # m = m1 * conj(m1) over Q(sqrt5)
     s5e = CycloElem.sqrt5()

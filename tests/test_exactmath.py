@@ -170,19 +170,32 @@ def test_cyclo_routes_agree_and_hash_equal(case, f):
     assert canonical(a * 0).den == 1
 
 
+def euclid_inverse_coords(a):
+    """The extended Euclid inverse of a's coordinate polynomial modulo
+    Phi_n, from sympy, as power-basis Fractions."""
+    phi_n = sympy.Poly(sympy.cyclotomic_poly(a.order, SX), SX, domain="QQ")
+    euclid = sympy.invert(sympy_coords(a), phi_n)
+    want = [Fraction(int(c.p), int(c.q)) for c in reversed(euclid.all_coeffs())]
+    return tuple(want + [Fraction(0)] * (PHI[a.order] - len(want)))
+
+
 def test_rational_inverse_matches_euclid():
-    # rational elements are inverted directly; the reference is the extended
-    # Euclid inverse of the coordinate polynomial modulo Phi_n, from sympy
+    # rational elements are inverted directly
     for n in (5, 20):
-        phi_n = sympy.Poly(sympy.cyclotomic_poly(n, SX), SX, domain="QQ")
         for value in (1, -1, Fraction(3, 7), -5):
             a = CycloElem.from_rational(n, value)
-            euclid = sympy.invert(sympy_coords(a), phi_n)
-            want = [Fraction(int(c.p), int(c.q)) for c in reversed(euclid.all_coeffs())]
-            want += [Fraction(0)] * (PHI[n] - len(want))
             inv = canonical(a.inverse())
-            assert inv.coords == tuple(want)
+            assert inv.coords == euclid_inverse_coords(a)
             assert inv == 1 / Fraction(value) and inv.is_rational()
+
+
+@diff_settings
+@given(st.sampled_from([5, 20]).flatmap(
+    lambda n: cyclo_elems(n).filter(lambda a: not a.is_rational())))
+def test_norm_inverse_matches_euclid(a):
+    # non-rational elements are inverted by the norm: the product of the
+    # other conjugates over N(a)
+    assert canonical(a.inverse()).coords == euclid_inverse_coords(a)
 
 
 def test_rational_cyclo_hashes_like_fraction():
@@ -430,10 +443,30 @@ def test_compose_rational_cleared():
 
 
 def test_ratfunc_reduction_and_equality():
-    x = Poly.x().map_coeffs(Fraction)
+    x = Poly.x()
     f = RatFunc((x**2 - 1), (x - 1))
+    # stored as given: no gcd, no monic normalisation
+    assert (f.num, f.den) == (x**2 - 1, x - 1)
     assert f == RatFunc(x + 1)
-    assert f(Fraction(5)) == 6
+    assert f(5) == 6
+    assert RatFunc(x, 2 * x).den == 2 * x
+    assert RatFunc(x, 2 * x) == RatFunc(Fraction(1, 2))
+    assert f != RatFunc(x - 1)
+    # over Q(zeta_5): (x - zeta)(x + zeta) / (x - zeta) = x + zeta
+    zeta = CycloElem.zeta(5)
+    xc = lift_to_cyclo(x)
+    g = RatFunc((xc - zeta) * (xc + zeta), xc - zeta)
+    assert g.den == xc - zeta
+    assert g == RatFunc(xc + zeta)
+    assert g != RatFunc(xc + zeta**2)
+
+
+def test_negative_powers_are_rejected():
+    x = Poly.x()
+    with pytest.raises(ExactDomainError):
+        x ** -1
+    with pytest.raises(ExactDomainError):
+        RatFunc(x, x + 1) ** -2
 
 
 def test_ratfunc_field_ops():

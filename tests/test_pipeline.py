@@ -177,6 +177,25 @@ def test_run_pipeline_d239_disc_through_S_and_T_check():
     assert r.disc_report.disc == poly_discriminant(r.p)
 
 
+@pytest.mark.parametrize("d, h, powers", [
+    (196, 4, {7: 14}),  # d = 2^2 7^2: 7^14, not 7^(2h)
+    (319, 10, {11: 44, 29: 20}),  # d = 11 * 29: 29^(2h) holds, 11^44 does not
+])
+def test_run_pipeline_exact_power_fails_but_smooth_holds(d, h, powers):
+    r = run_pipeline(d)
+    factors = dict(r.disc_report.factors)
+    assert r.h == h and {q: factors[q] for q in powers} == powers
+    assert not r.disc_report.exact_power_ok and r.disc_report.smooth_ok
+    assert r.flags == {
+        "F_check": True, "G_check": True, "div_check": True, "cor42_check": True,
+        "T_check": True, "heegner_check": True,
+        "disc_exact_power": False, "disc_smooth": True,
+    }
+    assert list(r.flags) == ["F_check", "G_check", "div_check", "cor42_check", "T_check",
+                             "heegner_check", "disc_exact_power", "disc_smooth"]
+    assert not r.all_ok
+
+
 def test_run_pipeline_rejects_d4():
     with pytest.raises(PipelineIntegrityError):
         run_pipeline(4)
