@@ -8,6 +8,7 @@ input, 3 precision exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -19,12 +20,6 @@ from . import cache, tables
 from .classdata import ClassDataError, class_poly, is_admissible, reduced_forms
 from .exactmath import Poly
 from .hpnum import PrecisionError, PrecisionPolicy, rr_r
-
-
-def _policy(args):
-    """--prec sets the first precision step (otherwise a 64-bit pass sizes
-    it); --max-prec caps the ladder."""
-    return PrecisionPolicy(initial_bits=args.prec, max_bits=args.max_prec or (1 << 20))
 
 
 def _poly_list(p: Poly):
@@ -56,7 +51,7 @@ def cmd_pipeline(args) -> int:
         print(f"d={d} is inadmissible: -d must be a square mod 5", file=sys.stderr)
         return 2
     try:
-        res = run_pipeline(d, _policy(args))
+        res = run_pipeline(d, args.policy)
     except (ClassDataError, PipelineIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -84,7 +79,10 @@ def _parse_range(text):
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
     if not m:
         raise ValueError(f"bad range {text!r}; expected a..b")
-    return int(m.group(1)), int(m.group(2))
+    a, b = int(m.group(1)), int(m.group(2))
+    if a > b:
+        raise ValueError(f"bad range {text!r}; a must not exceed b")
+    return a, b
 
 
 def cmd_verify_tables(args) -> int:
@@ -103,7 +101,7 @@ def cmd_verify_tables(args) -> int:
     lines = []
     for d in ds:
         try:
-            res = run_pipeline(d, _policy(args))
+            res = run_pipeline(d, args.policy)
         except PrecisionError as exc:
             print(f"precision exhausted at d={d}: {exc}", file=sys.stderr)
             return 3
@@ -218,7 +216,7 @@ def cmd_classpoly(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        coeffs = class_poly(cd, _policy(args))
+        coeffs = class_poly(cd, args.policy)
     except PrecisionError as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return 3
@@ -261,7 +259,7 @@ def parse_tau(text: str, prec: int):
 
 
 def cmd_eval_r(args) -> int:
-    prec = args.prec or 512
+    prec = args.policy.initial_bits or 512
     try:
         tau = parse_tau(args.tau, prec)
     except ValueError as exc:
@@ -298,6 +296,7 @@ def cmd_eval_r(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="rrcf5",
@@ -345,6 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # --prec sets the first precision step (else a 64-bit pass sizes it),
+    # --max-prec caps the ladder
+    try:
+        args.policy = PrecisionPolicy(
+            args.prec, (1 << 20) if args.max_prec is None else args.max_prec)
+    except ValueError:
+        print("error: --prec and --max-prec must be at least 1 bit", file=sys.stderr)
+        return 2
     return args.handler(args)
 
 

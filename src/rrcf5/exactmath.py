@@ -830,9 +830,9 @@ class MoebiusMap:
     def element_order(self):
         """The order of the map, if it is at most 61 (every element of G60
         qualifies)."""
-        acc = self
+        acc, one = self, MoebiusMap.identity(self.order)
         for n in range(1, 62):
-            if acc == MoebiusMap.identity(self.order):
+            if acc == one:
                 return n
             acc = acc * self
         raise ExactDomainError("order exceeds 61")

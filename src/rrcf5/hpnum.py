@@ -3,18 +3,20 @@ continued fraction r(tau), the modular j-invariant, complex root finding,
 reconstruction of integer polynomials from floating root lists, and the
 precision ladder those reconstructions climb.
 
-All precision arguments are in bits.  mpmath supplies the underlying
-floating type; every public function sets its own working precision and
-restores the caller's on exit.
+All precision arguments are in bits.  The q-series and the root products
+run on fixed-point Gaussian integers (pairs of ints scaled by 2^bits); mpmath
+supplies exp, the roots and the values returned.  Every public function sets
+its own working precision and restores the caller's on exit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import log, pi
+from math import isqrt, log, pi
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, fzero, to_fixed
 
 
 class PrecisionError(ArithmeticError):
@@ -38,6 +40,10 @@ class PrecisionPolicy:
 
     initial_bits: int | None = None
     max_bits: int = 1 << 20
+
+    def __post_init__(self):
+        if (self.initial_bits is not None and self.initial_bits < 1) or self.max_bits < 1:
+            raise ValueError(f"precision steps need at least 1 bit: {self}")
 
     def ladder(self):
         bits = self.initial_bits
@@ -72,40 +78,58 @@ def climb(policy: PrecisionPolicy | None, step, roots_at, what: str):
                          f"ceiling of {policy.max_bits} bits succeeded; {reason}")
 
 
+def _fixed(x, w: int):
+    """floor(x * 2^w) as an int pair (re, im), from x's own mantissa and exponent."""
+    x = mp.convert(x)
+    re, im = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
+    return to_fixed(re, w), to_fixed(im, w)
+
+
 def _jacobi_f(tau, a: int, b: int, prec: int):
     """The Jacobi triple product f(-q^a, -q^b), q = e^(2 pi i tau):
 
         sum_{n in Z} (-1)^n q^(a n(n+1)/2 + b n(n-1)/2)
 
-    to relative 2^-prec.  Every term has modulus at most 1, so truncation and
-    rounding errors are absolute, about 2^-bits: the terms kept are those
-    above 2^-bits, counted from -log2|q| = 2 pi Im(tau) / ln 2 before the sum
-    starts.  A sum below 2^-(extra + 32) has lost more bits to cancellation
-    than the guard allows for, and is summed again with that many more.
+    to relative 2^-prec, summed on Gaussian integers scaled by 2^bits.  Every
+    term has modulus at most 1, so truncation and rounding errors are
+    absolute: the terms kept are those above 2^-(prec + 64 + extra), counted
+    from -log2|q| = 2 pi Im(tau) / ln 2 before the sum starts.  Each product
+    rounds down by under 2^-bits per part and no factor exceeds 1, so with N
+    terms per side the k-th step q^(a k + b (k-1)) is off by O(k) ulps, the
+    k-th term by O(k^2) and the sum by O(N^3); bits adds 3 log2 N to
+    prec + 64 + extra for that.  A sum below 2^-(extra + 32) has lost more
+    bits to cancellation than the guard allows for, and is summed again with
+    that many more.
     """
     if tau.imag <= 0:
         raise ValueError("q-series need Im(tau) > 0")
     extra = 0
     while True:
         bits = prec + 64 + extra
+        top = bits * log(2) / (2 * pi * float(tau.imag))  # largest exponent kept
+        bits += 3 * isqrt(int(2 * top / (a + b)) + 1).bit_length()
         with mp.workprec(bits):
-            q = mpmath.exp(2j * mp.pi * tau)
-            qab = q ** (a + b)
-            top = bits * log(2) / (2 * pi * float(tau.imag))  # largest exponent kept
-            total = mpc(1)
-            # n >= 1 steps by q^(a n + b (n-1)); n <= -1 is the same with a, b swapped
-            for first in (a, b):
-                term, step, e, de, sign = mpc(1), q**first, first, first, -1
-                while e <= top:
-                    term *= step
-                    total += sign * term
-                    step *= qab
-                    de += a + b
-                    e += de
-                    sign = -sign
-            lost = -mpmath.mag(total)
+            qr, qi = _fixed(mpmath.exp(2j * mp.pi * tau), bits)
+        powers = [(1 << bits, 0)]  # q^0 .. q^(a+b)
+        for _ in range(a + b):
+            xr, xi = powers[-1]
+            powers.append(((xr * qr - xi * qi) >> bits, (xr * qi + xi * qr) >> bits))
+        qab_r, qab_i = powers[-1]
+        sr, si = 1 << bits, 0
+        # n >= 1 steps by -q^(a n + b (n-1)); n <= -1 is the same with a, b swapped
+        for first in (a, b):
+            dr, di = powers[first]
+            dr, di, tr, ti, e, de = -dr, -di, 1 << bits, 0, first, first
+            while e <= top:
+                tr, ti = (tr * dr - ti * di) >> bits, (tr * di + ti * dr) >> bits
+                sr += tr
+                si += ti
+                dr, di = (dr * qab_r - di * qab_i) >> bits, (dr * qab_i + di * qab_r) >> bits
+                de += a + b
+                e += de
+        lost = bits - max(abs(sr), abs(si)).bit_length()
         if lost <= extra + 32:
-            return total
+            return mp.make_mpc((from_man_exp(sr, -bits), from_man_exp(si, -bits)))
         extra = lost
 
 
@@ -217,36 +241,32 @@ def poly_complex_roots(coeffs, prec: int, require_squarefree: bool = True):
         return [mpc(r) for r in roots]
 
 
-def expand_roots(roots):
-    """Coefficients of prod (x - root), lowest degree first (caller sets
-    workprec)."""
-    coeffs = [mpc(1)]
-    for r in roots:
-        r = mpc(r)
-        nxt = [mpc(0)] + coeffs  # multiply by x
-        for i, c in enumerate(coeffs):
-            nxt[i] -= r * c      # subtract r * p
-        coeffs = nxt
-    return coeffs
-
-
 def reconstruct_int_poly(roots, prec: int):
-    """Expand prod (x - root) and round to the nearest integers.
+    """Expand prod (x - root) on Gaussian integers scaled by 2^(prec + 64)
+    and round to the nearest integers.
 
     Raises PrecisionError when any coefficient sits farther than
     2^-ROUND_TOL_BITS from an integer, or when the imaginary parts do not
     cancel.
     """
-    with mp.workprec(prec + 64):
-        tol = mpf(2) ** (-ROUND_TOL_BITS)
-        out = []
-        for c in expand_roots(roots):
-            if abs(c.imag) > tol:
-                raise PrecisionError("imaginary parts failed to cancel")
-            n = int(mpmath.nint(c.real))
-            if abs(c.real - n) > tol:
-                raise PrecisionError("coefficient too far from an integer")
-            out.append(n)
+    w = prec + 64
+    re, im = [1 << w], [0]  # coefficients, lowest degree first
+    for root in roots:
+        rr, ri = _fixed(root, w)
+        new_re, new_im = [0] + re, [0] + im  # x p(x) - root p(x)
+        for i, (cr, ci) in enumerate(zip(re, im)):
+            new_re[i] -= (rr * cr - ri * ci) >> w
+            new_im[i] -= (rr * ci + ri * cr) >> w
+        re, im = new_re, new_im
+    tol = 1 << (w - ROUND_TOL_BITS)
+    out = []
+    for c, ci in zip(re, im):
+        if abs(ci) > tol:
+            raise PrecisionError("imaginary parts failed to cancel")
+        n = (c + (1 << (w - 1))) >> w
+        if abs(c - (n << w)) > tol:
+            raise PrecisionError("coefficient too far from an integer")
+        out.append(n)
     return tuple(out)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 
 from mpmath import mp, mpc, mpf
@@ -20,8 +21,8 @@ from .hpnum import (
     check_j_by_r,
     climb,
     eta,
-    expand_roots,
     j_from_c,
+    poly_complex_roots,
     reconstruct_int_poly,
 )
 
@@ -247,24 +248,16 @@ def disc_conjecture_check(S: Poly, d: int, h: int) -> DiscReport:
 def irreducibility_proxy(p: Poly, prec: int = 320) -> bool:
     """No proper subset of the numeric roots multiplies out to a monic
     integral factor (subset search; intended for degrees <= 12)."""
-    from itertools import combinations
-
-    from .hpnum import poly_complex_roots
-
-    coeffs = p.int_coeffs()
-    roots = poly_complex_roots(coeffs, prec)
-    n = len(roots)
-    if n > 12:
+    roots = poly_complex_roots(p.int_coeffs(), prec)
+    if len(roots) > 12:
         raise ValueError("subset search is limited to degree 12")
-    with mp.workprec(prec):
-        tol = mpf(2) ** (-32)
-        for k in range(1, n):
-            for subset in combinations(range(n), k):
-                if all(
-                    abs(c.imag) < tol and abs(c.real - mp.nint(c.real)) < tol
-                    for c in expand_roots(roots[i] for i in subset)
-                ):
-                    return False
+    for k in range(1, len(roots)):
+        for subset in combinations(roots, k):
+            try:
+                reconstruct_int_poly(subset, prec)
+            except PrecisionError:
+                continue
+            return False
     return True
 
 

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from rrcf5 import cache, tables
-from rrcf5.cli import main, parse_tau
+from rrcf5.cli import build_parser, main, parse_tau
 from rrcf5.pipeline import run_pipeline
 
 
@@ -118,3 +121,33 @@ def test_cache_coefficients_are_decimal_strings(cachedir):
     for field in ("H", "R", "S", "Q", "p", "q"):
         assert all(isinstance(s, str) and int(s) is not None
                    for s in entry[field])
+
+
+@pytest.mark.parametrize("argv", (
+    ["pipeline", "-d", "11", "--prec", "0"],
+    ["pipeline", "-d", "11", "--prec", "-5"],
+    ["pipeline", "-d", "11", "--max-prec", "0"],
+    ["classpoly", "-d", "24", "--max-prec", "-1"],
+    ["eval-r", "--tau", "i", "--prec", "0"],
+    ["verify-tables", "--range", "50..10"],
+))
+def test_bad_precision_and_range_exit_2(cachedir, argv):
+    # a subprocess with a timeout: --prec 0 once looped forever (0 * 2 = 0)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "rrcf5.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == "" and len(done.stderr.splitlines()) == 1
+    assert "Traceback" not in done.stderr
+
+
+def test_parser_is_built_once_and_usage_errors_keep_exit_2(capsys):
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--prec", "many"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: rrcf5" in capsys.readouterr().out

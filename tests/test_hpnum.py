@@ -1,7 +1,10 @@
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
+from rrcf5 import tables
 from rrcf5.hpnum import (
     GUARD_BITS,
     PrecisionError,
@@ -20,34 +23,44 @@ from rrcf5.hpnum import (
 PREC = 256
 
 
+def _q_product(tau, prec, chi):
+    """prod_{n>=1} (1 - q^n)^chi(n), chi(n) in {-1, 0, 1}, over the n with
+    |q^n| >= 2^-(prec + 64).
+
+    The factors are multiplied on integer pairs scaled by 2^w: at Im(tau) >=
+    0.005 there are under 2^17 factors and a partial product stays above
+    about 2^-120, so w = prec + 192 keeps the relative error below 2^-(prec + 32).
+    """
+    w = prec + 192
+    with mp.workprec(w + 64):
+        tau = mpc(tau)
+        q = mpmath.exp(2j * mp.pi * tau)
+        qr, qi = int(mpmath.floor(q.real * 2**w)), int(mpmath.floor(q.imag * 2**w))
+        count = int(mpmath.floor((prec + 64) * mpmath.ln(2) / (2 * mp.pi * tau.imag)))
+    prods = {1: (1 << w, 0), -1: (1 << w, 0)}
+    qnr, qni = 1 << w, 0
+    for n in range(1, count + 1):
+        qnr, qni = (qnr * qr - qni * qi) >> w, (qnr * qi + qni * qr) >> w
+        if chi(n):
+            pr, pi = prods[chi(n)]
+            prods[chi(n)] = pr - ((pr * qnr - pi * qni) >> w), pi - ((pr * qni + pi * qnr) >> w)
+    with mp.workprec(w):
+        num, den = (mpc(mpf(pr) / 2**w, mpf(pi) / 2**w) for pr, pi in (prods[1], prods[-1]))
+        return num / den
+
+
 def _eta_product(tau, prec):
     """Reference: q^{1/24} prod_{n>=1} (1 - q^n), the product formula."""
     with mp.workprec(prec + 64):
-        tau = mpc(tau)
-        q = mpmath.exp(2j * mp.pi * tau)
-        prod, qn, tiny = mpc(1), mpc(1), mpf(2) ** (-(prec + 64))
-        while abs(qn) >= tiny:
-            qn *= q
-            prod *= 1 - qn
-        return mpmath.exp(1j * mp.pi * tau / 12) * prod
+        return mpmath.exp(1j * mp.pi * mpc(tau) / 12) * _q_product(tau, prec, lambda n: 1)
 
 
 def _rr_r_product(tau, prec):
     """Reference: q^{1/5} prod_{n>=1} (1 - q^n)^{(n|5)}, the product formula."""
     legendre = (0, 1, -1, -1, 1)
     with mp.workprec(prec + 64):
-        tau = mpc(tau)
-        q = mpmath.exp(2j * mp.pi * tau)
-        num, den, qn, tiny = mpc(1), mpc(1), mpc(1), mpf(2) ** (-(prec + 64))
-        n = 0
-        while abs(qn) >= tiny:
-            n += 1
-            qn *= q
-            if legendre[n % 5] == 1:
-                num *= 1 - qn
-            elif legendre[n % 5] == -1:
-                den *= 1 - qn
-        return mpmath.exp(2j * mp.pi * tau / 5) * num / den
+        return (mpmath.exp(2j * mp.pi * mpc(tau) / 5)
+                * _q_product(tau, prec, lambda n: legendre[n % 5]))
 
 
 @pytest.mark.parametrize("im", (0.02, 0.2, 2))
@@ -57,6 +70,24 @@ def test_series_matches_product_formula(re, im):
     tau = mpc(re, im)
     assert close(eta(tau, prec), _eta_product(tau, prec), prec - 16)
     assert close(rr_r(tau, prec), _rr_r_product(tau, prec), prec - 16)
+
+
+def _rel_close(a, b, bits):
+    """|a - b| <= 2^-bits |b|: relative, since eta is tiny near the real axis."""
+    with mp.workprec(bits + 64):
+        return abs(mpc(a) - mpc(b)) <= mpf(2) ** (-bits) * abs(mpc(b))
+
+
+# max_examples is kept small: the reference takes seconds at prec 2048 near
+# Im(tau) = 0.005, so that corner is one explicit example.
+@settings(max_examples=12, deadline=None, database=None, derandomize=True)
+@example(prec=2048, re=0.3, im=0.005)
+@given(prec=st.sampled_from((64, 256, 1024, 2048)),
+       re=st.floats(-0.5, 0.5), im=st.floats(0.005, 3))
+def test_fixed_point_series_match_the_product_formulas(prec, re, im):
+    tau = mpc(re, im)
+    assert _rel_close(eta(tau, prec), _eta_product(tau, prec), prec - 16)
+    assert _rel_close(rr_r(tau, prec), _rr_r_product(tau, prec), prec - 16)
 
 
 def test_eta_at_i():
@@ -84,6 +115,15 @@ def test_eta_modularity_inversion():
         lhs = eta(-1 / tau, PREC)
         rhs = mpmath.sqrt(-1j * tau) * eta(tau, PREC)
     assert close(lhs, rhs, PREC - 16)
+
+
+def test_eta_inversion_needs_the_cancellation_retry():
+    # |eta(i/1000)| is about 2^-377: the series sums to far below its terms
+    # and is only right to relative 2^-prec after it is summed again wider.
+    tau = mpc(0, 0.001)
+    with mp.workprec(PREC + 32):
+        rhs = eta(-1 / tau, PREC) / mpmath.sqrt(-1j * tau)
+    assert _rel_close(eta(tau, PREC), rhs, PREC - 16)
 
 
 def test_r_at_i_closed_form():
@@ -164,6 +204,32 @@ def test_reconstruct_rejects_garbage():
         reconstruct_int_poly([mpc(0.5, 0)], PREC)
 
 
+def test_reconstruct_tolerates_2_to_minus_40_but_not_2_to_minus_28():
+    # Moving a real root of x^3 - 2x^2 - x + 2 leaves a coefficient off an
+    # integer; moving one of p_11's complex roots without its conjugate leaves
+    # an imaginary part.
+    for coeffs, roots, why in (
+            ((2, -1, -2, 1), [mpc(1), mpc(2), mpc(-1)], "too far from an integer"),
+            (tables.P_TABLE[11], poly_complex_roots(tables.P_TABLE[11], PREC),
+             "imaginary parts")):
+        assert reconstruct_int_poly(roots, PREC) == tuple(coeffs)
+        with mp.workprec(PREC):
+            near = [roots[0] + mpf(2) ** -40] + roots[1:]
+            far = [roots[0] + mpf(2) ** -28] + roots[1:]
+        assert reconstruct_int_poly(near, PREC) == tuple(coeffs)
+        with pytest.raises(PrecisionError, match=why):
+            reconstruct_int_poly(far, PREC)
+
+
+def test_reconstruct_reads_roots_at_their_own_precision():
+    # Real 130-bit roots of H_24 at the default 53 bits of the caller: rounding
+    # them to 53 bits would move the root near 4.8e6 by about 2^-30.
+    H24 = tables.H_TABLE[24]
+    roots = [r.real for r in poly_complex_roots(H24, 130)]
+    assert mp.prec == 53 and all(r._mpf_[3] > 100 for r in roots)  # mantissa bits
+    assert reconstruct_int_poly(roots, 98) == tuple(H24)
+
+
 def test_precision_policy_ladder():
     pol = PrecisionPolicy(initial_bits=100, max_bits=500)
     assert list(pol.ladder()) == [100, 200, 400]
@@ -183,3 +249,11 @@ def test_climb_sizes_the_first_step_and_names_it_on_exhaustion():
     assert steps == [first, 2 * first]
     with pytest.raises(PrecisionError, match="first step is above the ceiling"):
         climb(PrecisionPolicy(max_bits=8), step, lambda bits: [roots], "demo")
+
+
+@pytest.mark.parametrize("kwargs", ({"initial_bits": 0}, {"initial_bits": -5},
+                                    {"max_bits": 0}, {"initial_bits": 64, "max_bits": -1}))
+def test_precision_policy_rejects_steps_below_one_bit(kwargs):
+    with pytest.raises(ValueError, match="at least 1 bit"):
+        PrecisionPolicy(**kwargs)
+    assert list(PrecisionPolicy(initial_bits=1, max_bits=4).ladder()) == [1, 2, 4]

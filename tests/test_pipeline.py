@@ -215,3 +215,9 @@ def test_irreducibility_proxy_small():
     assert irreducibility_proxy(Poly(tables.P_TABLE[19]))
     # reducible control: Q_11(x) * (x-1)
     assert not irreducibility_proxy(Poly(tables.Q_TABLE[11]) * Poly((-1, 1)))
+
+
+@pytest.mark.parametrize("d, bits", ((11, 80), (24, 98), (71, 184), (119, 247), (144, 153)))
+def test_sized_ladder_succeeds_at_its_first_step(d, bits):
+    # 64-bit sizing pass plus GUARD_BITS; the step that succeeds is the first
+    assert run_pipeline(d).precision_used == bits
