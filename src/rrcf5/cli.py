@@ -96,6 +96,9 @@ def cmd_verify_tables(args) -> int:
     ds = sorted(tables.P_TABLE)
     if bounds:
         ds = [d for d in ds if bounds[0] <= d <= bounds[1]]
+        if not ds:
+            print(f"no tabulated d in range {args.range!r}", file=sys.stderr)
+            return 2
     cdir = cache.cache_dir_from(args.cache)
     failures = []
     lines = []

@@ -197,38 +197,40 @@ def master_torsion_identity(twist: int = 0, perturb_A1: int = 0) -> bool:
     """psi_5(X(u), b(u)) = 0 identically in u over Q(sqrt5), where
     b = (eps^5 u^5 + epsbar^5)/(u^5 + 1) and X is the explicit degree-4
     expression in u.  twist replaces u by zeta_5^twist u; perturb_A1 is a
-    negative-control knob that must break the identity when nonzero."""
+    negative-control knob that must break the identity when nonzero.
+
+    b depends on u only through v = u^5, where it is linear, so each
+    coefficient in b is cleared of 1 + v in v and then spread to u by
+    v -> u^5.  With X = lam XA / bden^2, the checked polynomial
+    sum_j C_j (lam XA)^j (bden^2)^(12-j) = bden^33 psi_5(X, b) is one
+    composition whose coefficients C_j are polynomials in u."""
     a = _alpha()
     zeta = CycloElem.zeta(5)
     eps1 = (-11 + 5 * a) * Fraction(1, 2)
     epsbar1 = (-11 - 5 * a) * Fraction(1, 2)
-    bnum = Poly((epsbar1, _c(0), _c(0), _c(0), _c(0), eps1))
-    bden = Poly((_c(1), _c(0), _c(0), _c(0), _c(0), _c(1)))
+    bnum_v = Poly((epsbar1, eps1))
+    bden_v = Poly((_c(1), _c(1)))
+
+    def clear_b(poly_in_b, h):
+        return poly_compose_rational(poly_in_b, bnum_v, bden_v, h).subst_x_pow(5)
 
     A4, A3, A2, A1, A0 = torsion_A_coeffs()
     if perturb_A1:
         A1 = A1 + perturb_A1
-    # clear b = bnum/bden out of each A_k (deg_b <= 2) and attach u^k
+    # clear b out of each A_k (deg_b <= 2) and attach u^k
     XA = Poly()
     for k, Ak in enumerate((A0, A1, A2, A3, A4)):
-        CAk = poly_compose_rational(Ak, bnum, bden, 2)
+        CAk = clear_b(Ak, 2)
         if twist:
             CAk = CAk * zeta ** (k * twist)  # (zeta^t u)^k picks up zeta^{tk}
         XA = XA + CAk * Poly([_c(0)] * k + [_c(1)])
 
-    # psi_5 over Z[b], then b cleared to polynomials in u
+    # psi_5 over Z[b] (coefficients of degree <= 9 in b), b cleared in v
     psi5 = division_poly_5(TateCurve5(Poly.x()))
+    Cs = Poly([clear_b(cj, 9) if cj else Poly() for cj in psi5.coeffs])
     lam = (5 - a) * Fraction(1, 100)
-    total = Poly()
-    XA_pow = Poly((_c(1),))
-    for j, cj in enumerate(psi5.coeffs):
-        if cj:  # cj is a Poly in b with integer coefficients, deg <= 9
-            cj_c = lift_to_cyclo(cj)
-            Cj = poly_compose_rational(cj_c, bnum, bden, 9)
-            total = total + Cj * (lam**j) * XA_pow * bden ** (24 - 2 * j)
-        if j < psi5.degree:
-            XA_pow = XA_pow * XA
-    return total.is_zero()
+    bden = bden_v.subst_x_pow(5)
+    return poly_compose_rational(Cs, XA * lam, bden * bden, 12).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -671,20 +671,26 @@ def poly_compose_rational(H, num, den, h):
 
     Returns sum_k H_k * num^k * den^(h-k); integral whenever H, num and den
     are.  Every homogenised composition in the package goes through here.
+    It is computed by homogeneous Horner, n = deg H:
+    acc = H_n, then acc = acc * num + H_k * den^(n-k) for k = n-1..0, and
+    finally acc * den^(h-n): two polynomial products per degree.  The
+    coefficients H_k may themselves be polynomials in the variable of num
+    and den (a bivariate H); they multiply into acc rather than nest.
     """
     if h < H.degree:
         raise ExactDomainError("h must be at least deg H")
-    num_pow = Poly((1,))
+    if H.is_zero():
+        return Poly()
+    n = H.degree
     den_pows = [Poly((1,))]
-    for _ in range(h):
+    for _ in range(max(n, h - n)):
         den_pows.append(den_pows[-1] * den)
-    total = Poly()
-    for k, c in enumerate(H.coeffs):
-        if c:
-            total = total + num_pow * den_pows[h - k] * c
-        if k < H.degree:
-            num_pow = num_pow * num
-    return total
+    acc = den_pows[0] * H.coeffs[n]
+    for k in range(n - 1, -1, -1):
+        acc = acc * num
+        if H.coeffs[k]:
+            acc = acc + den_pows[n - k] * H.coeffs[k]
+    return acc * den_pows[h - n] if h > n else acc
 
 
 # ---------------------------------------------------------------------------

@@ -309,8 +309,11 @@ class PipelineResult:
 
 
 def _heegner_numeric_check(H: Poly, z_values, prec: int) -> bool:
-    """j5(b) and j55(b), written as rational functions of z, are roots of H."""
-    with mp.workprec(prec + 32):
+    """j5(b) and j55(b), written as rational functions of z, are roots of H.
+
+    The tolerance is 2^-(prec/4) relative to |H|(|j|), so the values are
+    evaluated at prec/4 + 32 bits, not at the precision of the z values."""
+    with mp.workprec(prec // 4 + 32):
         tol = mpf(2) ** (-(prec // 4))
         H_abs = H.map_coeffs(abs)
         for z in z_values:

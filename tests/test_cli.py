@@ -130,6 +130,7 @@ def test_cache_coefficients_are_decimal_strings(cachedir):
     ["classpoly", "-d", "24", "--max-prec", "-1"],
     ["eval-r", "--tau", "i", "--prec", "0"],
     ["verify-tables", "--range", "50..10"],
+    ["verify-tables", "--range", "1..5"],
 ))
 def test_bad_precision_and_range_exit_2(cachedir, argv):
     # a subprocess with a timeout: --prec 0 once looped forever (0 * 2 = 0)

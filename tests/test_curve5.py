@@ -70,6 +70,11 @@ def test_master_torsion_identity_negative_control():
     assert not master_torsion_identity(perturb_A1=1)
 
 
+@pytest.mark.parametrize("t", range(5))
+def test_master_torsion_identity_negative_control_every_twist(t):
+    assert not master_torsion_identity(twist=t, perturb_A1=1)
+
+
 def test_det_D_closed_form():
     closed_ok, conj_ok, vanishes = det_D_identity()
     assert closed_ok

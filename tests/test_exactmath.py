@@ -439,6 +439,45 @@ def test_compose_rational_cleared():
         poly_compose_rational(H, num, den, 1)
 
 
+small_int = st.integers(-50, 50)
+compose_scalars = {
+    "Z": small_int,
+    "Q": st.fractions(min_value=-50, max_value=50, max_denominator=30),
+    "Q(zeta5)": st.lists(st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=7),
+                         min_size=4, max_size=4).map(lambda cs: CycloElem(5, cs)),
+}
+
+
+def compose_case(ring):
+    """(H, num, den, h) over a coefficient ring; "Z[x]" gives H integer
+    polynomial coefficients in the variable of num and den (a bivariate H)."""
+    scalar = compose_scalars["Z" if ring == "Z[x]" else ring]
+    coeff = st.lists(small_int, max_size=3).map(Poly) if ring == "Z[x]" else scalar
+    inner = st.lists(scalar, min_size=1, max_size=4).map(Poly)
+    return st.tuples(st.lists(coeff, max_size=6).map(Poly), inner,
+                     inner.filter(bool), st.integers(0, 3)).map(
+        lambda t: (t[0], t[1], t[2], max(t[0].degree, 0) + t[3]))
+
+
+@diff_settings
+@given(st.sampled_from(["Z", "Q", "Q(zeta5)", "Z[x]"]).flatmap(
+    lambda ring: st.tuples(st.just(ring), compose_case(ring))))
+def test_compose_rational_matches_naive_sum(case):
+    ring, (H, num, den, h) = case
+    naive = Poly()
+    for k, c in enumerate(H.coeffs):
+        naive = naive + num**k * den ** (h - k) * c
+    got = poly_compose_rational(H, num, den, h)
+    assert got == naive
+    if H.degree <= 0:  # zero H gives zero; constant H gives H_0 den^h
+        assert got == (den**h * H.coeffs[0] if H else Poly())
+    if ring in ("Z", "Z[x]"):
+        assert all(type(c) is int for c in got.coeffs)
+    if H.degree >= 1:
+        with pytest.raises(ExactDomainError):
+            poly_compose_rational(H, num, den, H.degree - 1)
+
+
 # ------------------------------------------------------------------ RatFunc
 
 

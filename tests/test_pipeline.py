@@ -5,12 +5,15 @@ from rrcf5.exactmath import Poly, poly_discriminant
 from rrcf5.hpnum import PrecisionPolicy
 from rrcf5.pipeline import (
     PipelineIntegrityError,
+    _heegner_args,
+    _heegner_numeric_check,
     build_F_G,
     build_p_q,
     build_Q,
     build_R,
     build_S,
     disc_conjecture_check,
+    heegner_values,
     irreducibility_proxy,
     run_pipeline,
     verify_cor42,
@@ -221,3 +224,18 @@ def test_irreducibility_proxy_small():
 def test_sized_ladder_succeeds_at_its_first_step(d, bits):
     # 64-bit sizing pass plus GUARD_BITS; the step that succeeds is the first
     assert run_pipeline(d).precision_used == bits
+
+
+@pytest.mark.parametrize("d", (11, 24, 71, 119, 144))
+def test_heegner_check_at_quarter_precision(d):
+    # H(j5(z)) and H(j55(z)) are evaluated at prec/4 + 32 bits against a
+    # tolerance of 2^-(prec/4) times |H|(|j|): the roots still pass, and a
+    # perturbed H still fails.  The tolerance is relative, so a unit change
+    # of the constant term shows only at d = 11; doubling it shows at every d.
+    r = run_pipeline(d)
+    assert r.heegner_check
+    zs = heegner_values(_heegner_args(d)[3], r.precision_used)[0][:r.h]
+    assert _heegner_numeric_check(r.H, zs, r.precision_used)
+    assert not _heegner_numeric_check(r.H + r.H.coeffs[0], zs, r.precision_used)
+    if d == 11:
+        assert not _heegner_numeric_check(r.H + 1, zs, r.precision_used)
