@@ -5,8 +5,13 @@ precision ladder those reconstructions climb.
 
 All precision arguments are in bits.  The q-series and the root products
 run on fixed-point Gaussian integers (pairs of ints scaled by 2^bits); mpmath
-supplies exp, the roots and the values returned.  Every public function sets
-its own working precision and restores the caller's on exit.
+supplies exp, the roots and the values returned.  Each q-series evaluation
+takes one exp, of a root x of q (x = e^(pi i tau/12) for eta, e^(2 pi i tau/5)
+for r, e^(2 pi i w/25) for the Heegner values), and makes every q it sums at
+as a fixed-point power of x; the same x is the prefactor, so in a quotient of
+eta values the prefactors cancel to an integer power of x.  Only a
+cancellation retry takes the exp again, at wider bits.  Every public function
+sets its own working precision and restores the caller's on exit.
 """
 
 from __future__ import annotations
@@ -85,60 +90,119 @@ def _fixed(x, w: int):
     return to_fixed(re, w), to_fixed(im, w)
 
 
-def _jacobi_f(tau, a: int, b: int, prec: int):
-    """The Jacobi triple product f(-q^a, -q^b), q = e^(2 pi i tau):
+def _fixed_pow(x, n: int, bits: int):
+    """x^n, n >= 1, for a fixed-point pair x at bits, by binary powering."""
+    xr, xi = rr, ri = x
+    for bit in bin(n)[3:]:
+        rr, ri = (rr * rr - ri * ri) >> bits, (2 * rr * ri) >> bits
+        if bit == "1":
+            rr, ri = (rr * xr - ri * xi) >> bits, (rr * xi + ri * xr) >> bits
+    return rr, ri
+
+
+class _QRoot:
+    """x = e^(2 pi i tau / k), a k-th root of q = e^(2 pi i tau).  The one exp
+    is taken at the widest bits asked for so far and reused below them."""
+
+    def __init__(self, tau, k: int):
+        self.tau, self.k = tau, k
+        self.bits, self.value = 0, None
+
+    def at(self, bits: int):
+        if bits > self.bits:
+            with mp.workprec(bits):
+                self.value = mpmath.exp(2j * mp.pi * self.tau / self.k)
+            self.bits = bits
+        return self.value
+
+    def power(self, n: int):
+        """bits -> x^n as a fixed-point pair at bits (the q_at of _jacobi_f)."""
+        return lambda bits: _fixed_pow(_fixed(self.at(bits), bits), n, bits)
+
+
+def _jacobi_f(q_at, im_tau: float, pairs, prec: int):
+    """The Jacobi triple products f(-q^a, -q^b), one for each (a, b) in pairs,
+    all with the same a + b:
 
         sum_{n in Z} (-1)^n q^(a n(n+1)/2 + b n(n-1)/2)
 
-    to relative 2^-prec, summed on Gaussian integers scaled by 2^bits.  Every
-    term has modulus at most 1, so truncation and rounding errors are
-    absolute: the terms kept are those above 2^-(prec + 64 + extra), counted
-    from -log2|q| = 2 pi Im(tau) / ln 2 before the sum starts.  Each product
-    rounds down by under 2^-bits per part and no factor exceeds 1, so with N
-    terms per side the k-th step q^(a k + b (k-1)) is off by O(k) ulps, the
-    k-th term by O(k^2) and the sum by O(N^3); bits adds 3 log2 N to
-    prec + 64 + extra for that.  A sum below 2^-(extra + 32) has lost more
-    bits to cancellation than the guard allows for, and is summed again with
-    that many more.
+    to relative 2^-prec, summed on Gaussian integers scaled by 2^bits, with
+    q = e^(2 pi i tau), Im(tau) = im_tau, given by q_at(bits) as such a pair.
+    One table q^0 .. q^(a+b) serves every pair.  Every term has modulus at
+    most 1, so truncation and rounding errors are absolute: the terms kept are
+    those above 2^-(prec + 64 + extra), counted from -log2|q| = 2 pi Im(tau) /
+    ln 2 before the sum starts.  Each product rounds down by under 2^-bits per
+    part and no factor exceeds 1, so with N terms per side the k-th step
+    q^(a k + b (k-1)) is off by O(k) ulps, the k-th term by O(k^2) and the
+    sum by O(N^3); bits adds 3 log2 N to prec + 64 + extra for that.  A q
+    made as x^n from a root x is off by O(n) ulps itself, which for n <= 25
+    costs a few of the 64 guard bits.  A sum
+    below 2^-(extra + 32) has lost more bits to cancellation than the guard
+    allows for, and every sum is taken again with that many more, from a q
+    made again at the wider bits.
     """
-    if tau.imag <= 0:
+    if im_tau <= 0:
         raise ValueError("q-series need Im(tau) > 0")
+    step = sum(pairs[0])  # a + b
     extra = 0
     while True:
         bits = prec + 64 + extra
-        top = bits * log(2) / (2 * pi * float(tau.imag))  # largest exponent kept
-        bits += 3 * isqrt(int(2 * top / (a + b)) + 1).bit_length()
-        with mp.workprec(bits):
-            qr, qi = _fixed(mpmath.exp(2j * mp.pi * tau), bits)
+        top = bits * log(2) / (2 * pi * im_tau)  # largest exponent kept
+        bits += 3 * isqrt(int(2 * top / step) + 1).bit_length()
+        qr, qi = q_at(bits)
         powers = [(1 << bits, 0)]  # q^0 .. q^(a+b)
-        for _ in range(a + b):
+        for _ in range(step):
             xr, xi = powers[-1]
             powers.append(((xr * qr - xi * qi) >> bits, (xr * qi + xi * qr) >> bits))
         qab_r, qab_i = powers[-1]
-        sr, si = 1 << bits, 0
-        # n >= 1 steps by -q^(a n + b (n-1)); n <= -1 is the same with a, b swapped
-        for first in (a, b):
-            dr, di = powers[first]
-            dr, di, tr, ti, e, de = -dr, -di, 1 << bits, 0, first, first
-            while e <= top:
-                tr, ti = (tr * dr - ti * di) >> bits, (tr * di + ti * dr) >> bits
-                sr += tr
-                si += ti
-                dr, di = (dr * qab_r - di * qab_i) >> bits, (dr * qab_i + di * qab_r) >> bits
-                de += a + b
-                e += de
-        lost = bits - max(abs(sr), abs(si)).bit_length()
+        sums = []
+        for a, b in pairs:
+            sr, si = 1 << bits, 0
+            # n >= 1 steps by -q^(a n + b (n-1)); n <= -1 is the same with a, b swapped
+            for first in (a, b):
+                dr, di = powers[first]
+                dr, di, tr, ti, e, de = -dr, -di, 1 << bits, 0, first, first
+                while e <= top:
+                    tr, ti = (tr * dr - ti * di) >> bits, (tr * di + ti * dr) >> bits
+                    sr += tr
+                    si += ti
+                    dr, di = (dr * qab_r - di * qab_i) >> bits, (dr * qab_i + di * qab_r) >> bits
+                    de += step
+                    e += de
+            sums.append((sr, si))
+        lost = max(bits - max(abs(sr), abs(si)).bit_length() for sr, si in sums)
         if lost <= extra + 32:
-            return mp.make_mpc((from_man_exp(sr, -bits), from_man_exp(si, -bits)))
+            return [mp.make_mpc((from_man_exp(sr, -bits), from_man_exp(si, -bits)))
+                    for sr, si in sums]
         extra = lost
+
+
+def eta_parts(tau, k: int, ns, prec: int):
+    """x = e^(2 pi i tau / k) and the Euler products
+
+        P_n = prod_{m>=1} (1 - q^m) = f(-q, -q^2),   q = x^n,
+
+    for each n in ns, each to relative 2^-prec, from one exp: every q is a
+    fixed-point power of x.  Since eta(n tau / k) = x^(n/24) P_n, a quotient
+    of eta values is a quotient of the P_n times an integer power of x when
+    the prefactors cancel that far.  With ns ascending, the first sum has the
+    smallest Im and the most terms, so it sets the bits the exp is taken at.
+    The values come back unrounded; callers round them to the precision they
+    combine them at.
+    """
+    x = _QRoot(tau, k)
+    im = float(tau.imag)
+    sums = [_jacobi_f(x.power(n), im * n / k, ((1, 2),), prec)[0] for n in ns]
+    return x.value, sums
 
 
 def eta(tau, prec: int):
     """Dedekind eta(tau) = q^{1/24} prod_{n>=1} (1 - q^n), Im(tau) > 0,
-    summed as Euler's pentagonal series q^{1/24} f(-q, -q^2)."""
+    summed as Euler's pentagonal series u f(-q, -q^2) with u = e^(pi i tau/12)
+    from one exp and q = u^24."""
     with mp.workprec(prec + 64):
-        tau = mpc(tau)
-        result = mpmath.exp(1j * mp.pi * tau / 12) * _jacobi_f(tau, 1, 2, prec)
+        u, (f,) = eta_parts(mpc(tau), 24, (24,), prec)
+        result = u * f
     with mp.workprec(prec):
         return mpc(result)
 
@@ -146,20 +210,25 @@ def eta(tau, prec: int):
 def rr_r(tau, prec: int):
     """The Rogers-Ramanujan continued fraction
     r(tau) = q^{1/5} prod_{n>=1} (1 - q^n)^{(n|5)}   with (n|5) the Legendre symbol,
-    summed as q^{1/5} f(-q, -q^4) / f(-q^2, -q^3).
+    summed as v f(-q, -q^4) / f(-q^2, -q^3) with v = e^(2 pi i tau/5) from one
+    exp and q = v^5.
     """
     with mp.workprec(prec + 64):
         tau = mpc(tau)
-        result = (mpmath.exp(2j * mp.pi * tau / 5)
-                  * _jacobi_f(tau, 1, 4, prec) / _jacobi_f(tau, 2, 3, prec))
+        v = _QRoot(tau, 5)
+        num, den = _jacobi_f(v.power(5), float(tau.imag), ((1, 4), (2, 3)), prec)
+        result = v.value * num / den
     with mp.workprec(prec):
         return mpc(result)
 
 
 def weber_x1(tau, prec: int):
-    """The eta quotient x1(tau) = (eta(tau/5)/eta(tau))^2."""
+    """The eta quotient x1(tau) = (eta(tau/5)/eta(tau))^2 = (P_3/P_15)^2 / u,
+    u = e^(2 pi i tau/15) and P_n = prod_{m>=1} (1 - u^(n m)) (eta_parts)."""
+    u, sums = eta_parts(tau, 15, (3, 15), prec + 32)
     with mp.workprec(prec + 32):
-        return eta(mpc(tau) / 5, prec + 32) ** 2 / eta(tau, prec + 32) ** 2
+        u, p3, p15 = mpc(u), *(mpc(p) for p in sums)
+        return (p3 / p15) ** 2 / u
 
 
 def j_from_c(c):

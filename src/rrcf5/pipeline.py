@@ -20,7 +20,7 @@ from .hpnum import (
     PrecisionPolicy,
     check_j_by_r,
     climb,
-    eta,
+    eta_parts,
     j_from_c,
     poly_complex_roots,
     reconstruct_int_poly,
@@ -44,26 +44,37 @@ def _with_conjugates(values):
     return values + [mpc(v.real, -v.imag) for v in values]
 
 
-def heegner_values(args, prec: int):
-    """z, s and j at each Heegner argument w, from eta(w), eta(w/5) and
-    eta(w/25), each evaluated once:
+def heegner_values(ws, prec: int):
+    """z, s and j at each Heegner argument w in ws, from one exp per w:
+    t = e^(2 pi i w/25) gives q(w/25) = t, q(w/5) = t^5 and q(w) = t^25, and
+    F_k = prod_{m>=1} (1 - q(w/k)^m) at each (eta_parts).  Since
+    eta(w/k) = e^(2 pi i w/(24 k)) F_k, the eta prefactors cancel to powers
+    of t:
 
-        c = (eta(w/5)/eta(w))^6,  z = -11 - c,  s = -1 - eta(w/25)/eta(w),
+        c = (eta(w/5)/eta(w))^6 = (F5/F1)^6 / t^5,   z = -11 - c,
+        s = -1 - eta(w/25)/eta(w) = -1 - F25 / (t F1),
         j = (c^2 + 10 c + 5)^3 / c.
 
+    t and the F_k are rounded to prec bits before they are combined.
     Returns (zs, ss, js); zs and ss also carry the complex conjugates, the
     other h roots of R and S.
     """
     zs, ss, js = [], [], []
     with mp.workprec(prec + 32):
-        for arg in args:
-            w = arg.w(prec + 32)
-            e1 = eta(w, prec)
-            c = (eta(w / 5, prec) / e1) ** 6
+        for w in ws:
+            t, sums = eta_parts(w, 25, (1, 5, 25), prec)
+            with mp.workprec(prec):
+                t, F25, F5, F1 = mpc(t), *(mpc(F) for F in sums)
+            c = (F5 / F1) ** 6 / t**5
             zs.append(-11 - c)
-            ss.append(-1 - eta(w / 25, prec) / e1)
+            ss.append(-1 - F25 / (t * F1))
             js.append(j_from_c(c))
         return _with_conjugates(zs), _with_conjugates(ss), js
+
+
+def _heegner_ws(args, prec: int):
+    """The Heegner argument w of each HeegnerArg, to prec + 64 bits."""
+    return [arg.w(prec + 64) for arg in args]
 
 
 def _check_z_s_link(zs, ss, prec: int):
@@ -77,13 +88,13 @@ def _check_z_s_link(zs, ss, prec: int):
 
 def compute_z_values(args, prec: int):
     """z(w) = -11 - (eta(w/5)/eta(w))^6 at each argument, plus conjugates."""
-    return heegner_values(args, prec)[0]
+    return heegner_values(_heegner_ws(args, prec), prec)[0]
 
 
 def compute_s_values(args, prec: int):
     """s(w) = -1 - eta(w/25)/eta(w) plus conjugates; cross-checked against
     the z-values through z = s^5 + 5 s^3 + 5 s."""
-    zs, ss, _ = heegner_values(args, prec)
+    zs, ss, _ = heegner_values(_heegner_ws(args, prec), prec)
     _check_z_s_link(zs, ss, prec)
     return ss
 
@@ -337,11 +348,12 @@ def run_pipeline(d: int, policy: PrecisionPolicy | None = None) -> PipelineResul
     h = cd.h
 
     def step(bits):
-        zs, ss, js = heegner_values(args, bits)
+        ws = _heegner_ws(args, bits)
+        zs, ss, js = heegner_values(ws, bits)
         # the conjugates appended to zs and ss pass exactly when the values do
         _check_z_s_link(zs[:h], ss[:h], bits)
-        for arg, j in zip(args, js):
-            check_j_by_r(j, arg.w(bits + 64), bits)
+        for w, j in zip(ws, js):
+            check_j_by_r(j, w, bits)
         H, R, S = (Poly(reconstruct_int_poly(roots, bits)) for roots in (js, zs, ss))
         try:
             Q = build_Q(R)
@@ -351,7 +363,8 @@ def run_pipeline(d: int, policy: PrecisionPolicy | None = None) -> PipelineResul
         return bits, zs, H, R, S, Q, p, q
 
     used, zs, H, R, S, Q, p, q = climb(
-        policy, step, lambda bits: heegner_values(args, bits), f"pipeline for d={d}")
+        policy, step, lambda bits: heegner_values(_heegner_ws(args, bits), bits),
+        f"pipeline for d={d}")
 
     if p.degree != 4 * h or q.degree != 16 * h:
         raise PipelineIntegrityError("degree bookkeeping failed")

@@ -19,6 +19,7 @@ from rrcf5.hpnum import (
     rr_r,
     weber_x1,
 )
+from rrcf5.pipeline import _heegner_args, _heegner_ws, heegner_values
 
 PREC = 256
 
@@ -124,6 +125,26 @@ def test_eta_inversion_needs_the_cancellation_retry():
     with mp.workprec(PREC + 32):
         rhs = eta(-1 / tau, PREC) / mpmath.sqrt(-1j * tau)
     assert _rel_close(eta(tau, PREC), rhs, PREC - 16)
+
+
+def test_one_exp_per_evaluation(monkeypatch):
+    # Every q of an evaluation is a fixed-point power of one exp: eta, rr_r
+    # and weber_x1 take one each, heegner_values one per Heegner argument.
+    # At Im(tau) = 0.8 and at d = 71's arguments no sum needs the
+    # cancellation retry, which would take the exp again at wider bits.
+    calls = []
+    exp = mpmath.exp
+    monkeypatch.setattr(mpmath, "exp", lambda z: calls.append(z) or exp(z))
+    tau = mpc(0.3, 0.8)
+    for f in (eta, rr_r, weber_x1):
+        calls.clear()
+        f(tau, PREC)
+        assert len(calls) == 1, f.__name__
+    args = _heegner_args(71)[3]
+    ws = _heegner_ws(args, PREC)
+    calls.clear()
+    heegner_values(ws, PREC)
+    assert len(calls) == len(args) == 7
 
 
 def test_r_at_i_closed_form():

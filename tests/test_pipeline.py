@@ -1,12 +1,14 @@
 import pytest
+from mpmath import mp
 
 from rrcf5 import tables
 from rrcf5.exactmath import Poly, poly_discriminant
-from rrcf5.hpnum import PrecisionPolicy
+from rrcf5.hpnum import PrecisionPolicy, eta, j_from_c, rel_close
 from rrcf5.pipeline import (
     PipelineIntegrityError,
     _heegner_args,
     _heegner_numeric_check,
+    _heegner_ws,
     build_F_G,
     build_p_q,
     build_Q,
@@ -220,7 +222,12 @@ def test_irreducibility_proxy_small():
     assert not irreducibility_proxy(Poly(tables.Q_TABLE[11]) * Poly((-1, 1)))
 
 
-@pytest.mark.parametrize("d, bits", ((11, 80), (24, 98), (71, 184), (119, 247), (144, 153)))
+@pytest.mark.parametrize("d, bits", (
+    (11, 80), (24, 98), (71, 184), (119, 247), (144, 153),
+    (16, 83), (19, 84), (31, 115), (36, 105), (39, 129), (44, 114), (51, 107),
+    (56, 138), (59, 123), (64, 107), (76, 124), (79, 167), (84, 147), (91, 116),
+    (96, 144), (99, 120), (104, 180), (111, 219), (116, 191), (124, 134),
+    (131, 171), (136, 165), (139, 140)))
 def test_sized_ladder_succeeds_at_its_first_step(d, bits):
     # 64-bit sizing pass plus GUARD_BITS; the step that succeeds is the first
     assert run_pipeline(d).precision_used == bits
@@ -234,8 +241,25 @@ def test_heegner_check_at_quarter_precision(d):
     # of the constant term shows only at d = 11; doubling it shows at every d.
     r = run_pipeline(d)
     assert r.heegner_check
-    zs = heegner_values(_heegner_args(d)[3], r.precision_used)[0][:r.h]
+    zs = heegner_values(_heegner_ws(_heegner_args(d)[3], r.precision_used),
+                        r.precision_used)[0][:r.h]
     assert _heegner_numeric_check(r.H, zs, r.precision_used)
     assert not _heegner_numeric_check(r.H + r.H.coeffs[0], zs, r.precision_used)
     if d == 11:
         assert not _heegner_numeric_check(r.H + 1, zs, r.precision_used)
+
+
+# d = 84 has the argument with the smallest Im(w/25) among the tabulated d.
+@pytest.mark.parametrize("d", (11, 24, 71, 119, 144, 84))
+def test_heegner_values_match_the_eta_quotients(d):
+    # The eta prefactors cancel to powers of t = e^(2 pi i w/25); the values
+    # must equal the quotients of eta values taken one by one.
+    prec = 128
+    ws = _heegner_ws(_heegner_args(d)[3], prec)
+    zs, ss, js = heegner_values(ws, prec)
+    for w, z, s, j in zip(ws, zs, ss, js):
+        with mp.workprec(prec + 64):
+            e1, e5, e25 = (eta(w / k, prec + 32) for k in (1, 5, 25))
+            c = (e5 / e1) ** 6
+            for got, want in ((z, -11 - c), (s, -1 - e25 / e1), (j, j_from_c(c))):
+                assert rel_close(got, want, prec - 16)
