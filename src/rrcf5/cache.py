@@ -20,6 +20,8 @@ SCHEMA_VERSION = 1
 _POLY_FIELDS = ("H", "R", "S", "Q", "p", "q")
 _FLAG_FIELDS = ("F_check", "G_check", "div_check", "cor42_check", "T_check",
                 "heegner_check")
+# div_check and heegner_check follow from these (PipelineResult.flags)
+_STORED_FLAGS = ("F_check", "G_check", "cor42_check", "T_check")
 
 
 class CacheError(ValueError):
@@ -67,8 +69,9 @@ def result_to_entry(res: PipelineResult) -> dict:
     }
     for name in _POLY_FIELDS:
         entry[name] = _poly_out(getattr(res, name))
+    flags = res.flags
     for name in _FLAG_FIELDS:
-        entry[name] = getattr(res, name)
+        entry[name] = flags[name]
     return entry
 
 
@@ -84,8 +87,8 @@ def entry_to_result(entry: dict) -> PipelineResult:
         smooth_ok=bool(disc["smooth_ok"]),
     )
     kwargs = {name: _poly_in(entry[name]) for name in _POLY_FIELDS}
-    kwargs.update({name: bool(entry[name]) for name in _FLAG_FIELDS})
-    return PipelineResult(
+    kwargs.update({name: bool(entry[name]) for name in _STORED_FLAGS})
+    res = PipelineResult(
         d=int(entry["d"]),
         f=int(entry["f"]),
         h=int(entry["h"]),
@@ -95,6 +98,9 @@ def entry_to_result(entry: dict) -> PipelineResult:
         precision_used=int(entry["precision_used"]),
         **kwargs,
     )
+    if any(res.flags[name] != bool(entry[name]) for name in _FLAG_FIELDS):
+        raise CacheError("stored flags disagree with the flags they imply")
+    return res
 
 
 def save(cache_dir: str, res: PipelineResult) -> str:

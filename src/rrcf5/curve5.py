@@ -17,6 +17,7 @@ from .classdata import choose_v, reduced_forms
 from .exactmath import CycloElem, Poly, RatFunc, lift_to_cyclo, poly_compose_rational
 from .hpnum import eta, rr_r
 from .pipeline import J5_DEN, J5_NUM, J55_DEN, J55_NUM
+from .pipeline import J5Z_DEN, J5Z_NUM, J55Z_DEN, J55Z_NUM
 
 
 class CurveError(ValueError):
@@ -303,15 +304,11 @@ def _lift_rf(num: Poly, den: Poly) -> RatFunc:
 
 
 def verify_j_forms() -> bool:
-    """Both j-invariant rational functions of b collapse to their stated
-    forms in z = b - 1/b."""
-    x = Poly.x()
-    z_of_b = RatFunc(Poly((-1, 0, 1)), x)
-    zz = RatFunc(x)
-    j5_z = -((zz * zz + 12 * zz + 16) ** 3) / (zz + 11)
-    j55_z = -((zz * zz - 228 * zz + 496) ** 3) / (zz + 11) ** 5
-    ok5 = j5_z.substitute(z_of_b) == RatFunc(J5_NUM, J5_DEN)
-    ok55 = j55_z.substitute(z_of_b) == RatFunc(J55_NUM, J55_DEN)
+    """Both j-invariant rational functions of b collapse to the forms in
+    z = b - 1/b that run_pipeline composes H with."""
+    z_of_b = RatFunc(Poly((-1, 0, 1)), Poly.x())
+    ok5 = RatFunc(J5Z_NUM, J5Z_DEN).substitute(z_of_b) == RatFunc(J5_NUM, J5_DEN)
+    ok55 = RatFunc(J55Z_NUM, J55Z_DEN).substitute(z_of_b) == RatFunc(J55_NUM, J55_DEN)
     return ok5 and ok55
 
 

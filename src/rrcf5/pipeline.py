@@ -1,8 +1,12 @@
 """The polynomial tower for an admissible discriminant -d: conjugate eta
 quotient values, their integer minimal polynomials R_d and S_d, the lifted
-polynomials Q_d, p_d, q_d, the big class-equation composites F_d and
-G_d(x^5), exact invariance identities, and the discriminant factorization
-report."""
+polynomials Q_d, p_d, q_d, the class-equation composites F_z and G_z (H_{-d}
+at j5 and j55 written in z), exact invariance identities, and the
+discriminant factorization report.
+
+The lift T -> x^deg(T) T(x - 1/x) is multiplicative and takes R to Q, S to p
+and F_z, G_z to F and G, the composites in x of build_F_G.  So R | F_z proves
+Q | F, and R | G_z with p | Q(x^5) proves p | G(x^5)."""
 
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpc
 
 from .classdata import choose_v, n_system, reduced_forms
 from .exactmath import Poly, poly_compose_rational, poly_discriminant
@@ -37,6 +41,12 @@ J5_NUM = Poly((1, -12, 14, 12, 1)) ** 3
 J5_DEN = Poly((0, 0, 0, 0, 0, 1)) * Poly((1, -11, -1))
 J55_NUM = Poly((1, 228, 494, -228, 1)) ** 3
 J55_DEN = Poly((0, 1)) * Poly((1, -11, -1)) ** 5
+
+# the same pair in z = b - 1/b: j5 = -A^3/(z+11), j55 = -B^3/(z+11)^5
+A = Poly((16, 12, 1))
+B = Poly((496, -228, 1))
+J5Z_NUM, J5Z_DEN = A**3, -Poly((11, 1))
+J55Z_NUM, J55Z_DEN = B**3, -Poly((11, 1)) ** 5
 
 
 def _with_conjugates(values):
@@ -77,26 +87,16 @@ def _heegner_ws(args, prec: int):
     return [arg.w(prec + 64) for arg in args]
 
 
-def _check_z_s_link(zs, ss, prec: int):
-    """Every s-value lifts to its z-value through z = s^5 + 5 s^3 + 5 s."""
-    with mp.workprec(prec + 32):
-        tol = mpf(2) ** (-(prec // 2))
-        for s, z in zip(ss, zs):
-            if abs(s**5 + 5 * s**3 + 5 * s - z) > tol * max(1, abs(z)):
-                raise PrecisionError("s-value failed the z cross-link")
-
-
 def compute_z_values(args, prec: int):
     """z(w) = -11 - (eta(w/5)/eta(w))^6 at each argument, plus conjugates."""
     return heegner_values(_heegner_ws(args, prec), prec)[0]
 
 
 def compute_s_values(args, prec: int):
-    """s(w) = -1 - eta(w/25)/eta(w) plus conjugates; cross-checked against
-    the z-values through z = s^5 + 5 s^3 + 5 s."""
-    zs, ss, _ = heegner_values(_heegner_ws(args, prec), prec)
-    _check_z_s_link(zs, ss, prec)
-    return ss
+    """s(w) = -1 - eta(w/25)/eta(w) at each argument, plus conjugates.  Their
+    link z = phi(s) = s^5 + 5 s^3 + 5 s is proven by p | Q(x^5), as
+    x^5 - x^-5 = phi(x - 1/x)."""
+    return heegner_values(_heegner_ws(args, prec), prec)[1]
 
 
 def _heegner_args(d: int):
@@ -158,6 +158,14 @@ def build_F_G(H: Poly, h: int):
     G_in_y = poly_compose_rational(H, J55_NUM, J55_DEN, h)
     Gx5 = G_in_y.subst_x_pow(5)
     return F, Gx5
+
+
+def z_plane_checks(H: Poly, R: Poly, h: int):
+    """(R | F_z, R | G_z) for F_z = (-(z+11))^h H(j5(z)) and
+    G_z = (-(z+11)^5)^h H(j55(z)), each of degree 6h; they prove Q | F and
+    p | G(x^5) for the F and G of build_F_G."""
+    return (R.divides(poly_compose_rational(H, J5Z_NUM, J5Z_DEN, h)),
+            R.divides(poly_compose_rational(H, J55Z_NUM, J55Z_DEN, h)))
 
 
 def verify_cor42(R: Poly, h: int) -> bool:
@@ -293,23 +301,23 @@ class PipelineResult:
     q: Poly
     F_check: bool
     G_check: bool
-    div_check: bool
     cor42_check: bool
     T_check: bool
-    heegner_check: bool
     disc_report: DiscReport
     precision_used: int
 
     @property
     def flags(self) -> dict:
-        """Every check's verdict, by the name the CLI reports it under."""
+        """Every check's verdict, by the name the CLI reports it under.
+        div_check (build_p_q stops the run otherwise) and heegner_check
+        (F_check and G_check) are implied; they keep the output format."""
         return {
             "F_check": self.F_check,
             "G_check": self.G_check,
-            "div_check": self.div_check,
+            "div_check": True,
             "cor42_check": self.cor42_check,
             "T_check": self.T_check,
-            "heegner_check": self.heegner_check,
+            "heegner_check": self.F_check and self.G_check,
             "disc_exact_power": self.disc_report.exact_power_ok,
             "disc_smooth": self.disc_report.smooth_ok,
         }
@@ -317,23 +325,6 @@ class PipelineResult:
     @property
     def all_ok(self) -> bool:
         return all(self.flags.values())
-
-
-def _heegner_numeric_check(H: Poly, z_values, prec: int) -> bool:
-    """j5(b) and j55(b), written as rational functions of z, are roots of H.
-
-    The tolerance is 2^-(prec/4) relative to |H|(|j|), so the values are
-    evaluated at prec/4 + 32 bits, not at the precision of the z values."""
-    with mp.workprec(prec // 4 + 32):
-        tol = mpf(2) ** (-(prec // 4))
-        H_abs = H.map_coeffs(abs)
-        for z in z_values:
-            j5 = -((z**2 + 12 * z + 16) ** 3) / (z + 11)
-            j55 = -((z**2 - 228 * z + 496) ** 3) / (z + 11) ** 5
-            for j in (j5, j55):
-                if abs(H(j)) > tol * H_abs(max(1, abs(j))):
-                    return False
-    return True
 
 
 def run_pipeline(d: int, policy: PrecisionPolicy | None = None) -> PipelineResult:
@@ -350,8 +341,6 @@ def run_pipeline(d: int, policy: PrecisionPolicy | None = None) -> PipelineResul
     def step(bits):
         ws = _heegner_ws(args, bits)
         zs, ss, js = heegner_values(ws, bits)
-        # the conjugates appended to zs and ss pass exactly when the values do
-        _check_z_s_link(zs[:h], ss[:h], bits)
         for w, j in zip(ws, js):
             check_j_by_r(j, w, bits)
         H, R, S = (Poly(reconstruct_int_poly(roots, bits)) for roots in (js, zs, ss))
@@ -360,9 +349,9 @@ def run_pipeline(d: int, policy: PrecisionPolicy | None = None) -> PipelineResul
             p, q = build_p_q(S, Q)
         except PipelineIntegrityError as exc:
             raise PrecisionError(str(exc)) from exc
-        return bits, zs, H, R, S, Q, p, q
+        return bits, H, R, S, Q, p, q
 
-    used, zs, H, R, S, Q, p, q = climb(
+    used, H, R, S, Q, p, q = climb(
         policy, step, lambda bits: heegner_values(_heegner_ws(args, bits), bits),
         f"pipeline for d={d}")
 
@@ -373,19 +362,14 @@ def run_pipeline(d: int, policy: PrecisionPolicy | None = None) -> PipelineResul
     if not (_antipalindromic(p) and _antipalindromic(q) and _antipalindromic(Q.subst_x_pow(5))):
         raise PipelineIntegrityError("anti-palindromic symmetry violated")
 
-    F, Gx5 = build_F_G(H, h)
-    F_check = Q.divides(F)
-    G_check = p.divides(Gx5)
-    div_check = True  # certified inside build_p_q
+    F_check, G_check = z_plane_checks(H, R, h)
     cor42 = verify_cor42(R, h)
     t_check = verify_T_invariance(p, h)
-    heegner = _heegner_numeric_check(H, zs[:h], used)  # H is real: conjugates repeat
     report = disc_conjecture_check(S, d, h)
 
     return PipelineResult(
         d=d, f=cd.f, h=h, v=v, v_relaxed=relaxed,
         H=H, R=R, S=S, Q=Q, p=p, q=q,
-        F_check=F_check, G_check=G_check, div_check=div_check,
-        cor42_check=cor42, T_check=t_check, heegner_check=heegner,
+        F_check=F_check, G_check=G_check, cor42_check=cor42, T_check=t_check,
         disc_report=report, precision_used=used,
     )

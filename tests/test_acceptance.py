@@ -38,6 +38,7 @@ from rrcf5.pipeline import (
     run_pipeline,
     verify_cor42,
     verify_T_invariance,
+    z_plane_checks,
 )
 
 rng = random.Random(20260823)
@@ -76,6 +77,17 @@ def test_disc_through_S_matches_the_subresultant_route(pipeline_results):
     for d, res in pipeline_results.items():
         report = disc_conjecture_check(res.S, d, res.h)
         assert report.disc == poly_discriminant(res.p), d
+
+
+def test_z_plane_checks_match_the_x_plane_route(pipeline_results):
+    # build_F_G is the reference route: Q | F and p | G(x^5) in x.  H + 1
+    # compares the two routes where both must say no.
+    results = list(pipeline_results.values()) + [run_pipeline(d) for d in (479, 959)]
+    for res in results:
+        for H, got in ((res.H, (res.F_check, res.G_check)),
+                       (res.H + 1, z_plane_checks(res.H + 1, res.R, res.h))):
+            F, Gx5 = build_F_G(H, res.h)
+            assert got == (res.Q.divides(F), res.p.divides(Gx5)), res.d
 
 
 def test_criterion_3_printed_intermediates():

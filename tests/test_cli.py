@@ -111,6 +111,37 @@ def test_cache_rejects_unknown_schema(cachedir):
         cache.entry_to_result(entry)
 
 
+# a d = 11 entry as written before div_check and heegner_check became
+# derived flags; its keys and values must still load and render unchanged
+D11_ENTRY = {
+    "schema_version": 1, "d": 11, "f": 1, "h": 1, "v": 17, "v_relaxed": False,
+    "precision_used": 80,
+    "disc": {"value": "605", "factors": [["5", 1], ["11", 2]], "cofactor": "1",
+             "exact_power_ok": True, "smooth_ok": True},
+    "H": ["32768", "1"], "R": ["48", "4", "1"], "S": ["3", "-1", "1"],
+    "Q": ["1", "-4", "46", "4", "1"], "p": ["1", "1", "1", "-1", "1"],
+    "q": ["1", "-1", "0", "2", "-4", "-1", "7", "-12", "8", "12", "7", "1", "-4",
+          "-2", "0", "1", "1"],
+    "F_check": True, "G_check": True, "div_check": True, "cor42_check": True,
+    "T_check": True, "heegner_check": True,
+}
+
+
+def test_cache_loads_and_renders_an_entry_with_derived_flags():
+    res = cache.entry_to_result(D11_ENTRY)
+    assert res == run_pipeline(11)
+    assert cache.result_to_entry(res) == D11_ENTRY
+    assert cache.roundtrip_ok(run_pipeline(119))
+
+
+@pytest.mark.parametrize("flag", ("div_check", "heegner_check", "F_check"))
+def test_cache_rejects_flags_that_disagree(flag):
+    # F_check False leaves heegner_check True, which it no longer implies
+    entry = dict(D11_ENTRY, **{flag: False})
+    with pytest.raises(cache.CacheError):
+        cache.entry_to_result(entry)
+
+
 def test_cache_missing_returns_none(tmp_path):
     assert cache.load(str(tmp_path), 31) is None
 

@@ -1,7 +1,8 @@
-"""Source hygiene: every name a module of the package imports is used.
+"""Source hygiene: every name a module of the package imports is used, and
+every module-level private function or class is referenced in the package.
 
-This stands in for a linter's unused-import rule; it parses each module with
-the standard library's ast and needs nothing installed.
+This stands in for a linter's unused-import and dead-code rules; it parses
+each module with the standard library's ast and needs nothing installed.
 """
 
 import ast
@@ -49,4 +50,45 @@ def test_package_has_no_unused_imports():
         names = unused_imports(path.read_text())
         if names:
             found[path.name] = names
+    assert found == {}
+
+
+def private_defs(source):
+    """(line, name) of each module-level function or class named _*."""
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_")]
+
+
+def referenced_names(source):
+    """Every name source reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_scanner_sees_unreferenced_private_defs():
+    src = ("def _used(): pass\n"
+           "def _dead(): pass\n"
+           "class _Shape: pass\n"
+           "def public():\n"
+           "    def _inner(): pass\n"
+           "    return _used(), mod._Shape\n")
+    assert private_defs(src) == [(1, "_used"), (2, "_dead"), (3, "_Shape")]
+    assert {"_used", "_Shape"} <= referenced_names(src)
+    assert "_dead" not in referenced_names(src)
+
+
+def test_package_has_no_unreferenced_private_defs():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    used = set().union(*map(referenced_names, sources.values()))
+    found = {}
+    for name, source in sources.items():
+        dead = [d for d in private_defs(source) if d[1] not in used]
+        if dead:
+            found[name] = dead
     assert found == {}

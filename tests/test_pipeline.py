@@ -2,13 +2,17 @@ import pytest
 from mpmath import mp
 
 from rrcf5 import tables
-from rrcf5.exactmath import Poly, poly_discriminant
+from rrcf5.exactmath import Poly, poly_compose_rational, poly_discriminant
 from rrcf5.hpnum import PrecisionPolicy, eta, j_from_c, rel_close
 from rrcf5.pipeline import (
+    J5Z_DEN,
+    J5Z_NUM,
+    J55Z_DEN,
+    J55Z_NUM,
     PipelineIntegrityError,
     _heegner_args,
-    _heegner_numeric_check,
     _heegner_ws,
+    _lift_through_x_minus_inv,
     build_F_G,
     build_p_q,
     build_Q,
@@ -20,6 +24,7 @@ from rrcf5.pipeline import (
     run_pipeline,
     verify_cor42,
     verify_T_invariance,
+    z_plane_checks,
 )
 
 
@@ -233,20 +238,32 @@ def test_sized_ladder_succeeds_at_its_first_step(d, bits):
     assert run_pipeline(d).precision_used == bits
 
 
+def test_z_forms_lift_to_F_and_G():
+    # x^(6h) F_z(x - 1/x) = F and x^(6h) G_z(x - 1/x) = G; with the lift
+    # multiplicative, R | F_z gives Q | F and R | G_z gives Q | G
+    for d, coeffs in tables.H_TABLE.items():
+        H = Poly(coeffs)
+        F, Gx5 = build_F_G(H, H.degree)
+        F_z = poly_compose_rational(H, J5Z_NUM, J5Z_DEN, H.degree)
+        G_z = poly_compose_rational(H, J55Z_NUM, J55Z_DEN, H.degree)
+        assert F_z.degree == G_z.degree == 6 * H.degree, d
+        # so no root of an R dividing F_z is z = -11, the pole of j5 and j55
+        assert (F_z(-11), G_z(-11)) == (5 ** (3 * H.degree), 5 ** (15 * H.degree)), d
+        assert _lift_through_x_minus_inv(F_z) == F, d
+        assert _lift_through_x_minus_inv(G_z).subst_x_pow(5) == Gx5, d
+
+
 @pytest.mark.parametrize("d", (11, 24, 71, 119, 144))
-def test_heegner_check_at_quarter_precision(d):
-    # H(j5(z)) and H(j55(z)) are evaluated at prec/4 + 32 bits against a
-    # tolerance of 2^-(prec/4) times |H|(|j|): the roots still pass, and a
-    # perturbed H still fails.  The tolerance is relative, so a unit change
-    # of the constant term shows only at d = 11; doubling it shows at every d.
+def test_z_plane_checks_reject_perturbed_H_and_R(d):
+    # a unit change of H or R breaks both divisions, however large |j| is
     r = run_pipeline(d)
-    assert r.heegner_check
-    zs = heegner_values(_heegner_ws(_heegner_args(d)[3], r.precision_used),
-                        r.precision_used)[0][:r.h]
-    assert _heegner_numeric_check(r.H, zs, r.precision_used)
-    assert not _heegner_numeric_check(r.H + r.H.coeffs[0], zs, r.precision_used)
-    if d == 11:
-        assert not _heegner_numeric_check(r.H + 1, zs, r.precision_used)
+    H, R, h = r.H, r.R, r.h
+    assert r.F_check and r.G_check
+    bumped_top = list(H.coeffs)
+    bumped_top[h - 1] += 1
+    for H_bad, R_bad in ((H + H.coeffs[0], R), (H + 1, R), (H, R + 1),
+                         (Poly(bumped_top), R)):
+        assert z_plane_checks(H_bad, R_bad, h) == (False, False)
 
 
 # d = 84 has the argument with the smallest Im(w/25) among the tabulated d.
