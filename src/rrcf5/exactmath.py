@@ -865,7 +865,5 @@ def moebius_act_on_poly(M, p):
     if p.is_zero():
         raise ExactDomainError("cannot act on the zero polynomial")
     p = p.map_coeffs(lambda c: _as_cyclo(c, M.order))
-    acc = poly_compose_rational(p, Poly((M.b, M.a)), Poly((M.d, M.c)), p.degree)
-    if acc.is_zero():
-        raise ExactDomainError("pullback collapsed to zero (degenerate map)")
-    return acc.monic()
+    # nonzero, since p is and M is invertible
+    return poly_compose_rational(p, Poly((M.b, M.a)), Poly((M.d, M.c)), p.degree).monic()

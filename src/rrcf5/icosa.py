@@ -1,12 +1,14 @@
 """The order-60 Moebius group generated by S(z) = zeta_5 z and
-T(z) = (-(1+sqrt5)z+2)/(2z+1+sqrt5), its invariant rational function f5, the
-orbit/stabilizer action on minimal polynomials, the exact Q(zeta_20) corpus
-for d = 4, and numeric verification of the two worked radical examples."""
+T(z) = (-(1+sqrt5)z+2)/(2z+1+sqrt5), its invariant f5 = j55(x^5), the
+stabilizer and orbit size of a minimal polynomial (witnesses mod a prime for
+non-members), the exact Q(zeta_20) corpus for d = 4, and numeric
+verification of the two worked radical examples."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -16,14 +18,13 @@ from .exactmath import (
     CycloElem,
     MoebiusMap,
     Poly,
-    RatFunc,
     lift_to_cyclo,
     moebius_act_on_poly,
     poly_compose_rational,
     poly_discriminant,
 )
 from .hpnum import rr_r
-from .pipeline import build_F_G
+from .pipeline import J55_DEN, J55_NUM, build_F_G, t_pullback_values
 
 
 class IcosaError(ValueError):
@@ -90,53 +91,73 @@ def generate_g60() -> G60Group:
     return G60Group(elements=tuple(seen), S=S, T=T)
 
 
-def f5_ratfunc() -> RatFunc:
-    """f5(z) = (1+228z^5+494z^10-228z^15+z^20)^3 / (z^5 (1-11z^5-z^10)^5),
-    over Q(zeta_5)."""
-    num = lift_to_cyclo(Poly((1, 228, 494, -228, 1)).subst_x_pow(5)) ** 3
-    x5 = Poly([_c(0)] * 5 + [_c(1)])
-    den = x5 * lift_to_cyclo(Poly((1, -11, -1)).subst_x_pow(5)) ** 5
-    return RatFunc(num, den)
+# f5(x) = j55(x^5) = F5_NUM / F5_DEN, both read as forms of degree 60
+F5_NUM, F5_DEN = J55_NUM.subst_x_pow(5), J55_DEN.subst_x_pow(5)
 
 
-def _map_as_ratfunc(m: MoebiusMap) -> RatFunc:
-    return RatFunc(Poly((m.b, m.a)), Poly((m.d, m.c)))
+def same_T_multiplier(A: Poly, B: Poly, k: int = 1) -> bool:
+    """P(x^k)|T = lam P(x^k) for P = A, B and lam = A|T(0) / A(0), with
+    F|T = (2z+1+sqrt5)^60 F(T(z)) for forms F of degree 60 and deg A, B <= 60/k,
+    proven at z = 0..60 (t_pullback_values).  Then A/B(x^k) o T = A/B(x^k)."""
+    a0, pulled = A(0), [(P, t_pullback_values(P, 60 // k, k)) for P in (A, B)]
+    lam = pulled[0][1][0]
+    return bool(a0) and all((a0 * a, a0 * b) == (lam[0] * P(z**k), lam[1] * P(z**k))
+                            for P, vals in pulled for z, (a, b) in enumerate(vals))
 
 
-def verify_f5_invariance() -> bool:
-    """f5 o S = f5 and f5 o T = f5 exactly; invariance under the generators
-    gives invariance under the whole group."""
-    f5 = f5_ratfunc()
-    for m in (S_map(), T_map()):
-        if f5.substitute(_map_as_ratfunc(m)) != f5:
-            return False
-    # negative control: a translation is not in the symmetry group
-    shifted = f5.substitute(RatFunc(Poly((_c(1), _c(1)))))
-    return shifted != f5
+def verify_f5_invariance(A: Poly = F5_NUM, B: Poly = F5_DEN) -> bool:
+    """A/B is invariant under S (every exponent is a multiple of 5) and T
+    (same_T_multiplier), hence under the group, and not under a translation.
+    For f5, the common multiplier gives G_d(x^5)|g = lam_g^h G_d(x^5), so
+    p | G_d(x^5) carries over to every orbit image of p."""
+    if any(k % 5 for P in (A, B) for k, c in enumerate(P.coeffs) if c):
+        return False
+    shifted = any(A(z + 1) * B(z) != B(z + 1) * A(z) for z in range(61))
+    # A and B are polynomials in x^5, so T pulls back 12 + 1 coefficients
+    return shifted and same_T_multiplier(Poly(A.coeffs[::5]), Poly(B.coeffs[::5]), 5)
+
+
+# zeta_5 -> OMEGA, of order 5 mod the prime ELL = 1 (mod 5), maps every
+# element of Q(zeta_5) whose denominator is prime to ELL into F_ELL
+ELL = 1_000_081
+OMEGA = pow(3, (ELL - 1) // 5, ELL)
+
+
+def witnessed(elements, p: Poly) -> set:
+    """The maps m = (a, b, c, d) with P_m(3) P(7) - P_m(7) P(3) != 0 mod ELL,
+    for P_m(x) = (cx+d)^n p((ax+b)/(cx+d)) the pullback of the integer
+    polynomial p of degree n and P = p.  Proportional P_m and P make it 0 in
+    Q(zeta_5), hence 0 mod ELL.  A map with an entry that does not reduce
+    mod ELL, or with a pole at 3 or 7 mod ELL, is not witnessed."""
+    n, p3, p7 = p.degree, p(3) % ELL, p(7) % ELL
+    powers = [pow(OMEGA, k, ELL) for k in range(4)]  # the images of zeta_5^k
+    out = set()
+    for m in elements:
+        if any(not e.den % ELL for e in m.entries()):
+            continue
+        a, b, c, d = (sum(map(mul, e.nums, powers)) * pow(e.den, -1, ELL)
+                      for e in m.entries())
+        D3, D7 = (3 * c + d) % ELL, (7 * c + d) % ELL
+        if not (D3 and D7):
+            continue
+        m3 = pow(D3, n, ELL) * p((3 * a + b) * pow(D3, -1, ELL) % ELL)
+        m7 = pow(D7, n, ELL) * p((7 * a + b) * pow(D7, -1, ELL) % ELL)
+        if (m3 * p7 - m7 * p3) % ELL:
+            out.add(m)
+    return out
 
 
 def orbit_and_stabilizer(p: Poly, group: G60Group, Gd5: Poly):
-    """Orbit of p under the pullback action and its stabilizer.
-
-    Every orbit element must divide Gd5 exactly over Q(zeta_5); a division
-    failure raises IcosaError.  Returns (orbit, stabilizer) with the orbit a
-    frozenset of canonical monic polynomials over Q(zeta_5).
-    """
+    """(orbit size, stabilizer) of the integer polynomial p, which must divide
+    Gd5 over Z.  A witnessed map is not in the stabilizer; the exact pullback
+    over Q(zeta_5) decides each other map.  The orbit size is the index."""
+    if not p.divides(Gd5):
+        raise IcosaError("p does not divide G_d(x^5)")
     base = moebius_act_on_poly(MoebiusMap.identity(), p)
-    lifted_G = lift_to_cyclo(Gd5)
-    orbit = set()
-    stabilizer = []
-    for m in group.elements:
-        image = moebius_act_on_poly(m, p)
-        if image.degree != p.degree:
-            raise IcosaError("degenerate pullback in orbit computation")
-        orbit.add(image)
-        if image == base:
-            stabilizer.append(m)
-    # one division per distinct image, not one per group element
-    if not all(image.divides(lifted_G) for image in orbit):
-        raise IcosaError("orbit element does not divide G_d(x^5)")
-    return frozenset(orbit), frozenset(stabilizer)
+    ruled_out = witnessed(group.elements, p)
+    stabilizer = frozenset(m for m in group.elements if m not in ruled_out
+                           and moebius_act_on_poly(m, p) == base)
+    return len(group) // len(stabilizer), stabilizer
 
 
 def expected_stabilizer() -> frozenset:
@@ -301,24 +322,3 @@ def verify_worked_examples(prec: int = 384) -> dict:
     # the T fixed point avoids every tabulated p_d
     out["t_fixed_point_never_root"] = t_fixed_point_check(sorted(tables.P_TABLE))
     return out
-
-
-def orbit_root_match(d: int, orbit, prec: int = 256):
-    """Numerically locate the orbit element vanishing at zeta^j r(-1/w);
-    returns the (element index, j) found or None."""
-    from .classdata import choose_v, reduced_forms
-
-    cd = reduced_forms(d)
-    v, _ = choose_v(d, cd.f)
-    with mp.workprec(prec + 64):
-        w = (v + mpmath.sqrt(mpc(-d))) / 2
-        Y = rr_r(-1 / w, prec)
-        zeta = mpmath.exp(2j * mp.pi / 5)
-        tol = mpf(2) ** (-(prec // 2))
-        for idx, q in enumerate(sorted(orbit, key=repr)):
-            q_num = q.map_coeffs(lambda c: c.evaluate(zeta))
-            for j in range(5):
-                val = zeta**j * Y
-                if abs(q_num(val)) < tol * max(1, abs(val)) ** q.degree:
-                    return idx, j
-    return None

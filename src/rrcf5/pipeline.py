@@ -180,30 +180,35 @@ def _times_sqrt5(a, b):
     return a[0] * b[0] + 5 * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def verify_T_invariance(p: Poly, h: int) -> bool:
-    """(2z+1+sqrt5)^n p(T(z)) = 2^{2h} (5+sqrt5)^{2h} p(z) over Q(sqrt5),
-    n = deg p, with T(z) = (-(1+sqrt5)z+2)/(2z+1+sqrt5).
-
-    Both sides are polynomials in z of degree at most n, so they are equal
-    once they agree at the n + 1 points z = 0..n.  Values are pairs
-    (a, b) = a + b sqrt5; the left side is a homogeneous Horner pass in
-    N = 2 - z - z sqrt5 and D = 1 + 2z + sqrt5.
-    """
-    cs = p.coeffs
-    scale = (4**h, 0)
-    for _ in range(2 * h):
-        scale = _times_sqrt5(scale, (5, 1))
-    for z in range(len(cs)):
+def t_pullback_values(P: Poly, n: int, k: int = 1):
+    """(2z+1+sqrt5)^(kn) P(T(z)^k) at z = 0..kn for P of degree at most n:
+    the pullback of the form P(x^k) of degree kn by T = N/D, N = 2 - z - z sqrt5,
+    D = 1 + 2z + sqrt5, as homogeneous Horner passes in N^k and D^k on pairs
+    (a, b) = a + b sqrt5.  These kn + 1 values fix the polynomial."""
+    cs = P.coeffs + (0,) * (n - P.degree)
+    out = []
+    for z in range(k * n + 1):
         N, D = (2 - z, -z), (1 + 2 * z, 1)
+        for _ in range(k - 1):
+            N, D = _times_sqrt5(N, (2 - z, -z)), _times_sqrt5(D, (1 + 2 * z, 1))
         acc, D_pow = (cs[-1], 0), (1, 0)
         for c in reversed(cs[:-1]):
             D_pow = _times_sqrt5(D_pow, D)
             a, b = _times_sqrt5(acc, N)
             acc = a + c * D_pow[0], b + c * D_pow[1]
-        pz = p(z)
-        if acc != (scale[0] * pz, scale[1] * pz):
-            return False
-    return True
+        out.append(acc)
+    return out
+
+
+def verify_T_invariance(p: Poly, h: int) -> bool:
+    """(2z+1+sqrt5)^n p(T(z)) = 2^{2h} (5+sqrt5)^{2h} p(z) over Q(sqrt5),
+    n = deg p.  Both sides are polynomials in z of degree at most n, so they
+    are equal once they agree at z = 0..n (t_pullback_values)."""
+    scale = (4**h, 0)
+    for _ in range(2 * h):
+        scale = _times_sqrt5(scale, (5, 1))
+    return all(t == (scale[0] * p(z), scale[1] * p(z))
+               for z, t in enumerate(t_pullback_values(p, p.degree)))
 
 
 def _primes_up_to(n: int):

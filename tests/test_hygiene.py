@@ -1,16 +1,19 @@
-"""Source hygiene: every name a module of the package imports is used, and
-every module-level private function or class is referenced in the package.
+"""Source hygiene: every name a module of the package imports is used,
+every module-level private function or class is referenced in the package,
+and every name the benchmark's tracer wraps exists.
 
 This stands in for a linter's unused-import and dead-code rules; it parses
 each module with the standard library's ast and needs nothing installed.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import rrcf5
 
 PACKAGE_DIR = Path(rrcf5.__file__).parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def unused_imports(source):
@@ -92,3 +95,31 @@ def test_package_has_no_unreferenced_private_defs():
         if dead:
             found[name] = dead
     assert found == {}
+
+
+def tracer_targets():
+    """The (module, attribute path) pairs of TIMED and COUNTED in the
+    benchmark's tracer, read from its source without importing it."""
+    targets = []
+    for node in ast.parse(TRACER.read_text()).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) in ("TIMED", "COUNTED")):
+            targets += [entry[:2] for entry in ast.literal_eval(node.value)]
+    return targets
+
+
+def test_every_traced_name_resolves():
+    """The tracer raises LookupError for a traced name that is gone; it looks
+    each one up as an entry of its owner's own namespace."""
+    targets = tracer_targets()
+    assert ("icosa", "orbit_and_stabilizer") in targets
+    assert ("exactmath", "CycloElem.__mul__") in targets
+    missing = []
+    for module, path in targets:
+        owner_name, _, attr = path.rpartition(".")
+        owner = importlib.import_module(f"rrcf5.{module}")
+        if owner_name:
+            owner = getattr(owner, owner_name, None)
+        if owner is None or vars(owner).get(attr) is None:
+            missing.append(f"{module}.{path}")
+    assert missing == []

@@ -1,8 +1,26 @@
-import pytest
+from fractions import Fraction
+from math import isqrt
 
-from rrcf5 import tables
-from rrcf5.exactmath import MoebiusMap, Poly
+import mpmath
+import pytest
+from mpmath import mp, mpc, mpf
+
+from rrcf5 import icosa, tables
+from rrcf5.classdata import choose_v, reduced_forms
+from rrcf5.exactmath import (
+    CycloElem,
+    MoebiusMap,
+    Poly,
+    lift_to_cyclo,
+    moebius_act_on_poly,
+    poly_compose_rational,
+)
+from rrcf5.hpnum import rr_r
 from rrcf5.icosa import (
+    ELL,
+    F5_DEN,
+    F5_NUM,
+    OMEGA,
     IcosaError,
     S_map,
     T2_map,
@@ -12,12 +30,53 @@ from rrcf5.icosa import (
     generate_g60,
     group_structure_report,
     orbit_and_stabilizer,
-    orbit_root_match,
+    same_T_multiplier,
     verify_d4_corpus,
     verify_f5_invariance,
     verify_worked_examples,
+    witnessed,
 )
-from rrcf5.pipeline import build_F_G
+from rrcf5.pipeline import J55_DEN, J55_NUM, build_F_G, t_pullback_values
+
+
+def reference_orbit_and_stabilizer(p, group, Gd5=None):
+    """The exact route, kept as a reference: all pullbacks of p over
+    Q(zeta_5), made monic, and one division of Gd5 per distinct image when
+    Gd5 is given.  Returns (orbit, stabilizer)."""
+    base = moebius_act_on_poly(MoebiusMap.identity(), p)
+    orbit = set()
+    stabilizer = []
+    for m in group.elements:
+        image = moebius_act_on_poly(m, p)
+        if image.degree != p.degree:
+            raise IcosaError("degenerate pullback in orbit computation")
+        orbit.add(image)
+        if image == base:
+            stabilizer.append(m)
+    if Gd5 is not None:
+        lifted_G = lift_to_cyclo(Gd5)
+        if not all(image.divides(lifted_G) for image in orbit):
+            raise IcosaError("orbit element does not divide G_d(x^5)")
+    return frozenset(orbit), frozenset(stabilizer)
+
+
+def orbit_root_match(d, orbit, prec=256):
+    """Numerically locate the orbit element vanishing at zeta^j r(-1/w);
+    returns the (element index, j) found or None."""
+    cd = reduced_forms(d)
+    v, _ = choose_v(d, cd.f)
+    with mp.workprec(prec + 64):
+        w = (v + mpmath.sqrt(mpc(-d))) / 2
+        Y = rr_r(-1 / w, prec)
+        zeta = mpmath.exp(2j * mp.pi / 5)
+        tol = mpf(2) ** (-(prec // 2))
+        for idx, q in enumerate(sorted(orbit, key=repr)):
+            q_num = q.map_coeffs(lambda c: c.evaluate(zeta))
+            for j in range(5):
+                val = zeta**j * Y
+                if abs(q_num(val)) < tol * max(1, abs(val)) ** q.degree:
+                    return idx, j
+    return None
 
 
 @pytest.fixture(scope="module")
@@ -45,12 +104,90 @@ def test_f5_invariance():
     assert verify_f5_invariance()
 
 
-@pytest.mark.parametrize("d", [11, 16, 19])
+def test_f5_check_rejects_a_perturbed_numerator():
+    # +1 on x^10 keeps S-invariance and breaks T; +1 on x^7 breaks S
+    for k in (10, 7):
+        bumped = F5_NUM + Poly((0,) * k + (1,))
+        assert not verify_f5_invariance(bumped, F5_DEN), k
+    # T multiplies p_11^15 by the same lam as F5_DEN, but S does not fix it
+    p15 = Poly(tables.P_TABLE[11]) ** 15
+    assert same_T_multiplier(p15, F5_DEN)
+    assert not verify_f5_invariance(p15, F5_DEN)
+
+
+def test_f5_check_needs_one_multiplier():
+    # W is the product of the fixed-point forms x^2 + (1 +- sqrt5) x - 1 of
+    # T and T2; T multiplies W^15 by -lam, where it multiplies A and B by lam
+    W15 = Poly((1, -2, -6, 2, 1)) ** 15
+    lam = t_pullback_values(F5_NUM, 60)[0]
+    assert t_pullback_values(W15, 60) == [(-lam[0] * W15(z), -lam[1] * W15(z))
+                                          for z in range(61)]
+    assert same_T_multiplier(W15, W15)
+    assert not same_T_multiplier(F5_NUM, W15)
+
+
+def test_pullback_in_x5_matches_the_pullback_in_x():
+    for P, Px5 in ((J55_NUM, F5_NUM), (J55_DEN, F5_DEN)):
+        assert t_pullback_values(P, 12, 5) == t_pullback_values(Px5, 60)
+
+
+def test_61_point_multiplier_matches_the_exact_pullback():
+    s5, two = CycloElem.sqrt5(), CycloElem.from_rational(5, 2)
+    lam = t_pullback_values(F5_NUM, 60)[0]
+    A = lift_to_cyclo(F5_NUM)
+    pulled = poly_compose_rational(A, Poly((two, -(1 + s5))), Poly((1 + s5, two)), 60)
+    assert pulled == A * (lam[0] + lam[1] * s5)
+
+
+def test_witness_prime_and_root_of_unity():
+    assert all(ELL % q for q in range(2, isqrt(ELL) + 1))
+    assert ELL % 5 == 1
+    assert OMEGA != 1 and pow(OMEGA, 5, ELL) == 1
+
+
+def test_witnesses_leave_only_the_stabilizer_at_d11(g60):
+    p = Poly(tables.P_TABLE[11])
+    ruled_out = witnessed(g60.elements, p)
+    assert len(ruled_out) == 56
+    assert ruled_out.isdisjoint(expected_stabilizer())
+
+
+def test_exact_fallback_alone_gives_the_stabilizer(g60, monkeypatch):
+    monkeypatch.setattr(icosa, "witnessed", lambda elements, p: set())
+    _, Gx5 = build_F_G(Poly(tables.H_TABLE[11]), 1)
+    assert orbit_and_stabilizer(Poly(tables.P_TABLE[11]), g60, Gx5) == (
+        15, expected_stabilizer())
+
+
+def test_no_witness_where_the_reduction_mod_ell_fails():
+    p = Poly(tables.P_TABLE[11])
+    # ELL divides a denominator; z/(z - 3) has a pole at the witness point 3
+    assert not witnessed([MoebiusMap(1, Fraction(1, ELL), 0, 1)], p)
+    assert not witnessed([MoebiusMap(1, 0, 1, -3)], p)
+    assert witnessed([MoebiusMap(1, 0, 1, -4)], p)
+
+
+@pytest.mark.parametrize("d", [11, 16, 19, 24])
 def test_orbit_and_stabilizer(d, g60):
-    _, Gx5 = build_F_G(Poly(tables.H_TABLE[d]), 1)
-    orbit, stab = orbit_and_stabilizer(Poly(tables.P_TABLE[d]), g60, Gx5)
-    assert len(orbit) == 15
-    assert stab == expected_stabilizer()
+    p = Poly(tables.P_TABLE[d])
+    _, Gx5 = build_F_G(Poly(tables.H_TABLE[d]), tables.class_number(d))
+    orbit, stab = reference_orbit_and_stabilizer(p, g60, Gx5)
+    assert (len(orbit), stab) == (15, expected_stabilizer())
+    assert orbit_and_stabilizer(p, g60, Gx5) == (15, expected_stabilizer())
+
+
+@pytest.mark.parametrize("bump, stab_expected", [
+    ({1: 1, 3: -1}, {MoebiusMap.identity(), U_map()}),  # still anti-palindromic
+    ({1: 1}, {MoebiusMap.identity()}),
+])
+def test_perturbed_p_matches_the_exact_route(bump, stab_expected, g60):
+    cs = list(tables.P_TABLE[11])
+    for k, c in bump.items():
+        cs[k] += c
+    p = Poly(cs)
+    orbit, stab = reference_orbit_and_stabilizer(p, g60)
+    assert orbit_and_stabilizer(p, g60, p) == (len(orbit), stab)
+    assert stab == stab_expected
 
 
 def test_orbit_rejects_wrong_target(g60):
@@ -62,7 +199,7 @@ def test_orbit_rejects_wrong_target(g60):
 
 def test_orbit_root_match_d19(g60):
     _, Gx5 = build_F_G(Poly(tables.H_TABLE[19]), 1)
-    orbit, _ = orbit_and_stabilizer(Poly(tables.P_TABLE[19]), g60, Gx5)
+    orbit, _ = reference_orbit_and_stabilizer(Poly(tables.P_TABLE[19]), g60, Gx5)
     hit = orbit_root_match(19, orbit)
     assert hit is not None
     _, j = hit
