@@ -170,8 +170,12 @@ def cmd_g60(args) -> int:
         report[f"orbit_size_d{d}"] = orbit_size
         report[f"stabilizer_ok_d{d}"] = stab == icosa.expected_stabilizer()
     _print_report(args, report, "G60 structure")
-    want = {"order": 60, **{f"orbit_size_d{d}": 15 for d in (11, 16, 19)}}
-    return 0 if all(v == want.get(k, True) for k, v in report.items()) else 1
+    ok = (report["order"] == 60
+          and all(v is True for k, v in report.items() if k.startswith("rel_"))
+          and report["f5_invariance"]
+          and all(report[f"orbit_size_d{d}"] == 15
+                  and report[f"stabilizer_ok_d{d}"] for d in (11, 16, 19)))
+    return 0 if ok else 1
 
 
 def cmd_curve(args) -> int:

@@ -235,10 +235,6 @@ class CycloElem:
         return ((CycloElem.from_rational(image.order, 0) + Poly(self.nums)(image))
                 * Fraction(1, self.den))
 
-    def evaluate(self, zeta_value):
-        """Numeric value given a numeric primitive root of unity."""
-        return Poly(self.nums)(zeta_value) / self.den
-
     def __repr__(self):
         return f"CycloElem({self.order}, {self.coords})"
 

@@ -95,26 +95,27 @@ def generate_g60() -> G60Group:
 F5_NUM, F5_DEN = J55_NUM.subst_x_pow(5), J55_DEN.subst_x_pow(5)
 
 
-def same_T_multiplier(A: Poly, B: Poly, k: int = 1) -> bool:
-    """P(x^k)|T = lam P(x^k) for P = A, B and lam = A|T(0) / A(0), with
-    F|T = (2z+1+sqrt5)^60 F(T(z)) for forms F of degree 60 and deg A, B <= 60/k,
-    proven at z = 0..60 (t_pullback_values).  Then A/B(x^k) o T = A/B(x^k)."""
-    a0, pulled = A(0), [(P, t_pullback_values(P, 60 // k, k)) for P in (A, B)]
+def _f5_invariant(A: Poly, B: Poly) -> bool:
+    """A/B, for A and B read as forms of degree 60, is invariant under S: every
+    exponent is a multiple of 5; and under T: P|T = lam P for P = A, B, with
+    F|T = (2z+1+sqrt5)^60 F(T(z)) and lam = A|T(0) / A(0), proven at
+    z = 0..60 (t_pullback_values)."""
+    if any(k % 5 for P in (A, B) for k, c in enumerate(P.coeffs) if c):
+        return False
+    a0, pulled = A(0), [(P, t_pullback_values(P, 60)) for P in (A, B)]
     lam = pulled[0][1][0]
-    return bool(a0) and all((a0 * a, a0 * b) == (lam[0] * P(z**k), lam[1] * P(z**k))
+    return bool(a0) and all((a0 * a, a0 * b) == (lam[0] * P(z), lam[1] * P(z))
                             for P, vals in pulled for z, (a, b) in enumerate(vals))
 
 
-def verify_f5_invariance(A: Poly = F5_NUM, B: Poly = F5_DEN) -> bool:
-    """A/B is invariant under S (every exponent is a multiple of 5) and T
-    (same_T_multiplier), hence under the group, and not under a translation.
-    For f5, the common multiplier gives G_d(x^5)|g = lam_g^h G_d(x^5), so
-    p | G_d(x^5) carries over to every orbit image of p."""
-    if any(k % 5 for P in (A, B) for k, c in enumerate(P.coeffs) if c):
-        return False
+def verify_f5_invariance() -> bool:
+    """f5 is invariant under S and T (_f5_invariant), hence under the group,
+    and not under a translation.  The common multiplier gives
+    G_d(x^5)|g = lam_g^h G_d(x^5), so p | G_d(x^5) carries over to every
+    orbit image of p."""
+    A, B = F5_NUM, F5_DEN
     shifted = any(A(z + 1) * B(z) != B(z + 1) * A(z) for z in range(61))
-    # A and B are polynomials in x^5, so T pulls back 12 + 1 coefficients
-    return shifted and same_T_multiplier(Poly(A.coeffs[::5]), Poly(B.coeffs[::5]), 5)
+    return shifted and _f5_invariant(A, B)
 
 
 # zeta_5 -> OMEGA, of order 5 mod the prime ELL = 1 (mod 5), maps every
@@ -123,40 +124,38 @@ ELL = 1_000_081
 OMEGA = pow(3, (ELL - 1) // 5, ELL)
 
 
-def witnessed(elements, p: Poly) -> set:
-    """The maps m = (a, b, c, d) with P_m(3) P(7) - P_m(7) P(3) != 0 mod ELL,
-    for P_m(x) = (cx+d)^n p((ax+b)/(cx+d)) the pullback of the integer
-    polynomial p of degree n and P = p.  Proportional P_m and P make it 0 in
-    Q(zeta_5), hence 0 mod ELL.  A map with an entry that does not reduce
-    mod ELL, or with a pole at 3 or 7 mod ELL, is not witnessed."""
+def unwitnessed(elements, p: Poly) -> list:
+    """The maps m = (a, b, c, d) without a witness that p o m is not
+    proportional to the integer polynomial p of degree n.  The witness is
+    P_m(3) P(7) - P_m(7) P(3) != 0 mod ELL, for P = p and
+    P_m(x) = sum p_k (ax+b)^k (cx+d)^(n-k) the pullback: proportional P_m and
+    P make it 0 in Q(zeta_5), hence 0 mod ELL.  A map with an entry that does
+    not reduce mod ELL has no witness."""
     n, p3, p7 = p.degree, p(3) % ELL, p(7) % ELL
     powers = [pow(OMEGA, k, ELL) for k in range(4)]  # the images of zeta_5^k
-    out = set()
+    out = []
     for m in elements:
         if any(not e.den % ELL for e in m.entries()):
+            out.append(m)
             continue
         a, b, c, d = (sum(map(mul, e.nums, powers)) * pow(e.den, -1, ELL)
                       for e in m.entries())
-        D3, D7 = (3 * c + d) % ELL, (7 * c + d) % ELL
-        if not (D3 and D7):
-            continue
-        m3 = pow(D3, n, ELL) * p((3 * a + b) * pow(D3, -1, ELL) % ELL)
-        m7 = pow(D7, n, ELL) * p((7 * a + b) * pow(D7, -1, ELL) % ELL)
-        if (m3 * p7 - m7 * p3) % ELL:
-            out.add(m)
+        m3, m7 = (sum(pk * pow(a * x + b, k, ELL) * pow(c * x + d, n - k, ELL)
+                      for k, pk in enumerate(p.coeffs)) for x in (3, 7))
+        if not (m3 * p7 - m7 * p3) % ELL:
+            out.append(m)
     return out
 
 
 def orbit_and_stabilizer(p: Poly, group: G60Group, Gd5: Poly):
     """(orbit size, stabilizer) of the integer polynomial p, which must divide
-    Gd5 over Z.  A witnessed map is not in the stabilizer; the exact pullback
-    over Q(zeta_5) decides each other map.  The orbit size is the index."""
+    Gd5 over Z.  The exact pullback over Q(zeta_5) decides each unwitnessed
+    map; the others are not in the stabilizer.  The orbit size is the index."""
     if not p.divides(Gd5):
         raise IcosaError("p does not divide G_d(x^5)")
     base = moebius_act_on_poly(MoebiusMap.identity(), p)
-    ruled_out = witnessed(group.elements, p)
-    stabilizer = frozenset(m for m in group.elements if m not in ruled_out
-                           and moebius_act_on_poly(m, p) == base)
+    stabilizer = frozenset(m for m in unwitnessed(group.elements, p)
+                           if moebius_act_on_poly(m, p) == base)
     return len(group) // len(stabilizer), stabilizer
 
 

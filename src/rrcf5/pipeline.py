@@ -18,7 +18,7 @@ from math import isqrt
 from mpmath import mp, mpc
 
 from .classdata import choose_v, n_system, reduced_forms
-from .exactmath import Poly, poly_compose_rational, poly_discriminant
+from .exactmath import ExactDomainError, Poly, poly_compose_rational, poly_discriminant
 from .hpnum import (
     PrecisionError,
     PrecisionPolicy,
@@ -180,17 +180,17 @@ def _times_sqrt5(a, b):
     return a[0] * b[0] + 5 * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def t_pullback_values(P: Poly, n: int, k: int = 1):
-    """(2z+1+sqrt5)^(kn) P(T(z)^k) at z = 0..kn for P of degree at most n:
-    the pullback of the form P(x^k) of degree kn by T = N/D, N = 2 - z - z sqrt5,
-    D = 1 + 2z + sqrt5, as homogeneous Horner passes in N^k and D^k on pairs
-    (a, b) = a + b sqrt5.  These kn + 1 values fix the polynomial."""
+def t_pullback_values(P: Poly, n: int):
+    """(2z+1+sqrt5)^n P(T(z)) at z = 0..n: the pullback of P, read as a form
+    of degree n >= deg P, by T = N/D with N = 2 - z - z sqrt5 and
+    D = 1 + 2z + sqrt5, as a homogeneous Horner pass on pairs
+    (a, b) = a + b sqrt5.  These n + 1 values fix the pullback."""
+    if P.degree > n:
+        raise ExactDomainError(f"degree {P.degree} exceeds the form degree {n}")
     cs = P.coeffs + (0,) * (n - P.degree)
     out = []
-    for z in range(k * n + 1):
+    for z in range(n + 1):
         N, D = (2 - z, -z), (1 + 2 * z, 1)
-        for _ in range(k - 1):
-            N, D = _times_sqrt5(N, (2 - z, -z)), _times_sqrt5(D, (1 + 2 * z, 1))
         acc, D_pow = (cs[-1], 0), (1, 0)
         for c in reversed(cs[:-1]):
             D_pow = _times_sqrt5(D_pow, D)
@@ -207,8 +207,8 @@ def verify_T_invariance(p: Poly, h: int) -> bool:
     scale = (4**h, 0)
     for _ in range(2 * h):
         scale = _times_sqrt5(scale, (5, 1))
-    return all(t == (scale[0] * p(z), scale[1] * p(z))
-               for z, t in enumerate(t_pullback_values(p, p.degree)))
+    return all(t == (scale[0] * pz, scale[1] * pz) for t, pz in
+               zip(t_pullback_values(p, p.degree), map(p, range(p.degree + 1))))
 
 
 def _primes_up_to(n: int):

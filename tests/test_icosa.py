@@ -9,6 +9,7 @@ from rrcf5 import icosa, tables
 from rrcf5.classdata import choose_v, reduced_forms
 from rrcf5.exactmath import (
     CycloElem,
+    ExactDomainError,
     MoebiusMap,
     Poly,
     lift_to_cyclo,
@@ -26,17 +27,17 @@ from rrcf5.icosa import (
     T2_map,
     T_map,
     U_map,
+    _f5_invariant,
     expected_stabilizer,
     generate_g60,
     group_structure_report,
     orbit_and_stabilizer,
-    same_T_multiplier,
     verify_d4_corpus,
     verify_f5_invariance,
     verify_worked_examples,
-    witnessed,
+    unwitnessed,
 )
-from rrcf5.pipeline import J55_DEN, J55_NUM, build_F_G, t_pullback_values
+from rrcf5.pipeline import build_F_G, t_pullback_values
 
 
 def reference_orbit_and_stabilizer(p, group, Gd5=None):
@@ -71,7 +72,7 @@ def orbit_root_match(d, orbit, prec=256):
         zeta = mpmath.exp(2j * mp.pi / 5)
         tol = mpf(2) ** (-(prec // 2))
         for idx, q in enumerate(sorted(orbit, key=repr)):
-            q_num = q.map_coeffs(lambda c: c.evaluate(zeta))
+            q_num = q.map_coeffs(lambda c: Poly(c.nums)(zeta) / c.den)
             for j in range(5):
                 val = zeta**j * Y
                 if abs(q_num(val)) < tol * max(1, abs(val)) ** q.degree:
@@ -104,31 +105,43 @@ def test_f5_invariance():
     assert verify_f5_invariance()
 
 
-def test_f5_check_rejects_a_perturbed_numerator():
+def lam_times(lam, P):
+    """lam P(z) at z = 0..60, for lam = (a, b) = a + b sqrt5."""
+    return [(lam[0] * P(z), lam[1] * P(z)) for z in range(61)]
+
+
+def test_f5_check_rejects_a_perturbed_form():
     # +1 on x^10 keeps S-invariance and breaks T; +1 on x^7 breaks S
     for k in (10, 7):
-        bumped = F5_NUM + Poly((0,) * k + (1,))
-        assert not verify_f5_invariance(bumped, F5_DEN), k
-    # T multiplies p_11^15 by the same lam as F5_DEN, but S does not fix it
+        bump = Poly((0,) * k + (1,))
+        assert not _f5_invariant(F5_NUM + bump, F5_DEN), k
+        assert not _f5_invariant(F5_NUM, F5_DEN + bump), k
+    # T multiplies p_11^15 by the same lam as F5_NUM, but S does not fix it
+    lam = t_pullback_values(F5_NUM, 60)[0]  # F5_NUM(0) = 1
     p15 = Poly(tables.P_TABLE[11]) ** 15
-    assert same_T_multiplier(p15, F5_DEN)
-    assert not verify_f5_invariance(p15, F5_DEN)
+    assert t_pullback_values(p15, 60) == lam_times(lam, p15)
+    assert not _f5_invariant(p15, F5_DEN)
 
 
 def test_f5_check_needs_one_multiplier():
     # W is the product of the fixed-point forms x^2 + (1 +- sqrt5) x - 1 of
-    # T and T2; T multiplies W^15 by -lam, where it multiplies A and B by lam
+    # T and T2; T multiplies W^15 by -lam, where it multiplies A and B by lam.
+    # S rejects W^15 too: T multiplies every S-invariant form of degree 60
+    # that it multiplies by a scalar by lam, as A5 has no nontrivial character.
     W15 = Poly((1, -2, -6, 2, 1)) ** 15
     lam = t_pullback_values(F5_NUM, 60)[0]
-    assert t_pullback_values(W15, 60) == [(-lam[0] * W15(z), -lam[1] * W15(z))
-                                          for z in range(61)]
-    assert same_T_multiplier(W15, W15)
-    assert not same_T_multiplier(F5_NUM, W15)
+    assert t_pullback_values(W15, 60) == lam_times((-lam[0], -lam[1]), W15)
+    assert not _f5_invariant(F5_NUM, W15)
+    assert not _f5_invariant(W15, F5_DEN)
 
 
-def test_pullback_in_x5_matches_the_pullback_in_x():
-    for P, Px5 in ((J55_NUM, F5_NUM), (J55_DEN, F5_DEN)):
-        assert t_pullback_values(P, 12, 5) == t_pullback_values(Px5, 60)
+def test_f5_check_rejects_a_form_above_degree_60():
+    # x^65 passes the exponent test for S, but 61 points cannot fix its pullback
+    x65 = Poly((0,) * 65 + (1,))
+    with pytest.raises(ExactDomainError):
+        t_pullback_values(x65, 60)
+    with pytest.raises(ExactDomainError):
+        _f5_invariant(F5_NUM + x65, F5_DEN)
 
 
 def test_61_point_multiplier_matches_the_exact_pullback():
@@ -147,13 +160,13 @@ def test_witness_prime_and_root_of_unity():
 
 def test_witnesses_leave_only_the_stabilizer_at_d11(g60):
     p = Poly(tables.P_TABLE[11])
-    ruled_out = witnessed(g60.elements, p)
-    assert len(ruled_out) == 56
-    assert ruled_out.isdisjoint(expected_stabilizer())
+    left = unwitnessed(g60.elements, p)
+    assert len(left) == 4  # 56 maps have a witness
+    assert set(left) == expected_stabilizer()
 
 
 def test_exact_fallback_alone_gives_the_stabilizer(g60, monkeypatch):
-    monkeypatch.setattr(icosa, "witnessed", lambda elements, p: set())
+    monkeypatch.setattr(icosa, "unwitnessed", lambda elements, p: list(elements))
     _, Gx5 = build_F_G(Poly(tables.H_TABLE[11]), 1)
     assert orbit_and_stabilizer(Poly(tables.P_TABLE[11]), g60, Gx5) == (
         15, expected_stabilizer())
@@ -161,10 +174,11 @@ def test_exact_fallback_alone_gives_the_stabilizer(g60, monkeypatch):
 
 def test_no_witness_where_the_reduction_mod_ell_fails():
     p = Poly(tables.P_TABLE[11])
-    # ELL divides a denominator; z/(z - 3) has a pole at the witness point 3
-    assert not witnessed([MoebiusMap(1, Fraction(1, ELL), 0, 1)], p)
-    assert not witnessed([MoebiusMap(1, 0, 1, -3)], p)
-    assert witnessed([MoebiusMap(1, 0, 1, -4)], p)
+    # ELL divides a denominator, so the map has no image mod ELL
+    m = MoebiusMap(1, Fraction(1, ELL), 0, 1)
+    assert unwitnessed([m], p) == [m]
+    # the pullback is a form, so a pole of z/(z - 3) at the point 3 is no gap
+    assert unwitnessed([MoebiusMap(1, 0, 1, -3), MoebiusMap(1, 0, 1, -4)], p) == []
 
 
 @pytest.mark.parametrize("d", [11, 16, 19, 24])
