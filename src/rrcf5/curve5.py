@@ -1,8 +1,8 @@
 """The Tate normal form E5(b) with a rational point of order 5, its
-5-division polynomial, the explicit order-5 X-coordinate formulas over
-Q(sqrt5)(u), the tau/isogeny structure, and numeric verification of the
-quintic diophantine solutions and the continued-fraction transformation
-identities."""
+5-division polynomial and an exact proof by doubling that its roots are
+5-torsion, the explicit order-5 X-coordinate formulas over Q(sqrt5)(u), the
+tau/isogeny structure, and numeric verification of the quintic diophantine
+solutions and the continued-fraction transformation identities."""
 
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ from mpmath import mp, mpc, mpf
 
 from . import tables
 from .classdata import choose_v, reduced_forms
-from .exactmath import CycloElem, Poly, RatFunc, lift_to_cyclo, poly_compose_rational
+from .exactmath import (CycloElem, Poly, RatFunc, lift_to_cyclo, poly_compose_rational,
+                        poly_gcd)
 from .hpnum import eta, rr_r
 from .pipeline import J5_DEN, J5_NUM, J55_DEN, J55_NUM
 from .pipeline import J5Z_DEN, J5Z_NUM, J55Z_DEN, J55Z_NUM
@@ -135,8 +136,7 @@ def division_poly_5(curve: TateCurve5) -> Poly:
     b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
     if not curve.delta:
         raise CurveError("singular curve: delta = 0")
-    psi2sq = Poly((b6, 2 * b4, b2, 4 * _one_like(b2)))
-    psi3 = Poly((b8, 3 * b6, 3 * b4, b2, 3 * _one_like(b2)))
+    psi2sq, psi3 = _psi2sq_psi3(curve)
     omega4 = Poly((
         b4 * b8 - b6 * b6,
         b2 * b8 - b4 * b6,
@@ -147,6 +147,14 @@ def division_poly_5(curve: TateCurve5) -> Poly:
         2 * _one_like(b2),
     ))
     return psi2sq * psi2sq * omega4 - psi3 * psi3 * psi3
+
+
+def _psi2sq_psi3(curve: TateCurve5):
+    """psi_2^2 = 4X^3 + b2 X^2 + 2 b4 X + b6 and
+    psi_3 = 3X^4 + b2 X^3 + 3 b4 X^2 + 3 b6 X + b8."""
+    b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
+    return (Poly((b6, 2 * b4, b2, 4 * _one_like(b2))),
+            Poly((b8, 3 * b6, 3 * b4, b2, 3 * _one_like(b2))))
 
 
 def _one_like(v):
@@ -167,6 +175,31 @@ def division_poly_factors_symbolic() -> bool:
     shifted = Poly(psi5.coeffs[1:])
     quo, rem = divmod(shifted, Poly((b, _one_like(b))))
     return rem.is_zero() and quo.degree == 10
+
+
+def doubling_proves_5_torsion(psi5: Poly, psi3: Poly, N: Poly, D: Poly) -> bool:
+    """Every root of psi5 is x(P) for a point P with 5P = O, given
+    x(2P) = N/D (Silverman III.2.3), the identity N4 - X D4 = -psi5 psi3
+    with N4 = D^4 N(N/D) and D4 = D^4 D(N/D), and gcd 1 for (psi5, psi3),
+    (psi5, D) and (N, D).
+
+    At a root x of psi5: D(x) != 0, so 2P != O and x(2P) = N(x)/D(x).
+    D4(x) = 0 would force N4(x) = 0, that is N and D both vanishing at
+    x(2P); so 4P != O and x(4P) = N4(x)/D4(x) = x.  Then 4P = +-P, and
+    3P != O since psi3(x) != 0, so 5P = O."""
+    coprime = all(poly_gcd(f, g).degree == 0
+                  for f, g in ((psi5, psi3), (psi5, D), (N, D)))
+    N4, D4 = (poly_compose_rational(P, N, D, 4) for P in (N, D))
+    return coprime and N4 - Poly.x() * D4 == -(psi5 * psi3)
+
+
+def five_torsion_by_doubling(b) -> bool:
+    """doubling_proves_5_torsion for E5(b) at a rational b, with
+    N = X^4 - b4 X^2 - 2 b6 X - b8 and D = psi_2^2."""
+    E = TateCurve5(b)
+    D, psi3 = _psi2sq_psi3(E)
+    N = Poly((-E.b8, -2 * E.b6, -E.b4, 0, 1))
+    return doubling_proves_5_torsion(division_poly_5(E), psi3, N, D)
 
 
 # ---------------------------------------------------------------------------
@@ -356,61 +389,6 @@ def tau_and_isogeny_checks():
 # ---------------------------------------------------------------------------
 # numeric verifications
 # ---------------------------------------------------------------------------
-
-
-def _numeric_group_check(b_value=0.5, prec: int = 256) -> bool:
-    """Every root of psi_5 at a numeric b is the X-coordinate of a point P
-    with 5P = O, verified through the group law (4P = -P)."""
-    from .hpnum import poly_complex_roots
-
-    with mp.workprec(prec + 32):
-        b = mpf(b_value)
-        E = TateCurve5(Fraction(b_value).limit_denominator(10**6))
-        psi = division_poly_5(E)
-        import math
-
-        scale = math.lcm(*(Fraction(c).denominator for c in psi.coeffs))
-        coeffs = [int(Fraction(c) * scale) for c in psi.coeffs]
-        roots = poly_complex_roots(coeffs, prec, require_squarefree=False)
-        a1, a2, a3, a4, a6 = 1 + b, b, b, mpf(0), mpf(0)
-        tol = mpf(2) ** (-(prec // 3))
-
-        def y_of(x):
-            # solve y^2 + (a1 x + a3) y - (x^3 + a2 x^2 + a4 x + a6) = 0
-            p_ = a1 * x + a3
-            q_ = -(x**3 + a2 * x**2 + a4 * x + a6)
-            return (-p_ + mpmath.sqrt(p_**2 - 4 * q_)) / 2
-
-        def neg(P):
-            x, y = P
-            return (x, -y - a1 * x - a3)
-
-        def add(P, Q):
-            if P is None:
-                return Q
-            if Q is None:
-                return P
-            x1, y1 = P
-            x2, y2 = Q
-            if abs(x1 - x2) < tol:
-                if abs(y1 - (-y2 - a1 * x2 - a3)) < tol:
-                    return None  # P = -Q
-                lam = (3 * x1**2 + 2 * a2 * x1 + a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
-            else:
-                lam = (y2 - y1) / (x2 - x1)
-            nu = y1 - lam * x1
-            x3 = lam**2 + a1 * lam - a2 - x1 - x2
-            y3 = -(lam + a1) * x3 - nu - a3
-            return (x3, y3)
-
-        for x in roots:
-            P = (mpc(x), y_of(mpc(x)))
-            P2 = add(P, P)
-            P4 = add(P2, P2)
-            P5 = add(P4, P)
-            if P5 is not None:
-                return False
-    return True
 
 
 @dataclass(frozen=True)

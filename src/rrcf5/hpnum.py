@@ -268,16 +268,7 @@ def j_from_tau(tau, prec: int, cross_check: bool = True):
         return mpc(j)
 
 
-def _squarefree_check(coeffs):
-    """True if the integer polynomial is squarefree (gcd with derivative trivial)."""
-    from .exactmath import Poly, poly_gcd
-
-    p = Poly(coeffs)
-    g = poly_gcd(p, p.derivative())
-    return g.degree <= 0
-
-
-def poly_complex_roots(coeffs, prec: int, require_squarefree: bool = True):
+def poly_complex_roots(coeffs, prec: int):
     """All complex roots of an integer polynomial, certified by residuals.
 
     coeffs is lowest-degree first.  Roots come back sorted lexicographically
@@ -285,12 +276,15 @@ def poly_complex_roots(coeffs, prec: int, require_squarefree: bool = True):
     across precisions.  Raises PrecisionError when any residual is larger
     than 2^(-prec/2) * max|coeff|.
     """
+    from .exactmath import Poly, poly_gcd
+
     cs = [int(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     if len(cs) < 2:
         raise ValueError("need a nonconstant polynomial")
-    if require_squarefree and not _squarefree_check(cs):
+    p = Poly(cs)
+    if poly_gcd(p, p.derivative()).degree > 0:
         raise ValueError("polynomial has repeated roots; deflate first")
     with mp.workprec(prec + 96):
         roots = mpmath.polyroots(list(reversed(cs)), maxsteps=200, extraprec=prec // 2 + 64)

@@ -1,8 +1,9 @@
 """The order-60 Moebius group generated by S(z) = zeta_5 z and
 T(z) = (-(1+sqrt5)z+2)/(2z+1+sqrt5), its invariant f5 = j55(x^5), the
 stabilizer and orbit size of a minimal polynomial (witnesses mod a prime for
-non-members), the exact Q(zeta_20) corpus for d = 4, and numeric
-verification of the two worked radical examples."""
+non-members), the exact Q(zeta_20) corpus for d = 4, the checks of the two
+worked radical examples, and the exact proof that no fixed point of T is a
+root of a tabulated p_d."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .exactmath import (
     moebius_act_on_poly,
     poly_compose_rational,
     poly_discriminant,
+    poly_gcd,
 )
 from .hpnum import rr_r
 from .pipeline import J55_DEN, J55_NUM, build_F_G, t_pullback_values
@@ -251,17 +253,16 @@ def ramanujan_r3i(prec: int = 384):
         return mpmath.sqrt(c * c + 1) - c
 
 
-def t_fixed_point_check(ds, prec: int = 256) -> bool:
-    """z1 = (-1-sqrt5+sqrt(10+2 sqrt5))/2 is fixed by T but is never a root
-    of p_d: |p_d(z1)| stays far from zero for every tabulated d."""
-    with mp.workprec(prec):
-        s5 = mpmath.sqrt(mpf(5))
-        z1 = (-1 - s5 + mpmath.sqrt(10 + 2 * s5)) / 2
-        t_of_z1 = (-(1 + s5) * z1 + 2) / (2 * z1 + 1 + s5)
-        if abs(t_of_z1 - z1) > mpf(2) ** (-(prec - 32)):
-            return False
-        floor = mpf(2) ** (-32)
-        return all(abs(Poly(tables.P_TABLE[d])(z1)) > floor for d in ds)
+def t_fixed_point_check(ds) -> bool:
+    """No fixed point of T is a root of p_d for any d in ds.  The fixed
+    points of T = (az + b)/(cz + d) are the roots of c z^2 + (d - a) z - b
+    over Q(sqrt5), so it suffices that p_d is prime to the norm of that
+    quadratic to Q (zeta_5 -> zeta_5^2 takes sqrt5 to -sqrt5), which is
+    z^4 + 2z^3 - 6z^2 - 2z + 1 up to sign."""
+    a, b, c, d = T_map().entries()
+    fixed = Poly((-b, d - a, c))
+    norm = (fixed * fixed.map_coeffs(lambda e: e.galois(2))).map_coeffs(CycloElem.as_fraction)
+    return all(poly_gcd(Poly(tables.P_TABLE[k]), norm).degree == 0 for k in ds)
 
 
 def verify_worked_examples(prec: int = 384) -> dict:

@@ -105,24 +105,6 @@ def _heegner_args(d: int):
     return cd, v, relaxed, n_system(cd, v)
 
 
-def _minimal_poly(d: int, policy, values, name: str):
-    """The monic integer polynomial whose roots values(args, bits) returns."""
-    args = _heegner_args(d)[3]
-    return climb(policy,
-                 lambda bits: Poly(reconstruct_int_poly(values(args, bits), bits)),
-                 lambda bits: [values(args, bits)], f"{name} for d={d}")
-
-
-def build_R(d: int, policy: PrecisionPolicy | None = None):
-    """Monic integral minimal polynomial of the z-conjugates (degree 2h)."""
-    return _minimal_poly(d, policy, compute_z_values, "R")
-
-
-def build_S(d: int, policy: PrecisionPolicy | None = None):
-    """Monic integral minimal polynomial of the s-conjugates (degree 2h)."""
-    return _minimal_poly(d, policy, compute_s_values, "S")
-
-
 def _lift_through_x_minus_inv(S: Poly) -> Poly:
     """x^deg(S) * S(x - 1/x): doubles the degree, preserves integrality."""
     n = S.degree

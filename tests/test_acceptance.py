@@ -33,7 +33,6 @@ from rrcf5.pipeline import (
     build_F_G,
     build_p_q,
     build_Q,
-    build_R,
     disc_conjecture_check,
     run_pipeline,
     verify_cor42,
@@ -90,14 +89,14 @@ def test_z_plane_checks_match_the_x_plane_route(pipeline_results):
             assert got == (res.Q.divides(F), res.p.divides(Gx5)), res.d
 
 
-def test_criterion_3_printed_intermediates():
+def test_criterion_3_printed_intermediates(pipeline_results):
     checks = []
     # the six printed class polynomials beyond the h = 1 cases
     for d in (24, 36, 51, 64, 91, 99):
         checks.append(class_poly(reduced_forms(d)) == tables.H_TABLE[d])
     # all printed minimal polynomials of z
     for d, coeffs in tables.R_TABLE.items():
-        checks.append(build_R(d) == Poly(coeffs))
+        checks.append(pipeline_results[d].R == Poly(coeffs))
     # Q_d for the class-number-one discriminants
     for d, coeffs in tables.Q_TABLE.items():
         checks.append(build_Q(Poly(tables.R_TABLE[d])) == Poly(coeffs))

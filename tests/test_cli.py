@@ -65,6 +65,26 @@ def test_classpoly_command(cachedir, capsys):
     assert main(["classpoly", "-d", "6"]) == 2
 
 
+@pytest.mark.parametrize("d", (3, 7))
+def test_classpoly_rejects_an_inadmissible_discriminant(cachedir, capsys, d):
+    # -3 and -7 are discriminants, but -d is not a square mod 5
+    assert main(["classpoly", "-d", str(d)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "not admissible" in captured.err
+
+
+@pytest.mark.parametrize("digits", ("0", "-3"))
+def test_eval_r_rejects_digits_below_one(cachedir, capsys, digits):
+    assert main(["eval-r", "--tau=i", "--digits", digits]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --digits must be at least 1\n"
+    assert main(["eval-r", "--tau=i", "--digits", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["r"] == "(0.3 + 0.0j)"
+
+
 @pytest.mark.parametrize("argv", (["pipeline", "-d", "24"], ["classpoly", "-d", "24"],
                                   ["verify-tables", "--range", "24..24"]))
 def test_max_prec_caps_the_sized_ladder(cachedir, capsys, argv):

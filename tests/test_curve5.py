@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -7,12 +8,14 @@ from rrcf5.curve5 import (
     C5Report,
     CurveError,
     TateCurve5,
-    _numeric_group_check,
+    _psi2sq_psi3,
     delta_identity_symbolic,
     det_D_identity,
     division_poly_5,
     division_poly_factors_symbolic,
+    doubling_proves_5_torsion,
     five_torsion_base_points_symbolic,
+    five_torsion_by_doubling,
     g2g3_delta_rewrite,
     master_torsion_identity,
     tau_and_isogeny_checks,
@@ -20,7 +23,7 @@ from rrcf5.curve5 import (
     verify_duke_identities,
     verify_j_forms,
 )
-from rrcf5.exactmath import Poly
+from rrcf5.exactmath import Poly, poly_compose_rational, poly_gcd
 
 rng = random.Random(20260823)
 
@@ -91,8 +94,41 @@ def test_j_forms_agree():
     assert verify_j_forms()
 
 
-def test_numeric_group_law():
-    assert _numeric_group_check(0.5, prec=192)
+RATIONAL_BS = [Fraction(1, 2), Fraction(3), Fraction(-7, 5), Fraction(2, 9), Fraction(1)]
+
+
+def doubling_parts(b):
+    """(psi5, psi3, N, D) of E5(b), with x(2P) = N/D."""
+    E = TateCurve5(b)
+    D, psi3 = _psi2sq_psi3(E)
+    N = Poly((-E.b8, -2 * E.b6, -E.b4, 0, 1))
+    return division_poly_5(E), psi3, N, D
+
+
+@pytest.mark.parametrize("b", RATIONAL_BS)
+def test_group_law_5P_by_doubling(b):
+    assert five_torsion_by_doubling(b)
+    psi5, psi3, N, D = doubling_parts(b)
+    N4, D4 = (poly_compose_rational(P, N, D, 4) for P in (N, D))
+    assert N4 - Poly.x() * D4 == -(psi5 * psi3)
+    for f, g in ((psi5, psi3), (psi5, D), (N, D)):
+        assert poly_gcd(f, g) == Poly((1,))
+
+
+@pytest.mark.parametrize("b", RATIONAL_BS)
+def test_doubling_map_on_the_base_points(b):
+    # x(2P) = N/D takes x(P) = 0 to x(2P) = -b and -b to x(4P) = x(-P) = 0
+    _, _, N, D = doubling_parts(b)
+    assert N(0) == -b * D(0) and D(0)
+    assert N(-b) == 0 and D(-b)
+
+
+@pytest.mark.parametrize("b", RATIONAL_BS)
+def test_group_law_5P_negative_controls(b):
+    psi5, psi3, N, D = doubling_parts(b)
+    assert doubling_proves_5_torsion(psi5, psi3, N, D)
+    assert not doubling_proves_5_torsion(psi5 + 1, psi3, N, D)
+    assert not doubling_proves_5_torsion(psi5, psi3, N + 1, D)
 
 
 @pytest.mark.parametrize("d", [11, 16, 19, 24])

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of the package imports is used,
 every module-level private function or class is referenced in the package,
-and every name the benchmark's tracer wraps exists.
+every public module-level function is read by the package or wrapped by the
+benchmark's tracer, and every name the tracer wraps exists.
 
 This stands in for a linter's unused-import and dead-code rules; it parses
 each module with the standard library's ast and needs nothing installed.
@@ -123,3 +124,61 @@ def test_every_traced_name_resolves():
         if owner is None or vars(owner).get(attr) is None:
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+# Public functions that only tests call.  Shrink this set, never grow it: a
+# new function earns its place by a caller in the package.
+TEST_ONLY = {
+    "cache.load",
+    "cache.roundtrip_ok",
+    "curve5.five_torsion_base_points_symbolic",
+    "exactmath.golden_unit",
+    "exactmath.golden_unit_conj",
+    "hpnum.close",
+    "hpnum.rel_close",
+    "pipeline.irreducibility_proxy",
+}
+
+
+def package_reads(sources):
+    """The (module, name) pairs that the modules in sources (keyed by module
+    name) read: a bare name in its own module, `module.name`, and
+    `from .module import name`."""
+    reads = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                reads.add((module, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                reads.add((node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                reads.update((node.module, alias.name) for alias in node.names)
+    return reads
+
+
+def unread_public_functions(sources, exempt=()):
+    """module.name of each public module-level function that no module in
+    sources reads, leaving out the names in exempt."""
+    reads = package_reads(sources)
+    return {f"{module}.{node.name}" for module, source in sources.items()
+            for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and (module, node.name) not in reads and f"{module}.{node.name}" not in exempt}
+
+
+def test_scanner_sees_unread_public_functions():
+    sources = {
+        "a": "import json\ndef load(): pass\ndef helper(): pass\n"
+             "def main():\n    return helper(), json.load\n",
+        "b": "from . import a\nfrom .a import main\ndef run():\n    return a.run\n",
+        "c": "def timed(): pass\n",
+    }
+    # json.load is not a.load, and b.run is not read through a.run
+    assert unread_public_functions(sources) == {"a.load", "b.run", "c.timed"}
+    assert unread_public_functions(sources, {"c.timed"}) == {"a.load", "b.run"}
+
+
+def test_every_public_function_has_a_reader():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    traced = {f"{module}.{path}" for module, path in tracer_targets()}
+    assert unread_public_functions(sources, traced) == TEST_ONLY

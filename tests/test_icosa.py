@@ -245,6 +245,38 @@ def test_worked_examples():
     assert all(rep.values()), rep
 
 
+T_FIXED_NORM = Poly((1, -2, -6, 2, 1))  # z^4 + 2z^3 - 6z^2 - 2z + 1
+
+
+def test_t_fixed_norm_roots_are_fixed_by_t_and_t2():
+    # the quartic's roots are the two fixed points of T and the two of its
+    # Galois conjugate T2, which is T with sqrt5 -> -sqrt5
+    roots = mpmath.polyroots(list(reversed(T_FIXED_NORM.coeffs)), extraprec=64)
+    s5 = mpmath.sqrt(5)
+    fixed_by = [[abs((-(1 + s) * z + 2) / (2 * z + 1 + s) - z) < 1e-12 for s in (s5, -s5)]
+                for z in roots]
+    assert sorted(fixed_by) == [[False, True]] * 2 + [[True, False]] * 2
+
+
+def test_t_fixed_point_never_a_root():
+    ds = sorted(tables.P_TABLE)
+    assert icosa.t_fixed_point_check(ds)
+    # numeric reference: |p_d(z1)| stays far from 0 at the fixed point z1
+    s5 = mpmath.sqrt(5)
+    z1 = (-1 - s5 + mpmath.sqrt(10 + 2 * s5)) / 2
+    assert abs(T_FIXED_NORM(z1)) < 1e-12
+    assert all(abs(Poly(tables.P_TABLE[d])(z1)) > 2**-32 for d in ds)
+
+
+def test_t_fixed_point_check_sees_the_quartic(monkeypatch):
+    p11 = Poly(tables.P_TABLE[11])
+    monkeypatch.setitem(tables.P_TABLE, 11, (p11 * T_FIXED_NORM).coeffs)
+    assert not icosa.t_fixed_point_check([11])
+    assert icosa.t_fixed_point_check([16, 19])
+    monkeypatch.setitem(tables.P_TABLE, 11, (p11 * Poly((-1, 1, 1))).coeffs)
+    assert icosa.t_fixed_point_check([11])  # z^2 + z - 1 is prime to the quartic
+
+
 def test_identity_canonicalization():
     # scaled entries canonicalize to the same projective map
     z = MoebiusMap(2, 0, 0, 2)

@@ -16,8 +16,6 @@ from rrcf5.pipeline import (
     build_F_G,
     build_p_q,
     build_Q,
-    build_R,
-    build_S,
     disc_conjecture_check,
     heegner_values,
     irreducibility_proxy,
@@ -28,18 +26,17 @@ from rrcf5.pipeline import (
 )
 
 
-def test_build_R_printed_values():
-    assert build_R(19) == Poly(tables.R_TABLE[19])
-    assert build_R(91) == Poly(tables.R_TABLE[91])
-    assert build_R(96) == Poly(tables.R_TABLE[96])
+def test_pipeline_R_printed_values():
+    for d in (19, 91, 96):
+        assert run_pipeline(d).R == Poly(tables.R_TABLE[d])
 
 
-def test_build_S_small_cases():
+def test_pipeline_S_small_cases():
     # exact algebra oracle: with s^2 = s - 3, z = s^5+5s^3+5s = 4s - 24;
     # then z^2+4z+48 = 16(s-3)... = 0, matching the d=11 row
-    assert build_S(11) == Poly((3, -1, 1))
+    assert run_pipeline(11).S == Poly((3, -1, 1))
     # with s^2 = -s - 5: z = s^5+5s^3+5s = -4s - 20 and z^2+36z+400 = 0
-    assert build_S(19) == Poly((5, 1, 1))
+    assert run_pipeline(19).S == Poly((5, 1, 1))
 
 
 def test_build_Q_printed():
