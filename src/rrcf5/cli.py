@@ -143,7 +143,7 @@ def cmd_identities(args) -> int:
     report["det_closed_form"] = closed_ok
     report["det_conjugate_product"] = conj_ok
     report["det_vanishes_at_unit"] = vanishes
-    report["psi5_master_identity"] = curve5.master_torsion_identity()
+    report["psi5_master_identity"] = curve5.master_torsion_identity()[0]
     for d in sorted(tables.P_TABLE):
         h = tables.class_number(d)
         report[f"T_invariance_d{d}"] = verify_T_invariance(
@@ -184,12 +184,12 @@ def cmd_curve(args) -> int:
 
     report = {}
     if args.symbolic:
-        for t in range(5):
-            report[f"psi5_master_twist{t}"] = curve5.master_torsion_identity(twist=t)
+        for t, ok in enumerate(curve5.master_torsion_identity()):
+            report[f"psi5_master_twist{t}"] = ok
         report["psi5_negative_control"] = not curve5.master_torsion_identity(
-            perturb_A1=1)
+            perturb_A1=1)[0]
     else:
-        report["psi5_master"] = curve5.master_torsion_identity()
+        report["psi5_master"] = curve5.master_torsion_identity()[0]
     closed_ok, conj_ok, vanishes = curve5.det_D_identity()
     report["det_closed_form"] = closed_ok and conj_ok and vanishes
     report["group_law_5P"] = curve5.five_torsion_by_doubling(Fraction(1, 2))
@@ -302,6 +302,37 @@ def cmd_eval_r(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# every option a subcommand may take, with its argparse settings
+_OPTIONS = {
+    "-d": dict(type=int, default=None,
+               help="positive integer with -d a quadratic discriminant"),
+    "--prec": dict(type=int, default=None, help="working bits"),
+    "--max-prec": dict(type=int, default=None,
+                       help="precision-ladder ceiling in bits"),
+    "--digits": dict(type=int, default=None, help="decimal digits to print"),
+    "--cache": dict(type=str, default=None,
+                    help="cache directory (RR5_CACHE_DIR overrides)"),
+    "--range": dict(type=str, default=None, help="discriminant range a..b"),
+    "--tau": dict(type=str, required=True,
+                  help="tau as `a+bi`, `ni`, or `(p+q sqrt -d)/r`"),
+    "--symbolic": dict(action="store_true",
+                       help="run the full symbolic 5-torsion identity suite"),
+}
+
+# each subcommand with its handler and the options that handler reads
+# (besides --json, which every subcommand takes)
+_COMMANDS = (
+    ("pipeline", cmd_pipeline, ("-d", "--prec", "--max-prec", "--cache")),
+    ("verify-tables", cmd_verify_tables, ("--prec", "--max-prec", "--cache", "--range")),
+    ("identities", cmd_identities, ()),
+    ("g60", cmd_g60, ()),
+    ("curve", cmd_curve, ("--symbolic",)),
+    ("examples", cmd_examples, ()),
+    ("classpoly", cmd_classpoly, ("-d", "--prec", "--max-prec")),
+    ("eval-r", cmd_eval_r, ("--tau", "--prec", "--digits")),
+)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -309,55 +340,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact and high-precision verification of singular "
                     "values of the Rogers-Ramanujan continued fraction.")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, tau=False):
-        p.add_argument("-d", type=int, default=None,
-                       help="positive integer with -d a quadratic discriminant")
-        p.add_argument("--prec", type=int, default=None, help="working bits")
-        p.add_argument("--max-prec", type=int, default=None,
-                       help="precision-ladder ceiling in bits")
-        p.add_argument("--digits", type=int, default=None,
-                       help="decimal digits to print")
-        p.add_argument("--cache", type=str, default=None,
-                       help="cache directory (RR5_CACHE_DIR overrides)")
-        p.add_argument("--range", type=str, default=None,
-                       help="discriminant range a..b")
+    for name, handler, options in _COMMANDS:
+        p = sub.add_parser(name)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
         p.add_argument("--json", action="store_true",
                        help="machine-readable report")
-        if tau:
-            p.add_argument("--tau", type=str, required=True,
-                           help="tau as `a+bi`, `ni`, or `(p+q sqrt -d)/r`")
-
-    handlers = {
-        "pipeline": cmd_pipeline,
-        "verify-tables": cmd_verify_tables,
-        "identities": cmd_identities,
-        "g60": cmd_g60,
-        "curve": cmd_curve,
-        "examples": cmd_examples,
-        "classpoly": cmd_classpoly,
-        "eval-r": cmd_eval_r,
-    }
-    for name, handler in handlers.items():
-        p = sub.add_parser(name)
-        common(p, tau=(name == "eval-r"))
-        if name == "curve":
-            p.add_argument("--symbolic", action="store_true",
-                           help="run the full symbolic 5-torsion identity suite")
         p.set_defaults(handler=handler)
     return top
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # --prec sets the first precision step (else a 64-bit pass sizes it),
-    # --max-prec caps the ladder
-    try:
-        args.policy = PrecisionPolicy(
-            args.prec, (1 << 20) if args.max_prec is None else args.max_prec)
-    except ValueError:
-        print("error: --prec and --max-prec must be at least 1 bit", file=sys.stderr)
-        return 2
+    given = vars(args)
+    if "prec" in given:
+        # --prec sets the first precision step (else a 64-bit pass sizes it),
+        # --max-prec caps the ladder of the commands that climb one
+        max_prec = given.get("max_prec")
+        try:
+            args.policy = PrecisionPolicy(
+                args.prec, (1 << 20) if max_prec is None else max_prec)
+        except ValueError:
+            names = "--prec and --max-prec" if "max_prec" in given else "--prec"
+            print(f"error: {names} must be at least 1 bit", file=sys.stderr)
+            return 2
     return args.handler(args)
 
 

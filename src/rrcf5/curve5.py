@@ -227,19 +227,20 @@ def torsion_A_coeffs(alpha=None):
     return A4, A3, A2, A1, A0
 
 
-def master_torsion_identity(twist: int = 0, perturb_A1: int = 0) -> bool:
-    """psi_5(X(u), b(u)) = 0 identically in u over Q(sqrt5), where
-    b = (eps^5 u^5 + epsbar^5)/(u^5 + 1) and X is the explicit degree-4
-    expression in u.  twist replaces u by zeta_5^twist u; perturb_A1 is a
-    negative-control knob that must break the identity when nonzero.
+def master_torsion_polys(perturb_A1: int = 0):
+    """(P_0, ..., P_4) with P_t(u) = bden^33 psi_5(X(zeta_5^t u), b(u)) over
+    Q(zeta_5), where b = (eps^5 u^5 + epsbar^5)/(u^5 + 1) and X is the
+    explicit degree-4 expression in u.  perturb_A1 is a negative-control
+    knob that must break the identity when nonzero.
 
     b depends on u only through v = u^5, where it is linear, so each
     coefficient in b is cleared of 1 + v in v and then spread to u by
-    v -> u^5.  With X = lam XA / bden^2, the checked polynomial
-    sum_j C_j (lam XA)^j (bden^2)^(12-j) = bden^33 psi_5(X, b) is one
-    composition whose coefficients C_j are polynomials in u."""
+    v -> u^5.  With X = lam XA / bden^2, P_0 = sum_j C_j (lam XA)^j
+    (bden^2)^(12-j) is one composition whose coefficients C_j are
+    polynomials in u.  Every C_j, bden and every coefficient of XA in u^k
+    is a polynomial in u^5, so P_t(u) = P_0(zeta^t u): coefficient k of
+    P_t is zeta^(tk) times coefficient k of P_0."""
     a = _alpha()
-    zeta = CycloElem.zeta(5)
     eps1 = (-11 + 5 * a) * Fraction(1, 2)
     epsbar1 = (-11 - 5 * a) * Fraction(1, 2)
     bnum_v = Poly((epsbar1, eps1))
@@ -254,17 +255,23 @@ def master_torsion_identity(twist: int = 0, perturb_A1: int = 0) -> bool:
     # clear b out of each A_k (deg_b <= 2) and attach u^k
     XA = Poly()
     for k, Ak in enumerate((A0, A1, A2, A3, A4)):
-        CAk = clear_b(Ak, 2)
-        if twist:
-            CAk = CAk * zeta ** (k * twist)  # (zeta^t u)^k picks up zeta^{tk}
-        XA = XA + CAk * Poly([_c(0)] * k + [_c(1)])
+        XA = XA + clear_b(Ak, 2) * Poly([_c(0)] * k + [_c(1)])
 
     # psi_5 over Z[b] (coefficients of degree <= 9 in b), b cleared in v
     psi5 = division_poly_5(TateCurve5(Poly.x()))
     Cs = Poly([clear_b(cj, 9) if cj else Poly() for cj in psi5.coeffs])
     lam = (5 - a) * Fraction(1, 100)
     bden = bden_v.subst_x_pow(5)
-    return poly_compose_rational(Cs, XA * lam, bden * bden, 12).is_zero()
+    P0 = poly_compose_rational(Cs, XA * lam, bden * bden, 12)
+    zetas = [CycloElem.zeta(5) ** j for j in range(5)]
+    return tuple(Poly([c * zetas[t * k % 5] for k, c in enumerate(P0.coeffs)])
+                 for t in range(5))
+
+
+def master_torsion_identity(perturb_A1: int = 0):
+    """psi_5(X(zeta_5^t u), b(u)) = 0 identically in u, for t = 0..4: entry t
+    is whether master_torsion_polys(perturb_A1)[t] is zero."""
+    return tuple(P.is_zero() for P in master_torsion_polys(perturb_A1))
 
 
 # ---------------------------------------------------------------------------

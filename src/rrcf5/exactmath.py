@@ -32,11 +32,12 @@ _PHI = {5: 4, 20: 8}
 
 
 def _power_table(n):
-    """Vectors of zeta_n^k in the power basis, for k = 0 .. 2*phi(n)-2."""
+    """Vectors of zeta_n^k in the power basis, for k = 0 .. max(n, 2*phi(n)-1) - 1:
+    every power of zeta_n and every row of a product's convolution."""
     phi = _PHI[n]
     mod = _CYCLO_POLY[n]
     rows = [tuple(1 if i == k else 0 for i in range(phi)) for k in range(phi)]
-    for _ in range(phi - 1):
+    for _ in range(max(n, 2 * phi - 1) - phi):
         prev = rows[-1]
         shifted = [0] + list(prev[:-1])
         top = prev[-1]
@@ -226,9 +227,15 @@ class CycloElem:
 
     def galois(self, k):
         """Apply the automorphism zeta -> zeta^k (k coprime to the order)."""
-        if _igcd(k, self.order) != 1:
+        n = self.order
+        if _igcd(k, n) != 1:
             raise ExactDomainError("automorphism exponent must be a unit")
-        return self._at(CycloElem.zeta(self.order) ** k)
+        # zeta^i -> zeta^(ik mod n), distinct exponents for a unit k, folded
+        # back through the power table
+        conv = [0] * n
+        for i, c in enumerate(self.nums):
+            conv[i * k % n] = c
+        return _cyclo(n, _fold(n, conv), self.den)
 
     def _at(self, image):
         """The coordinate polynomial at image, a CycloElem (zero included)."""
@@ -240,12 +247,13 @@ class CycloElem:
 
 
 def _fold(order, conv):
-    """Power-basis numerators of sum conv[k] zeta^k, k = 0 .. 2*phi(n)-2."""
+    """Power-basis numerators of sum conv[k] zeta_n^k over k < len(conv), where
+    phi(n) <= len(conv) <= len(_POWERS[n])."""
     phi = _PHI[order]
     # only the rows k >= phi need folding back into the power basis
     out = conv[:phi]
     powers = _POWERS[order]
-    for k in range(phi, 2 * phi - 1):
+    for k in range(phi, len(conv)):
         ck = conv[k]
         if ck:
             for i, r in enumerate(powers[k]):

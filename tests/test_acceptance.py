@@ -125,7 +125,7 @@ def test_criterion_4_exact_identities():
         division_poly_factors_symbolic(),
         all(tau_and_isogeny_checks().values()),
         all(det_D_identity()),
-        master_torsion_identity(),
+        all(master_torsion_identity()),
         icosa.verify_f5_invariance(),
     ]
     group = icosa.generate_g60()

@@ -203,3 +203,35 @@ def test_parser_is_built_once_and_usage_errors_keep_exit_2(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "usage: rrcf5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", (
+    ["pipeline", "-d", "11", "--digits", "5"],
+    ["verify-tables", "-d", "11"],
+    ["identities", "--cache", "somewhere"],
+    ["g60", "--prec", "64"],
+    ["curve", "--range", "11..19"],
+    ["examples", "--digits", "3"],
+    ["classpoly", "-d", "11", "--digits", "0", "--range", "5..1", "--json"],
+    ["eval-r", "--tau", "i", "--max-prec", "64"],
+))
+def test_an_option_the_handler_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize("argv", (
+    ["verify-tables", "--range", "11..11", "--json", "--cache", "somewhere"],
+    ["pipeline", "-d", "11", "--json", "--cache", "somewhere"],
+    ["eval-r", "--tau=0.3+0.1i", "--json"],
+    ["identities", "--json"],
+    ["g60", "--json"],
+    ["curve", "--symbolic", "--json"],
+    ["examples", "--json"],
+))
+def test_the_benchmark_options_are_accepted(argv):
+    args = build_parser().parse_args(argv)
+    assert args.json and args.command == argv[0]

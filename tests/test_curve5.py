@@ -18,12 +18,14 @@ from rrcf5.curve5 import (
     five_torsion_by_doubling,
     g2g3_delta_rewrite,
     master_torsion_identity,
+    master_torsion_polys,
     tau_and_isogeny_checks,
+    torsion_A_coeffs,
     verify_C5_solution,
     verify_duke_identities,
     verify_j_forms,
 )
-from rrcf5.exactmath import Poly, poly_compose_rational, poly_gcd
+from rrcf5.exactmath import CycloElem, Poly, poly_compose_rational, poly_gcd
 
 rng = random.Random(20260823)
 
@@ -65,17 +67,60 @@ def test_division_poly_rejects_singular_b():
 
 
 def test_master_torsion_identity_all_twists():
-    for t in range(5):
-        assert master_torsion_identity(twist=t)
+    assert all(master_torsion_identity())
+
+
+def test_master_torsion_identity_is_five_bools():
+    for perturb in (0, 1):
+        verdicts = master_torsion_identity(perturb_A1=perturb)
+        assert type(verdicts) is tuple and len(verdicts) == 5
+        assert all(type(v) is bool for v in verdicts)
 
 
 def test_master_torsion_identity_negative_control():
-    assert not master_torsion_identity(perturb_A1=1)
+    assert not any(master_torsion_identity(perturb_A1=1))
 
 
 @pytest.mark.parametrize("t", range(5))
 def test_master_torsion_identity_negative_control_every_twist(t):
-    assert not master_torsion_identity(twist=t, perturb_A1=1)
+    assert not master_torsion_identity(perturb_A1=1)[t]
+
+
+def composed_master_poly(twist, perturb_A1):
+    """bden^33 psi_5(X(zeta^twist u), b(u)) composed for this twist alone:
+    zeta^(twist k) goes into the coefficient of u^k of XA before the
+    composition."""
+    a = CycloElem.sqrt5()
+    one = CycloElem.from_rational(5, 1)
+    bnum_v = Poly(((-11 - 5 * a) * Fraction(1, 2), (-11 + 5 * a) * Fraction(1, 2)))
+    bden_v = Poly((one, one))
+
+    def clear_b(poly_in_b, h):
+        return poly_compose_rational(poly_in_b, bnum_v, bden_v, h).subst_x_pow(5)
+
+    A4, A3, A2, A1, A0 = torsion_A_coeffs()
+    A1 = A1 + perturb_A1
+    XA = Poly()
+    for k, Ak in enumerate((A0, A1, A2, A3, A4)):
+        XA = XA + clear_b(Ak, 2) * CycloElem.zeta(5) ** (k * twist) * Poly.x() ** k
+    psi5 = division_poly_5(TateCurve5(Poly.x()))
+    Cs = Poly([clear_b(cj, 9) if cj else Poly() for cj in psi5.coeffs])
+    bden = bden_v.subst_x_pow(5)
+    return poly_compose_rational(Cs, XA * ((5 - a) * Fraction(1, 100)), bden * bden, 12)
+
+
+@pytest.mark.parametrize("perturb", (0, 1))
+def test_twisted_master_polys_match_the_per_twist_composition(perturb):
+    polys = master_torsion_polys(perturb)
+    assert len(polys) == 5
+    for t, P in enumerate(polys):
+        ref = composed_master_poly(t, perturb)
+        assert P.coeffs == ref.coeffs
+    if perturb:
+        # P_0 != 0 here, with live coefficients at every exponent class mod
+        # 5, so every zeta^(tk) factor is compared with the reference
+        live = {k % 5 for k, c in enumerate(polys[0].coeffs) if c}
+        assert live == set(range(5))
 
 
 def test_det_D_closed_form():

@@ -170,6 +170,16 @@ def test_cyclo_routes_agree_and_hash_equal(case, f):
     assert canonical(a * 0).den == 1
 
 
+@diff_settings
+@given(st.sampled_from([5, 20]).flatmap(lambda n: cyclo_elems(n)))
+def test_galois_permutation_matches_evaluation_at_zeta_k(a):
+    # galois permutes exponents through the power table; _at evaluates the
+    # coordinate polynomial at zeta^k; both give sigma_k(a) for every unit k
+    n = a.order
+    for k in (k for k in range(1, n) if gcd(k, n) == 1):
+        assert canonical(a.galois(k)) == a._at(CycloElem.zeta(n) ** k)
+
+
 def euclid_inverse_coords(a):
     """The extended Euclid inverse of a's coordinate polynomial modulo
     Phi_n, from sympy, as power-basis Fractions."""
