@@ -8,7 +8,7 @@ from math import gcd, isqrt
 
 from mpmath import mp, mpc
 
-from .hpnum import PrecisionPolicy, climb, j_from_tau, reconstruct_int_poly
+from .hpnum import PrecisionPolicy, check_j_by_r, climb, j_from_tau, reconstruct_int_poly
 
 
 class ClassDataError(ValueError):
@@ -190,9 +190,15 @@ def class_poly(cd: ClassData, policy: PrecisionPolicy | None = None):
     v, _ = choose_v(cd.d, cd.f)
     args = n_system(cd, v)
 
-    def roots_at(bits, cross_check=False):
-        return [j_from_tau(arg.w(bits + 64), bits, cross_check) for arg in args]
+    def roots_at(bits):
+        return [j_from_tau(arg.w(bits + 64), bits) for arg in args]
 
-    return climb(policy,
-                 lambda bits: reconstruct_int_poly(roots_at(bits, True), bits),
-                 lambda bits: [roots_at(bits)], f"class polynomial for d={cd.d}")
+    def step(bits):
+        ws = [arg.w(bits + 64) for arg in args]
+        js = [j_from_tau(w, bits) for w in ws]
+        for w, j in zip(ws, js):
+            check_j_by_r(j, w, bits)
+        return reconstruct_int_poly(js, bits)
+
+    return climb(policy, step, lambda bits: [roots_at(bits)],
+                 f"class polynomial for d={cd.d}")

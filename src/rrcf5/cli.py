@@ -333,13 +333,26 @@ _COMMANDS = (
 )
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Rejects an unknown argument with the subcommand's own usage line;
+    argparse would pass it up to the top-level parser, whose usage names
+    every subcommand."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="rrcf5",
         description="Exact and high-precision verification of singular "
                     "values of the Rogers-Ramanujan continued fraction.")
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True,
+                             parser_class=_SubcommandParser)
     for name, handler, options in _COMMANDS:
         p = sub.add_parser(name)
         for option in options:

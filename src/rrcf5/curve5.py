@@ -8,14 +8,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import mpmath
 from mpmath import mp, mpc, mpf
 
 from . import tables
 from .classdata import choose_v, reduced_forms
-from .exactmath import (CycloElem, Poly, RatFunc, lift_to_cyclo, poly_compose_rational,
-                        poly_gcd)
+from .exactmath import (CycloElem, Poly, RatFunc, golden_unit, golden_unit_conj,
+                        lift_to_cyclo, poly_compose_rational, poly_gcd)
 from .hpnum import eta, rr_r
 from .pipeline import J5_DEN, J5_NUM, J55_DEN, J55_NUM
 from .pipeline import J5Z_DEN, J5Z_NUM, J55Z_DEN, J55Z_NUM
@@ -144,7 +145,7 @@ def division_poly_5(curve: TateCurve5) -> Poly:
         10 * b6,
         5 * b4,
         b2,
-        2 * _one_like(b2),
+        2 * b2**0,
     ))
     return psi2sq * psi2sq * omega4 - psi3 * psi3 * psi3
 
@@ -153,16 +154,8 @@ def _psi2sq_psi3(curve: TateCurve5):
     """psi_2^2 = 4X^3 + b2 X^2 + 2 b4 X + b6 and
     psi_3 = 3X^4 + b2 X^3 + 3 b4 X^2 + 3 b6 X + b8."""
     b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
-    return (Poly((b6, 2 * b4, b2, 4 * _one_like(b2))),
-            Poly((b8, 3 * b6, 3 * b4, b2, 3 * _one_like(b2))))
-
-
-def _one_like(v):
-    if isinstance(v, Poly):
-        return Poly((1,))
-    if isinstance(v, CycloElem):
-        return CycloElem.from_rational(v.order, 1)
-    return 1
+    return (Poly((b6, 2 * b4, b2, 4 * b2**0)),
+            Poly((b8, 3 * b6, 3 * b4, b2, 3 * b2**0)))
 
 
 def division_poly_factors_symbolic() -> bool:
@@ -173,7 +166,7 @@ def division_poly_factors_symbolic() -> bool:
     if psi5.coeffs[0]:
         return False
     shifted = Poly(psi5.coeffs[1:])
-    quo, rem = divmod(shifted, Poly((b, _one_like(b))))
+    quo, rem = divmod(shifted, Poly((b, b**0)))
     return rem.is_zero() and quo.degree == 10
 
 
@@ -207,18 +200,14 @@ def five_torsion_by_doubling(b) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _alpha():
-    return CycloElem.sqrt5()
-
-
 def _c(n):
     return CycloElem.from_rational(5, n)
 
 
-def torsion_A_coeffs(alpha=None):
+def torsion_A_coeffs():
     """The five polynomials A_4..A_0 in b (lowest-degree-first coefficient
     tuples over Q(sqrt5)) from the solved quintic."""
-    a = _alpha() if alpha is None else alpha
+    a = CycloElem.sqrt5()
     A4 = Poly((8 * a - 18, 6 * a - 12, _c(-2)))
     A3 = Poly((3 * a - 7, -4 * a + 12, _c(2)))
     A2 = Poly((a - 3, 7 * a - 7, _c(-2)))
@@ -240,10 +229,8 @@ def master_torsion_polys(perturb_A1: int = 0):
     polynomials in u.  Every C_j, bden and every coefficient of XA in u^k
     is a polynomial in u^5, so P_t(u) = P_0(zeta^t u): coefficient k of
     P_t is zeta^(tk) times coefficient k of P_0."""
-    a = _alpha()
-    eps1 = (-11 + 5 * a) * Fraction(1, 2)
-    epsbar1 = (-11 - 5 * a) * Fraction(1, 2)
-    bnum_v = Poly((epsbar1, eps1))
+    a = CycloElem.sqrt5()
+    bnum_v = Poly((golden_unit_conj()**5, golden_unit()**5))
     bden_v = Poly((_c(1), _c(1)))
 
     def clear_b(poly_in_b, h):
@@ -279,34 +266,26 @@ def master_torsion_identity(perturb_A1: int = 0):
 # ---------------------------------------------------------------------------
 
 
-def _det(matrix):
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = matrix[0][j] * _det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+def vandermonde_zeta5():
+    """V = prod_{0 <= i < j <= 4} (zeta^j - zeta^i) in Q(zeta_5), which is
+    -25 sqrt5."""
+    z = [CycloElem.zeta(5) ** i for i in range(5)]
+    return prod(z[j] - z[i] for j in range(5) for i in range(j))
 
 
 def det_D_identity():
     """The 5x5 determinant of the twisted linear system equals the closed
     form, and the alpha -> -alpha conjugate product matches the printed
     integer polynomial.  Returns (closed_form_ok, conjugate_product_ok,
-    vanishes_at_golden_unit)."""
-    a = _alpha()
-    zeta = CycloElem.zeta(5)
+    vanishes_at_golden_unit).
+
+    Entry (i, j) of the matrix is A_{4-j} (zeta^i)^(4-j), so column j is
+    A_{4-j} times a column of the Vandermonde matrix in 1, zeta, ..., zeta^4
+    taken in reverse order.  Reversing five columns is an even permutation,
+    so det D = A_4 A_3 A_2 A_1 A_0 V with V = vandermonde_zeta5()."""
+    a = CycloElem.sqrt5()
     A4, A3, A2, A1, A0 = torsion_A_coeffs()
-    As = (A4, A3, A2, A1, A0)  # column j carries A_{4-j} zeta^{(4-j) i}
-    matrix = [
-        [As[j] * zeta ** ((4 - j) * i) for j in range(5)]
-        for i in range(5)
-    ]
-    det = _det(matrix)
+    det = A4 * A3 * A2 * A1 * A0 * vandermonde_zeta5()
 
     f1 = Poly((a - 1, _c(-2)))          # -2b - 1 + alpha
     f2 = Poly((a + 1, _c(2)))           # 2b + alpha + 1
@@ -329,8 +308,7 @@ def det_D_identity():
     printed_c = lift_to_cyclo(printed)
     conj_ok = product == printed_c or product == -printed_c
 
-    eps = (CycloElem.sqrt5() - 1) * Fraction(1, 2)
-    vanishes = not det(eps) if isinstance(det, Poly) else False
+    vanishes = not det(golden_unit())
     return closed_ok, conj_ok, vanishes
 
 
@@ -357,9 +335,8 @@ def tau_and_isogeny_checks():
     (i) j5(tau(b)) = j55(b); (ii) tau is an involution; (iii) phi(tau(b)) =
     1/(eps^5 b); (iv) the isogeny X-map has poles exactly at {0, -b1};
     (v) the two closed forms of phi(b) agree.  Returns a dict of booleans."""
-    a = _alpha()
-    eps1 = (-11 + 5 * a) * Fraction(1, 2)
-    epsbar1 = (-11 - 5 * a) * Fraction(1, 2)
+    a = CycloElem.sqrt5()
+    eps1, epsbar1 = golden_unit()**5, golden_unit_conj()**5
     tau = RatFunc(Poly((eps1, _c(-1))), Poly((_c(1), eps1)))
 
     j5 = _lift_rf(J5_NUM, J5_DEN)

@@ -222,18 +222,9 @@ def rr_r(tau, prec: int):
         return mpc(result)
 
 
-def weber_x1(tau, prec: int):
-    """The eta quotient x1(tau) = (eta(tau/5)/eta(tau))^2 = (P_3/P_15)^2 / u,
-    u = e^(2 pi i tau/15) and P_n = prod_{m>=1} (1 - u^(n m)) (eta_parts)."""
-    u, sums = eta_parts(tau, 15, (3, 15), prec + 32)
-    with mp.workprec(prec + 32):
-        u, p3, p15 = mpc(u), *(mpc(p) for p in sums)
-        return (p3 / p15) ** 2 / u
-
-
 def j_from_c(c):
-    """j = (c^2 + 10 c + 5)^3 / c with c = x1^3 = (eta(tau/5)/eta(tau))^6
-    (caller sets workprec)."""
+    """j = (c^2 + 10 c + 5)^3 / c with c = (eta(tau/5)/eta(tau))^6 (caller
+    sets workprec)."""
     return (c**2 + 10 * c + 5) ** 3 / c
 
 
@@ -252,18 +243,19 @@ def check_j_by_r(j, tau, prec: int):
             raise PrecisionError("j-invariant routes disagree; raise the precision")
 
 
-def j_from_tau(tau, prec: int, cross_check: bool = True):
+def j_from_tau(tau, prec: int):
     """Modular j-invariant via the level-5 eta quotient:
 
-        j = (x1^6 + 10 x1^3 + 5)^3 / x1^3,   x1 = (eta(tau/5)/eta(tau))^2.
+        j = (c^2 + 10 c + 5)^3 / c,   c = (eta(tau/5)/eta(tau))^6 = (P_1/P_5)^6 / x,
 
-    With cross_check=True the value is recomputed from r(tau) (check_j_by_r)
-    and the two routes must agree to relative 2^(32-prec).
+    with x = e^(2 pi i tau/5) and P_n = prod_{m>=1} (1 - x^(n m)) (eta_parts),
+    the quotient heegner_values takes c from.  check_j_by_r is the
+    independent route to check it by.
     """
+    x, sums = eta_parts(tau, 5, (1, 5), prec + 64)
     with mp.workprec(prec + 64):
-        j = j_from_c(weber_x1(tau, prec + 64) ** 3)
-        if cross_check:
-            check_j_by_r(j, tau, prec)
+        x, P1, P5 = mpc(x), *(mpc(P) for P in sums)
+        j = j_from_c((P1 / P5) ** 6 / x)
     with mp.workprec(prec):
         return mpc(j)
 

@@ -155,7 +155,7 @@ def orbit_and_stabilizer(p: Poly, group: G60Group, Gd5: Poly):
     map; the others are not in the stabilizer.  The orbit size is the index."""
     if not p.divides(Gd5):
         raise IcosaError("p does not divide G_d(x^5)")
-    base = moebius_act_on_poly(MoebiusMap.identity(), p)
+    base = lift_to_cyclo(p).monic()  # the identity's pullback
     stabilizer = frozenset(m for m in unwitnessed(group.elements, p)
                            if moebius_act_on_poly(m, p) == base)
     return len(group) // len(stabilizer), stabilizer

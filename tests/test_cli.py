@@ -214,13 +214,17 @@ def test_parser_is_built_once_and_usage_errors_keep_exit_2(capsys):
     ["examples", "--digits", "3"],
     ["classpoly", "-d", "11", "--digits", "0", "--range", "5..1", "--json"],
     ["eval-r", "--tau", "i", "--max-prec", "64"],
+    ["classpoly", "-d", "11", "--digits", "0"],
 ))
 def test_an_option_the_handler_does_not_read_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "unrecognized arguments" in captured.err
+    assert captured.out == ""
+    # the subcommand's own usage line, not the top-level one
+    assert captured.err.startswith(f"usage: rrcf5 {argv[0]} [-h]")
+    assert f"rrcf5 {argv[0]}: error: unrecognized arguments" in captured.err
 
 
 @pytest.mark.parametrize("argv", (

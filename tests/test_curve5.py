@@ -23,6 +23,7 @@ from rrcf5.curve5 import (
     torsion_A_coeffs,
     verify_C5_solution,
     verify_duke_identities,
+    vandermonde_zeta5,
     verify_j_forms,
 )
 from rrcf5.exactmath import CycloElem, Poly, poly_compose_rational, poly_gcd
@@ -128,6 +129,35 @@ def test_det_D_closed_form():
     assert closed_ok
     assert conj_ok
     assert vanishes  # D = 0 at b = (sqrt5 - 1)/2
+
+
+def _cofactor_det(matrix):
+    """The determinant by cofactor expansion along the first row: a reference
+    for the column factorisation det_D_identity uses."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    total = None
+    for j in range(len(matrix)):
+        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
+        term = matrix[0][j] * _cofactor_det(minor)
+        term = -term if j % 2 else term
+        total = term if total is None else total + term
+    return total
+
+
+@pytest.mark.parametrize("bump", (0, 1))
+def test_det_D_is_the_A_product_times_the_vandermonde(bump):
+    # entry (i, j) is A_{4-j} (zeta^i)^(4-j); bump = 1 moves A_1 off its value
+    A4, A3, A2, A1, A0 = torsion_A_coeffs()
+    A1 = A1 + bump
+    As = (A4, A3, A2, A1, A0)
+    zeta = CycloElem.zeta(5)
+    matrix = [[As[j] * zeta ** ((4 - j) * i) for j in range(5)] for i in range(5)]
+    assert _cofactor_det(matrix) == A4 * A3 * A2 * A1 * A0 * vandermonde_zeta5()
+
+
+def test_vandermonde_of_the_fifth_roots_of_unity():
+    assert vandermonde_zeta5() == -25 * CycloElem.sqrt5()
 
 
 def test_tau_and_isogeny():

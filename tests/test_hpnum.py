@@ -12,12 +12,13 @@ from rrcf5.hpnum import (
     climb,
     close,
     eta,
+    eta_parts,
+    j_from_c,
     j_from_tau,
     poly_complex_roots,
     reconstruct_int_poly,
     rel_close,
     rr_r,
-    weber_x1,
 )
 from rrcf5.pipeline import _heegner_args, _heegner_ws, heegner_values
 
@@ -129,14 +130,14 @@ def test_eta_inversion_needs_the_cancellation_retry():
 
 def test_one_exp_per_evaluation(monkeypatch):
     # Every q of an evaluation is a fixed-point power of one exp: eta, rr_r
-    # and weber_x1 take one each, heegner_values one per Heegner argument.
+    # and j_from_tau take one each, heegner_values one per Heegner argument.
     # At Im(tau) = 0.8 and at d = 71's arguments no sum needs the
     # cancellation retry, which would take the exp again at wider bits.
     calls = []
     exp = mpmath.exp
     monkeypatch.setattr(mpmath, "exp", lambda z: calls.append(z) or exp(z))
     tau = mpc(0.3, 0.8)
-    for f in (eta, rr_r, weber_x1):
+    for f in (eta, rr_r, j_from_tau):
         calls.clear()
         f(tau, PREC)
         assert len(calls) == 1, f.__name__
@@ -174,12 +175,16 @@ def test_r_satisfies_eta_quotient_identity():
     assert rel_close(lhs, rhs, PREC - 24)
 
 
-def test_weber_x1_cube_from_r():
-    # x1(tau)^3 = (eta(tau/5)/eta(tau))^6 = 1/r(tau/5)^5 - 11 - r(tau/5)^5
+def test_c_from_r():
+    # c = (eta(tau/5)/eta(tau))^6 = (P_1/P_5)^6 / x = 1/r(tau/5)^5 - 11 - r(tau/5)^5,
+    # the quotient j_from_tau takes j = (c^2 + 10 c + 5)^3 / c from
     tau = mpc(0.11, 1.4)
+    x, (P1, P5) = eta_parts(tau, 5, (1, 5), PREC + 32)
     with mp.workprec(PREC + 32):
+        c = (P1 / P5) ** 6 / x
         r5 = rr_r(tau / 5, PREC) ** 5
-        assert rel_close(weber_x1(tau, PREC) ** 3, 1 / r5 - 11 - r5, PREC - 24)
+        assert rel_close(c, 1 / r5 - 11 - r5, PREC - 24)
+        assert rel_close(j_from_tau(tau, PREC), j_from_c(c), PREC - 24)
 
 
 def test_j_at_i_is_1728():

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package imports is used,
 every module-level private function or class is referenced in the package,
-every public module-level function is read by the package or wrapped by the
-benchmark's tracer, and every name the tracer wraps exists.
+every public module-level function and every public method or property of a
+package class is read by the package or wrapped by the benchmark's tracer,
+and every name the tracer wraps exists.
 
 This stands in for a linter's unused-import and dead-code rules; it parses
 each module with the standard library's ast and needs nothing installed.
@@ -132,8 +133,6 @@ TEST_ONLY = {
     "cache.load",
     "cache.roundtrip_ok",
     "curve5.five_torsion_base_points_symbolic",
-    "exactmath.golden_unit",
-    "exactmath.golden_unit_conj",
     "hpnum.close",
     "hpnum.rel_close",
     "pipeline.irreducibility_proxy",
@@ -182,3 +181,52 @@ def test_every_public_function_has_a_reader():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
     traced = {f"{module}.{path}" for module, path in tracer_targets()}
     assert unread_public_functions(sources, traced) == TEST_ONLY
+
+
+# Public methods and properties that only tests read.  Shrink this set, never
+# grow it.
+TEST_ONLY_METHODS = {
+    "classdata.QuadForm.discriminant",
+    "exactmath.MoebiusMap.apply",
+    "exactmath.Poly.exact_div",
+    "exactmath.Poly.reversed_poly",
+}
+
+
+def unread_public_methods(sources, exempt=()):
+    """module.Class.name of each public method or property of a module-level
+    class in sources that no module in sources reads as an attribute,
+    leaving out the names in exempt.  The receiver's type is not resolved,
+    so `x.name` anywhere reads every method called name."""
+    attrs = {node.attr for source in sources.values()
+             for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
+    return {f"{module}.{cls.name}.{fn.name}" for module, source in sources.items()
+            for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+            and not fn.name.startswith("_") and fn.name not in attrs
+            and f"{module}.{cls.name}.{fn.name}" not in exempt}
+
+
+def test_scanner_sees_unread_public_methods():
+    sources = {
+        "a": "class Shape:\n"
+             "    def area(self): pass\n"
+             "    @property\n"
+             "    def size(self): pass\n"
+             "    def perimeter(self): pass\n"
+             "    def timed(self): pass\n"
+             "    def __len__(self): pass\n"
+             "    def _helper(self): pass\n",
+        "b": "from .a import Shape\n"
+             "def f(s):\n"
+             "    return s.area(), s.size, perimeter\n",
+    }
+    # a bare name perimeter is not an attribute read
+    assert unread_public_methods(sources) == {"a.Shape.perimeter", "a.Shape.timed"}
+    assert unread_public_methods(sources, {"a.Shape.timed"}) == {"a.Shape.perimeter"}
+
+
+def test_every_public_method_has_a_reader():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    traced = {f"{module}.{path}" for module, path in tracer_targets()}
+    assert unread_public_methods(sources, traced) == TEST_ONLY_METHODS
