@@ -96,7 +96,9 @@ def _fundamental_split(d: int):
 
 def reduced_forms(d: int) -> ClassData:
     """All primitive reduced forms of discriminant -d (standard sweep)."""
-    if d <= 0 or (-d) % 4 not in (0, 1):
+    if d <= 0:
+        raise ClassDataError(f"d = {d}: d must be a positive integer")
+    if (-d) % 4 not in (0, 1):
         raise ClassDataError(f"-{d} is not a discriminant: need -d = 0 or 1 (mod 4)")
     forms = []
     bound = isqrt(d // 3)
@@ -194,10 +196,9 @@ def class_poly(cd: ClassData, policy: PrecisionPolicy | None = None):
         return [j_from_tau(arg.w(bits + 64), bits) for arg in args]
 
     def step(bits):
-        ws = [arg.w(bits + 64) for arg in args]
-        js = [j_from_tau(w, bits) for w in ws]
-        for w, j in zip(ws, js):
-            check_j_by_r(j, w, bits)
+        js = roots_at(bits)
+        for arg, j in zip(args, js):
+            check_j_by_r(j, arg.w(bits + 64), bits)
         return reconstruct_int_poly(js, bits)
 
     return climb(policy, step, lambda bits: [roots_at(bits)],

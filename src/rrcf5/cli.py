@@ -242,6 +242,8 @@ def parse_tau(text: str, prec: int):
         m = _TAU_SURD.fullmatch(text)
         if m:
             p_, sign, q_, minus_d, r_ = m.groups()
+            if int(r_) == 0:
+                raise ValueError(f"cannot parse tau {text!r}: the denominator r is 0")
             q = int(q_) if q_ else 1
             if sign == "-":
                 q = -q

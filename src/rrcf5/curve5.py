@@ -90,27 +90,12 @@ class TateCurve5:
         b = self.b
         return b**5 * (1 - 11 * b - b**2)
 
-    def contains(self, x, y) -> bool:
-        lhs = y * y + self.a1 * x * y + self.a3 * y
-        rhs = x**3 + self.a2 * x * x + self.a4 * x + self.a6
-        diff = lhs - rhs
-        return not diff if not isinstance(diff, (int, float, complex)) else diff == 0
-
 
 def delta_identity_symbolic() -> bool:
     """g2^3 - 27 g3^2 = b^5 (1 - 11b - b^2) exactly, over Q[b]."""
     b = Poly.x()
     E = TateCurve5(b)
     return E.g2**3 - 27 * E.g3**2 == E.delta
-
-
-def five_torsion_base_points_symbolic() -> bool:
-    """The four affine points of <(0,0)> lie on the curve over Q[b]."""
-    b = Poly.x()
-    E = TateCurve5(b)
-    zero = Poly()
-    pts = [(zero, zero), (zero, -b), (-b, zero), (-b, b * b)]
-    return all(E.contains(x, y) for x, y in pts)
 
 
 def g2g3_delta_rewrite() -> bool:
@@ -390,15 +375,12 @@ class C5Report:
 
 def verify_C5_solution(d: int, prec: int = 512) -> C5Report:
     """X = r(w/5), Y = r(-1/w) satisfy X^5 + Y^5 = eps^5 (1 - X^5 Y^5);
-    X is a root of p_d and exactly one of zeta^j Y (j = 1..4) is too."""
-    cd = reduced_forms(d)
-    v, _ = choose_v(d, cd.f)
-    if d in tables.P_TABLE:
-        p = Poly(tables.P_TABLE[d])
-    else:
-        from .pipeline import run_pipeline
-
-        p = run_pipeline(d).p
+    X is a root of p_d and exactly one of zeta^j Y (j = 1..4) is too, for a
+    d tabulated in tables.P_TABLE."""
+    if d not in tables.P_TABLE:
+        raise CurveError(f"d = {d} is not tabulated: tables.P_TABLE has no p_d")
+    p = Poly(tables.P_TABLE[d])
+    v, _ = choose_v(d, reduced_forms(d).f)
     with mp.workprec(prec + 64):
         w = (v + mpmath.sqrt(mpc(-d))) / 2
         X = rr_r(w / 5, prec)

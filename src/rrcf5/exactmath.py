@@ -92,32 +92,21 @@ class CycloElem:
         return _cyclo(order, (value.numerator,) + (0,) * (phi - 1), value.denominator)
 
     @classmethod
-    def sqrt5(cls, order=5):
+    def sqrt5(cls):
         """The Gauss sum zeta_5 - zeta_5^2 - zeta_5^3 + zeta_5^4."""
         z = cls.zeta(5)
-        s = z - z**2 - z**3 + z**4
-        if order == 20:
-            s = s.embed(20)
-        return s
+        return z - z**2 - z**3 + z**4
 
     # -- coercion -----------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, CycloElem):
             if other.order != self.order:
-                raise ExactDomainError("mixed cyclotomic orders; embed first")
+                raise ExactDomainError("mixed cyclotomic orders")
             return other
         if isinstance(other, (int, Fraction)):
             return CycloElem.from_rational(self.order, other)
         return NotImplemented
-
-    def embed(self, order):
-        """Embed Q(zeta_5) into Q(zeta_20) via zeta_5 = zeta_20^4."""
-        if order == self.order:
-            return self
-        if not (self.order == 5 and order == 20):
-            raise ExactDomainError("only the embedding Q(zeta_5) -> Q(zeta_20) is supported")
-        return self._at(CycloElem.zeta(20) ** 4)
 
     # -- ring structure -----------------------------------------------------
 
@@ -171,7 +160,7 @@ class CycloElem:
             return _cyclo(self.order, tuple(c * n for c in self.nums),
                           self.den * other.denominator)
         if other.order != self.order:
-            raise ExactDomainError("mixed cyclotomic orders; embed first")
+            raise ExactDomainError("mixed cyclotomic orders")
         a, b = self.nums, other.nums
         conv = [0] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
@@ -237,11 +226,6 @@ class CycloElem:
             conv[i * k % n] = c
         return _cyclo(n, _fold(n, conv), self.den)
 
-    def _at(self, image):
-        """The coordinate polynomial at image, a CycloElem (zero included)."""
-        return ((CycloElem.from_rational(image.order, 0) + Poly(self.nums)(image))
-                * Fraction(1, self.den))
-
     def __repr__(self):
         return f"CycloElem({self.order}, {self.coords})"
 
@@ -276,14 +260,14 @@ def _cyclo(order, nums, den):
     return e
 
 
-def golden_unit(order=5):
+def golden_unit():
     """epsilon = (-1 + sqrt(5))/2, a fundamental unit of Q(sqrt(5))."""
-    return (CycloElem.sqrt5(order) - 1) * Fraction(1, 2)
+    return (CycloElem.sqrt5() - 1) * Fraction(1, 2)
 
 
-def golden_unit_conj(order=5):
+def golden_unit_conj():
     """epsilon-bar = (-1 - sqrt(5))/2."""
-    return (-CycloElem.sqrt5(order) - 1) * Fraction(1, 2)
+    return (-CycloElem.sqrt5() - 1) * Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +493,6 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def exact_div(self, other):
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ExactDomainError("division is not exact")
-        return q
-
     def divides(self, other):
         """True if self divides other exactly."""
         if self.is_zero():
@@ -538,10 +516,6 @@ class Poly:
 
     def derivative(self):
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def reversed_poly(self):
-        """x^deg * p(1/x)."""
-        return Poly(tuple(reversed(self.coeffs)))
 
     def map_coeffs(self, fn):
         return Poly([fn(c) for c in self.coeffs])
@@ -777,26 +751,26 @@ class RatFunc:
 # ---------------------------------------------------------------------------
 
 
-def _as_cyclo(value, order):
+def _as_cyclo(value):
     if isinstance(value, CycloElem):
-        if value.order != order:
+        if value.order != 5:
             raise ExactDomainError("mixed cyclotomic orders in Moebius map")
         return value
-    return CycloElem.from_rational(order, value)
+    return CycloElem.from_rational(5, value)
 
 
 class MoebiusMap:
-    """Projective linear fractional map z -> (az + b)/(cz + d) over Q(zeta_n).
+    """Projective linear fractional map z -> (az + b)/(cz + d) over Q(zeta_5).
 
     Entries are stored in a canonical form: the first nonzero entry of
     (a, b, c, d) is scaled to 1, which makes projective equality (and
     hashing) decidable.
     """
 
-    __slots__ = ("order", "a", "b", "c", "d")
+    __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a, b, c, d, order=5):
-        a, b, c, d = (_as_cyclo(v, order) for v in (a, b, c, d))
+    def __init__(self, a, b, c, d):
+        a, b, c, d = map(_as_cyclo, (a, b, c, d))
         if not (a * d - b * c):
             raise ExactDomainError("Moebius map must have nonzero determinant")
         for pivot in (a, b, c, d):
@@ -804,7 +778,6 @@ class MoebiusMap:
                 inv = pivot.inverse()
                 a, b, c, d = a * inv, b * inv, c * inv, d * inv
                 break
-        object.__setattr__(self, "order", order)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -814,8 +787,8 @@ class MoebiusMap:
         raise AttributeError("MoebiusMap is immutable")
 
     @classmethod
-    def identity(cls, order=5):
-        return cls(1, 0, 0, 1, order=order)
+    def identity(cls):
+        return cls(1, 0, 0, 1)
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
@@ -832,15 +805,15 @@ class MoebiusMap:
         b = self.a * other.b + self.b * other.d
         c = self.c * other.a + self.d * other.c
         d = self.c * other.b + self.d * other.d
-        return MoebiusMap(a, b, c, d, order=self.order)
+        return MoebiusMap(a, b, c, d)
 
     def inverse(self):
-        return MoebiusMap(self.d, -self.b, -self.c, self.a, order=self.order)
+        return MoebiusMap(self.d, -self.b, -self.c, self.a)
 
     def element_order(self):
         """The order of the map, if it is at most 61 (every element of G60
         qualifies)."""
-        acc, one = self, MoebiusMap.identity(self.order)
+        acc, one = self, MoebiusMap.identity()
         for n in range(1, 62):
             if acc == one:
                 return n
@@ -862,12 +835,12 @@ def moebius_act_on_poly(M, p):
     """Denominator-cleared pullback (cx+d)^deg(p) * p((ax+b)/(cx+d)), made
     monic.
 
-    Coefficients are lifted to Q(zeta_n).  The monic result is a canonical
+    Coefficients are lifted to Q(zeta_5).  The monic result is a canonical
     projective representative; the action is then a right group action up to
     scalars.
     """
     if p.is_zero():
         raise ExactDomainError("cannot act on the zero polynomial")
-    p = p.map_coeffs(lambda c: _as_cyclo(c, M.order))
+    p = p.map_coeffs(_as_cyclo)
     # nonzero, since p is and M is invertible
     return poly_compose_rational(p, Poly((M.b, M.a)), Poly((M.d, M.c)), p.degree).monic()

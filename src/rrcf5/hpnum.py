@@ -1,11 +1,11 @@
 """Arbitrary-precision numerics: Dedekind eta, the Rogers-Ramanujan
-continued fraction r(tau), the modular j-invariant, complex root finding,
-reconstruction of integer polynomials from floating root lists, and the
-precision ladder those reconstructions climb.
+continued fraction r(tau), the modular j-invariant, reconstruction of
+integer polynomials from floating root lists, and the precision ladder those
+reconstructions climb.
 
 All precision arguments are in bits.  The q-series and the root products
 run on fixed-point Gaussian integers (pairs of ints scaled by 2^bits); mpmath
-supplies exp, the roots and the values returned.  Each q-series evaluation
+supplies exp and the values returned.  Each q-series evaluation
 takes one exp, of a root x of q (x = e^(pi i tau/12) for eta, e^(2 pi i tau/5)
 for r, e^(2 pi i w/25) for the Heegner values), and makes every q it sums at
 as a fixed-point power of x; the same x is the prefactor, so in a quotient of
@@ -260,42 +260,6 @@ def j_from_tau(tau, prec: int):
         return mpc(j)
 
 
-def poly_complex_roots(coeffs, prec: int):
-    """All complex roots of an integer polynomial, certified by residuals.
-
-    coeffs is lowest-degree first.  Roots come back sorted lexicographically
-    by (real, imag) after rounding at 2^(-prec/4), so the order is stable
-    across precisions.  Raises PrecisionError when any residual is larger
-    than 2^(-prec/2) * max|coeff|.
-    """
-    from .exactmath import Poly, poly_gcd
-
-    cs = [int(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if len(cs) < 2:
-        raise ValueError("need a nonconstant polynomial")
-    p = Poly(cs)
-    if poly_gcd(p, p.derivative()).degree > 0:
-        raise ValueError("polynomial has repeated roots; deflate first")
-    with mp.workprec(prec + 96):
-        roots = mpmath.polyroots(list(reversed(cs)), maxsteps=200, extraprec=prec // 2 + 64)
-        maxc = max(abs(c) for c in cs)
-        bound = mpf(2) ** (-(prec // 2)) * maxc
-        for r in roots:
-            val = mpmath.polyval(list(reversed(cs)), r)
-            if abs(val) > bound:
-                raise PrecisionError("root residual too large; raise the precision")
-        grid = mpf(2) ** (-(prec // 4))
-
-        def key(r):
-            return (mpmath.nint(r.real / grid), mpmath.nint(r.imag / grid))
-
-        roots = sorted((mpc(r) for r in roots), key=key)
-    with mp.workprec(prec):
-        return [mpc(r) for r in roots]
-
-
 def reconstruct_int_poly(roots, prec: int):
     """Expand prod (x - root) on Gaussian integers scaled by 2^(prec + 64)
     and round to the nearest integers.
@@ -324,15 +288,3 @@ def reconstruct_int_poly(roots, prec: int):
         out.append(n)
     return tuple(out)
 
-
-def close(a, b, bits: int):
-    """|a - b| < 2^-bits, evaluated at a safe working precision."""
-    with mp.workprec(bits + 64):
-        return abs(mpc(a) - mpc(b)) < mpf(2) ** (-bits)
-
-
-def rel_close(a, b, bits: int):
-    """Relative closeness with floor 1 to avoid division blowups near zero."""
-    with mp.workprec(bits + 64):
-        scale = max(abs(mpc(a)), abs(mpc(b)), mpf(1))
-        return abs(mpc(a) - mpc(b)) / scale < mpf(2) ** (-bits)

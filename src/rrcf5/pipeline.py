@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import isqrt
 
 from mpmath import mp, mpc
@@ -26,7 +25,6 @@ from .hpnum import (
     climb,
     eta_parts,
     j_from_c,
-    poly_complex_roots,
     reconstruct_int_poly,
 )
 
@@ -249,22 +247,6 @@ def disc_conjecture_check(S: Poly, d: int, h: int) -> DiscReport:
         exact_power_ok=exact_ok,
         smooth_ok=smooth_ok,
     )
-
-
-def irreducibility_proxy(p: Poly, prec: int = 320) -> bool:
-    """No proper subset of the numeric roots multiplies out to a monic
-    integral factor (subset search; intended for degrees <= 12)."""
-    roots = poly_complex_roots(p.int_coeffs(), prec)
-    if len(roots) > 12:
-        raise ValueError("subset search is limited to degree 12")
-    for k in range(1, len(roots)):
-        for subset in combinations(roots, k):
-            try:
-                reconstruct_int_poly(subset, prec)
-            except PrecisionError:
-                continue
-            return False
-    return True
 
 
 def _antipalindromic(p: Poly) -> bool:

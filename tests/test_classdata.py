@@ -72,6 +72,13 @@ def test_invalid_discriminant_rejected():
         reduced_forms(6)  # -6 = 2 (mod 4)
 
 
+@pytest.mark.parametrize("d", (0, -1))
+def test_d_below_one_is_rejected_as_not_positive(d):
+    # 0 = 0 (mod 4) and 1 = 1 (mod 4), so the congruence does not catch them
+    with pytest.raises(ClassDataError, match=f"d = {d}: d must be a positive integer"):
+        reduced_forms(d)
+
+
 def test_admissibility():
     assert is_admissible(11) and is_admissible(19) and is_admissible(24)
     assert not is_admissible(7) and not is_admissible(15)

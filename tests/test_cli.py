@@ -75,6 +75,15 @@ def test_classpoly_rejects_an_inadmissible_discriminant(cachedir, capsys, d):
     assert "not admissible" in captured.err
 
 
+@pytest.mark.parametrize("argv", (["classpoly", "-d", "0"], ["pipeline", "-d", "-1"],
+                                  ["classpoly", "-d", "-1"]))
+def test_d_below_one_exits_2_saying_d_must_be_positive(cachedir, capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: d = {argv[2]}: d must be a positive integer\n"
+
+
 @pytest.mark.parametrize("digits", ("0", "-3"))
 def test_eval_r_rejects_digits_below_one(cachedir, capsys, digits):
     assert main(["eval-r", "--tau=i", "--digits", digits]) == 2
@@ -182,6 +191,7 @@ def test_cache_coefficients_are_decimal_strings(cachedir):
     ["eval-r", "--tau", "i", "--prec", "0"],
     ["verify-tables", "--range", "50..10"],
     ["verify-tables", "--range", "1..5"],
+    ["eval-r", "--tau", "(1+sqrt -3)/0"],
 ))
 def test_bad_precision_and_range_exit_2(cachedir, argv):
     # a subprocess with a timeout: --prec 0 once looped forever (0 * 2 = 0)

@@ -14,7 +14,6 @@ from rrcf5.curve5 import (
     division_poly_5,
     division_poly_factors_symbolic,
     doubling_proves_5_torsion,
-    five_torsion_base_points_symbolic,
     five_torsion_by_doubling,
     g2g3_delta_rewrite,
     master_torsion_identity,
@@ -48,8 +47,20 @@ def test_delta_identity_symbolic():
     assert delta_identity_symbolic()
 
 
+def _on_curve(E, x, y):
+    """(x, y) satisfies the Weierstrass equation of E exactly."""
+    return (y * y + E.a1 * x * y + E.a3 * y
+            == x**3 + E.a2 * x * x + E.a4 * x + E.a6)
+
+
 def test_five_torsion_base_points():
-    assert five_torsion_base_points_symbolic()
+    # the four affine points of <(0,0)> lie on the curve over Q[b]
+    b = Poly.x()
+    E = TateCurve5(b)
+    zero = Poly()
+    pts = [(zero, zero), (zero, -b), (-b, zero), (-b, b * b)]
+    assert all(_on_curve(E, x, y) for x, y in pts)
+    assert not _on_curve(E, b, zero)
 
 
 def test_g2g3_delta_rewrite():
@@ -212,6 +223,12 @@ def test_C5_solutions(d):
     assert isinstance(rep, C5Report)
     assert rep.all_ok
     assert rep.residual_bits >= 192
+
+
+@pytest.mark.parametrize("d", [479, 4])
+def test_C5_solution_needs_a_tabulated_d(d):
+    with pytest.raises(CurveError, match=f"d = {d} is not tabulated"):
+        verify_C5_solution(d)
 
 
 def test_duke_identities_random_taus():

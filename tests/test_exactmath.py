@@ -51,9 +51,8 @@ def test_zeta20_minimal_polynomial():
 
 
 def test_sqrt5_squares_to_five():
-    for order in (5, 20):
-        s = CycloElem.sqrt5(order)
-        assert s * s == 5
+    s = CycloElem.sqrt5()
+    assert s * s == 5
 
 
 def test_golden_unit_relations():
@@ -75,15 +74,6 @@ def test_inverse_random():
         if not e:
             continue
         assert e * e.inverse() == 1
-
-
-def test_embed_consistency():
-    z5 = CycloElem.zeta(5)
-    e = (3 * z5**2 - z5 + 7) / (z5**3 + 2)
-    big = e.embed(20)
-    # zeta_5 = zeta_20^4 inside Q(zeta_20)
-    z = CycloElem.zeta(20)
-    assert big == (3 * z**8 - z**4 + 7) / (z**12 + 2)
 
 
 def test_galois_fixes_rationals_and_flips_sqrt5():
@@ -173,11 +163,14 @@ def test_cyclo_routes_agree_and_hash_equal(case, f):
 @diff_settings
 @given(st.sampled_from([5, 20]).flatmap(lambda n: cyclo_elems(n)))
 def test_galois_permutation_matches_evaluation_at_zeta_k(a):
-    # galois permutes exponents through the power table; _at evaluates the
-    # coordinate polynomial at zeta^k; both give sigma_k(a) for every unit k
+    # galois permutes exponents through the power table; the sum evaluates
+    # the coordinate polynomial at zeta^k; both give sigma_k(a) for every unit k
     n = a.order
     for k in (k for k in range(1, n) if gcd(k, n) == 1):
-        assert canonical(a.galois(k)) == a._at(CycloElem.zeta(n) ** k)
+        image = CycloElem.zeta(n) ** k
+        at_image = sum((c * image**i for i, c in enumerate(a.coords)),
+                       CycloElem.from_rational(n, 0))
+        assert canonical(a.galois(k)) == at_image
 
 
 def euclid_inverse_coords(a):
@@ -263,12 +256,12 @@ def test_division_by_a_unit_leading_coefficient_stays_in_Z():
         b = Poly((2, -7, lc))
         q, r = divmod(a, b)
         assert q * b + r == a
-        for poly in (q, r, b.monic(), (a * b).exact_div(b)):
+        for poly in (q, r, b.monic(), (a * b) // b):
             assert all(type(c) is int for c in poly.coeffs)
     b = Poly((2, -7, 2))
     q, r = divmod(a, b)
     assert q * b + r == a
-    for poly in (q, b.monic(), (a * b).exact_div(b)):
+    for poly in (q, b.monic(), (a * b) // b):
         assert all(type(c) is Fraction for c in poly.coeffs)
 
 
@@ -287,12 +280,6 @@ def test_divmod_by_monic_int_poly_matches_sympy(a_cs, b_cs, lc):
         assert mine == Poly([int(c) for c in reversed(ref.all_coeffs())])
 
 
-def test_exact_div_raises_on_remainder():
-    x = Poly.x()
-    with pytest.raises(ExactDomainError):
-        (x**2 + 1).exact_div(x - 1)
-
-
 def test_gcd():
     x = Poly.x().map_coeffs(Fraction)
     a = (x - 1) ** 2 * (x + 3)
@@ -302,7 +289,6 @@ def test_gcd():
 
 def test_reversed_and_subst_pow():
     p = Poly((1, 2, 3))
-    assert p.reversed_poly() == Poly((3, 2, 1))
     assert p.subst_x_pow(3) == Poly((1, 0, 0, 2, 0, 0, 3))
 
 
@@ -549,6 +535,14 @@ def test_moebius_canonical_form_and_equality():
     m2 = MoebiusMap(1, 2, 0, 1)
     assert m1 == m2
     assert hash(m1) == hash(m2)
+
+
+def test_moebius_maps_refuse_an_entry_or_coefficient_outside_q_zeta5():
+    z20 = CycloElem.zeta(20)
+    with pytest.raises(ExactDomainError, match="mixed cyclotomic orders"):
+        MoebiusMap(z20, 0, 0, 1)
+    with pytest.raises(ExactDomainError, match="mixed cyclotomic orders"):
+        moebius_act_on_poly(MoebiusMap.identity(), Poly((z20, 1)))
 
 
 def test_moebius_group_laws():

@@ -10,19 +10,36 @@ from rrcf5.hpnum import (
     PrecisionError,
     PrecisionPolicy,
     climb,
-    close,
     eta,
     eta_parts,
     j_from_c,
     j_from_tau,
-    poly_complex_roots,
     reconstruct_int_poly,
-    rel_close,
     rr_r,
 )
 from rrcf5.pipeline import _heegner_args, _heegner_ws, heegner_values
 
 PREC = 256
+
+
+def close(a, b, bits):
+    """|a - b| < 2^-bits, evaluated at a safe working precision."""
+    with mp.workprec(bits + 64):
+        return abs(mpc(a) - mpc(b)) < mpf(2) ** (-bits)
+
+
+def rel_close(a, b, bits):
+    """Relative closeness with floor 1 to avoid division blowups near zero."""
+    with mp.workprec(bits + 64):
+        scale = max(abs(mpc(a)), abs(mpc(b)), mpf(1))
+        return abs(mpc(a) - mpc(b)) / scale < mpf(2) ** (-bits)
+
+
+def _roots(coeffs, prec):
+    """The complex roots of an integer polynomial, lowest-degree coefficient
+    first, from mpmath.polyroots at prec bits."""
+    with mp.workprec(prec):
+        return mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=prec)
 
 
 def _q_product(tau, prec, chi):
@@ -205,26 +222,6 @@ def test_j_at_2i():
     assert close(j, 66**3, PREC - 40)
 
 
-def test_roots_roundtrip():
-    coeffs = (16912, 3120, 20, -12, 1)
-    roots = poly_complex_roots(coeffs, PREC)
-    rec = reconstruct_int_poly(roots, PREC)
-    assert rec == coeffs
-
-
-def test_roots_sorted_stably():
-    coeffs = (1, -36, 398, 36, 1)  # palindromic-ish quartic with real roots
-    r1 = poly_complex_roots(coeffs, 192)
-    r2 = poly_complex_roots(coeffs, 384)
-    for a, b in zip(r1, r2):
-        assert close(a, b, 150)
-
-
-def test_roots_reject_repeated():
-    with pytest.raises(ValueError):
-        poly_complex_roots((1, 2, 1), PREC)  # (x+1)^2
-
-
 def test_reconstruct_rejects_garbage():
     with pytest.raises(PrecisionError):
         reconstruct_int_poly([mpc(0.5, 0)], PREC)
@@ -236,8 +233,7 @@ def test_reconstruct_tolerates_2_to_minus_40_but_not_2_to_minus_28():
     # an imaginary part.
     for coeffs, roots, why in (
             ((2, -1, -2, 1), [mpc(1), mpc(2), mpc(-1)], "too far from an integer"),
-            (tables.P_TABLE[11], poly_complex_roots(tables.P_TABLE[11], PREC),
-             "imaginary parts")):
+            (tables.P_TABLE[11], _roots(tables.P_TABLE[11], PREC), "imaginary parts")):
         assert reconstruct_int_poly(roots, PREC) == tuple(coeffs)
         with mp.workprec(PREC):
             near = [roots[0] + mpf(2) ** -40] + roots[1:]
@@ -251,7 +247,7 @@ def test_reconstruct_reads_roots_at_their_own_precision():
     # Real 130-bit roots of H_24 at the default 53 bits of the caller: rounding
     # them to 53 bits would move the root near 4.8e6 by about 2^-30.
     H24 = tables.H_TABLE[24]
-    roots = [r.real for r in poly_complex_roots(H24, 130)]
+    roots = [r.real for r in _roots(H24, 130)]
     assert mp.prec == 53 and all(r._mpf_[3] > 100 for r in roots)  # mantissa bits
     assert reconstruct_int_poly(roots, 98) == tuple(H24)
 

@@ -132,10 +132,6 @@ def test_every_traced_name_resolves():
 TEST_ONLY = {
     "cache.load",
     "cache.roundtrip_ok",
-    "curve5.five_torsion_base_points_symbolic",
-    "hpnum.close",
-    "hpnum.rel_close",
-    "pipeline.irreducibility_proxy",
 }
 
 
@@ -188,8 +184,6 @@ def test_every_public_function_has_a_reader():
 TEST_ONLY_METHODS = {
     "classdata.QuadForm.discriminant",
     "exactmath.MoebiusMap.apply",
-    "exactmath.Poly.exact_div",
-    "exactmath.Poly.reversed_poly",
 }
 
 
@@ -230,3 +224,46 @@ def test_every_public_method_has_a_reader():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
     traced = {f"{module}.{path}" for module, path in tracer_targets()}
     assert unread_public_methods(sources, traced) == TEST_ONLY_METHODS
+
+
+def package_imports(source):
+    """The package modules source imports: relative imports, and absolute
+    ones of rrcf5 or its submodules."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                found.add("." * node.level + (node.module or ""))
+            elif node.module.partition(".")[0] == "rrcf5":
+                found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name.partition(".")[0] == "rrcf5")
+    return found
+
+
+def polyroots_calls(source):
+    """Lines of source that read a name or attribute called polyroots."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if getattr(node, "id", getattr(node, "attr", None)) == "polyroots")
+
+
+def test_scanner_sees_package_imports_and_polyroots():
+    src = ("import mpmath\n"
+           "import rrcf5.tables\n"
+           "from mpmath import polyroots\n"
+           "from . import cache\n"
+           "from .exactmath import Poly\n"
+           "def f():\n"
+           "    from rrcf5 import hpnum\n"
+           "    return mpmath.polyroots([1, 0, -1]), polyroots\n")
+    assert package_imports(src) == {"rrcf5.tables", ".", ".exactmath", "rrcf5"}
+    assert polyroots_calls(src) == [8, 8]
+
+
+def test_hpnum_stands_alone_and_src_finds_no_roots_numerically():
+    # the numeric kernel imports no other module of the package, and the
+    # package proves its facts without numeric root finding
+    assert package_imports((PACKAGE_DIR / "hpnum.py").read_text()) == set()
+    found = {path.name: lines for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if (lines := polyroots_calls(path.read_text()))}
+    assert found == {}
