@@ -20,7 +20,7 @@ from mpmath import mp, mpc, mpf
 from . import cache, tables
 from .classdata import ClassDataError, class_poly, is_admissible, reduced_forms
 from .exactmath import Poly
-from .hpnum import PrecisionError, PrecisionPolicy, rr_r
+from .hpnum import PrecisionError, PrecisionPolicy, r_transformation_laws
 
 
 def _poly_list(p: Poly):
@@ -46,10 +46,11 @@ def cmd_pipeline(args) -> int:
 
     d = args.d
     if d is None:
-        print("pipeline requires -d", file=sys.stderr)
+        print("error: pipeline requires -d", file=sys.stderr)
         return 2
     if not is_admissible(d):
-        print(f"d={d} is inadmissible: -d must be a square mod 5", file=sys.stderr)
+        print(f"error: d={d} is inadmissible: -d must be a nonzero square mod 5",
+              file=sys.stderr)
         return 2
     try:
         res = run_pipeline(d, args.policy)
@@ -92,13 +93,13 @@ def cmd_verify_tables(args) -> int:
     try:
         bounds = _parse_range(args.range)
     except ValueError as exc:
-        print(exc, file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     ds = sorted(tables.P_TABLE)
     if bounds:
         ds = [d for d in ds if bounds[0] <= d <= bounds[1]]
         if not ds:
-            print(f"no tabulated d in range {args.range!r}", file=sys.stderr)
+            print(f"error: no tabulated d in range {args.range!r}", file=sys.stderr)
             return 2
     cdir = cache.cache_dir_from(args.cache)
     failures = []
@@ -212,7 +213,7 @@ def cmd_examples(args) -> int:
 
 def cmd_classpoly(args) -> int:
     if args.d is None:
-        print("classpoly requires -d", file=sys.stderr)
+        print("error: classpoly requires -d", file=sys.stderr)
         return 2
     try:
         cd = reduced_forms(args.d)
@@ -278,22 +279,12 @@ def cmd_eval_r(args) -> int:
         return 2
     digits = args.digits or 50
     with mp.workprec(prec + 64):
-        r = rr_r(tau, prec)
-        s5 = mpmath.sqrt(mpf(5))
-        eps5 = ((-1 + s5) / 2) ** 5
-        # degree-5 transformation law for r^5
-        lhs5 = rr_r(-1 / (5 * tau), prec) ** 5
-        rhs5 = (-(r**5) + eps5) / (eps5 * r**5 + 1)
-        res5 = abs(lhs5 - rhs5)
-        # full transformation law r(-1/tau) = T(r(tau))
-        lhsT = rr_r(-1 / tau, prec)
-        rhsT = (-(1 + s5) * r + 2) / (2 * r + 1 + s5)
-        resT = abs(lhsT - rhsT)
+        r, ((lhs5, rhs5), (lhsT, rhsT)) = r_transformation_laws(tau, prec)
         report = {
             "tau": mpmath.nstr(tau, digits),
             "r": mpmath.nstr(r, digits),
-            "residual_r5_law": mpmath.nstr(res5, 3),
-            "residual_T_law": mpmath.nstr(resT, 3),
+            "residual_r5_law": mpmath.nstr(abs(lhs5 - rhs5), 3),
+            "residual_T_law": mpmath.nstr(abs(lhsT - rhsT), 3),
         }
     _print_report(args, report, "r(tau)")
     return 0

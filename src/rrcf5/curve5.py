@@ -17,7 +17,7 @@ from . import tables
 from .classdata import choose_v, reduced_forms
 from .exactmath import (CycloElem, Poly, RatFunc, golden_unit, golden_unit_conj,
                         lift_to_cyclo, poly_compose_rational, poly_gcd)
-from .hpnum import eta, rr_r
+from .hpnum import eta, r_transformation_laws, rr_r
 from .pipeline import J5_DEN, J5_NUM, J55_DEN, J55_NUM
 from .pipeline import J5Z_DEN, J5Z_NUM, J55Z_DEN, J55Z_NUM
 
@@ -186,7 +186,7 @@ def five_torsion_by_doubling(b) -> bool:
 
 
 def _c(n):
-    return CycloElem.from_rational(5, n)
+    return CycloElem.from_rational(n)
 
 
 def torsion_A_coeffs():
@@ -235,7 +235,7 @@ def master_torsion_polys(perturb_A1: int = 0):
     lam = (5 - a) * Fraction(1, 100)
     bden = bden_v.subst_x_pow(5)
     P0 = poly_compose_rational(Cs, XA * lam, bden * bden, 12)
-    zetas = [CycloElem.zeta(5) ** j for j in range(5)]
+    zetas = [CycloElem.zeta() ** j for j in range(5)]
     return tuple(Poly([c * zetas[t * k % 5] for k, c in enumerate(P0.coeffs)])
                  for t in range(5))
 
@@ -254,7 +254,7 @@ def master_torsion_identity(perturb_A1: int = 0):
 def vandermonde_zeta5():
     """V = prod_{0 <= i < j <= 4} (zeta^j - zeta^i) in Q(zeta_5), which is
     -25 sqrt5."""
-    z = [CycloElem.zeta(5) ** i for i in range(5)]
+    z = [CycloElem.zeta() ** i for i in range(5)]
     return prod(z[j] - z[i] for j in range(5) for i in range(j))
 
 
@@ -406,20 +406,11 @@ def verify_duke_identities(tau_samples, prec: int = 256) -> bool:
     the level-5 Fricke relation for r^5, the full Fricke relation via T,
     and the degree-1 eta-quotient identity."""
     with mp.workprec(prec + 64):
-        s5 = mpmath.sqrt(5)
-        eps5 = ((-1 + s5) / 2) ** 5
         tol = mpf(2) ** (-(prec - 32))
         for tau in tau_samples:
             tau = mpc(tau)
-            r = rr_r(tau, prec + 32)
-            r5 = r**5
-            lhs1 = rr_r(-1 / (5 * tau), prec + 32) ** 5
-            rhs1 = (-r5 + eps5) / (eps5 * r5 + 1)
-            if abs(lhs1 - rhs1) > tol * max(1, abs(rhs1)):
-                return False
-            lhs2 = rr_r(-1 / tau, prec + 32)
-            rhs2 = (-(1 + s5) * r + 2) / (2 * r + 1 + s5)
-            if abs(lhs2 - rhs2) > tol * max(1, abs(rhs2)):
+            r, laws = r_transformation_laws(tau, prec + 32)
+            if any(abs(lhs - rhs) > tol * max(1, abs(rhs)) for lhs, rhs in laws):
                 return False
             lhs3 = 1 / r - 1 - r
             rhs3 = eta(tau / 5, prec + 32) / eta(5 * tau, prec + 32)

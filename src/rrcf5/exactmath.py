@@ -1,7 +1,8 @@
-"""Exact arithmetic core: dense polynomials over a field, cyclotomic field
-elements for Q(zeta_5) and Q(zeta_20), rational functions kept as unreduced
-pairs and compared by cross-multiplication, and projective Moebius maps
-acting on polynomials.
+"""Exact arithmetic core: dense polynomials over a field, elements of the
+cyclotomic field Q(zeta_5), rational functions kept as unreduced pairs and
+compared by cross-multiplication, and projective Moebius maps acting on
+polynomials.  Other number fields are reached as polynomials modulo a
+defining polynomial (Q(zeta_20) = Q[x]/Phi_20 in icosa).
 
 Every value is immutable and every operation is a pure function; nothing in
 this module ever rounds.
@@ -23,53 +24,24 @@ class ExactDomainError(ValueError):
 # cyclotomic field elements
 # ---------------------------------------------------------------------------
 
-# minimal polynomials of zeta_n, lowest-degree coefficient first
-_CYCLO_POLY = {
-    5: (1, 1, 1, 1, 1),
-    20: (1, 0, -1, 0, 1, 0, -1, 0, 1),
-}
-_PHI = {5: 4, 20: 8}
-
-
-def _power_table(n):
-    """Vectors of zeta_n^k in the power basis, for k = 0 .. max(n, 2*phi(n)-1) - 1:
-    every power of zeta_n and every row of a product's convolution."""
-    phi = _PHI[n]
-    mod = _CYCLO_POLY[n]
-    rows = [tuple(1 if i == k else 0 for i in range(phi)) for k in range(phi)]
-    for _ in range(max(n, 2 * phi - 1) - phi):
-        prev = rows[-1]
-        shifted = [0] + list(prev[:-1])
-        top = prev[-1]
-        if top:
-            # zeta^phi = -(mod[0] + mod[1] z + ...)
-            shifted = [s - top * m for s, m in zip(shifted, mod[:phi])]
-        rows.append(tuple(shifted))
-    return rows
-
-
-_POWERS = {n: _power_table(n) for n in _CYCLO_POLY}
-
 
 class CycloElem:
-    """Element of Q(zeta_n), n in {5, 20}, in the power basis.
+    """Element of Q(zeta_5) in the power basis 1, zeta, zeta^2, zeta^3.
 
     Stored as integer numerators ``nums`` over one positive integer ``den``
     with gcd(den, *nums) = 1, so the representation is canonical and equality
     is a tuple comparison.
     """
 
-    __slots__ = ("order", "nums", "den")
+    __slots__ = ("nums", "den")
 
-    def __new__(cls, order, coords):
-        if order not in _CYCLO_POLY:
-            raise ExactDomainError(f"unsupported cyclotomic order {order}")
+    def __new__(cls, coords):
         cs = tuple(coords)
-        if len(cs) != _PHI[order]:
-            raise ExactDomainError(f"need {_PHI[order]} coordinates for order {order}")
+        if len(cs) != 4:
+            raise ExactDomainError("need 4 coordinates")
         # ints and Fractions both carry numerator/denominator
         den = _ilcm(*(c.denominator for c in cs))
-        return _cyclo(order, tuple(c.numerator * (den // c.denominator) for c in cs), den)
+        return _cyclo(tuple(c.numerator * (den // c.denominator) for c in cs), den)
 
     def __setattr__(self, *a):
         raise AttributeError("CycloElem is immutable")
@@ -82,30 +54,26 @@ class CycloElem:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zeta(cls, order):
-        phi = _PHI[order]
-        return _cyclo(order, tuple(1 if i == 1 else 0 for i in range(phi)), 1)
+    def zeta(cls):
+        return _cyclo((0, 1, 0, 0), 1)
 
     @classmethod
-    def from_rational(cls, order, value):
-        phi = _PHI[order]
-        return _cyclo(order, (value.numerator,) + (0,) * (phi - 1), value.denominator)
+    def from_rational(cls, value):
+        return _cyclo((value.numerator, 0, 0, 0), value.denominator)
 
     @classmethod
     def sqrt5(cls):
         """The Gauss sum zeta_5 - zeta_5^2 - zeta_5^3 + zeta_5^4."""
-        z = cls.zeta(5)
+        z = cls.zeta()
         return z - z**2 - z**3 + z**4
 
     # -- coercion -----------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, CycloElem):
-            if other.order != self.order:
-                raise ExactDomainError("mixed cyclotomic orders")
             return other
         if isinstance(other, (int, Fraction)):
-            return CycloElem.from_rational(self.order, other)
+            return CycloElem.from_rational(other)
         return NotImplemented
 
     # -- ring structure -----------------------------------------------------
@@ -122,7 +90,7 @@ class CycloElem:
     def __hash__(self):
         if self.is_rational():
             return hash(self.as_fraction())
-        return hash((self.order, self.den, self.nums))
+        return hash((self.den, self.nums))
 
     def _plus(self, other, op):
         """self op other, for op in (operator.add, operator.sub)."""
@@ -131,12 +99,11 @@ class CycloElem:
             return NotImplemented
         da, db = self.den, o.den
         if da == db:
-            return _cyclo(self.order, tuple(map(op, self.nums, o.nums)), da)
+            return _cyclo(tuple(map(op, self.nums, o.nums)), da)
         # over lcm(da, db)
         g = _igcd(da, db)
         ma, mb = db // g, da // g
-        return _cyclo(self.order, tuple(op(a * ma, b * mb) for a, b in zip(self.nums, o.nums)),
-                      da * ma)
+        return _cyclo(tuple(op(a * ma, b * mb) for a, b in zip(self.nums, o.nums)), da * ma)
 
     def __add__(self, other):
         return self._plus(other, _add)
@@ -144,7 +111,7 @@ class CycloElem:
     __radd__ = __add__
 
     def __neg__(self):
-        return _cyclo(self.order, tuple(-a for a in self.nums), self.den)
+        return _cyclo(tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
         return self._plus(other, _sub)
@@ -157,17 +124,13 @@ class CycloElem:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             n = other.numerator
-            return _cyclo(self.order, tuple(c * n for c in self.nums),
-                          self.den * other.denominator)
-        if other.order != self.order:
-            raise ExactDomainError("mixed cyclotomic orders")
-        a, b = self.nums, other.nums
-        conv = [0] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for k, bj in enumerate(b, i):
-                    conv[k] += ai * bj
-        return _cyclo(self.order, _fold(self.order, conv), self.den * other.den)
+            return _cyclo(tuple(c * n for c in self.nums), self.den * other.denominator)
+        a0, a1, a2, a3 = self.nums
+        b0, b1, b2, b3 = other.nums
+        conv = (a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
+                a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0, a1 * b3 + a2 * b2 + a3 * b1,
+                a2 * b3 + a3 * b2, a3 * b3)
+        return _cyclo(_fold(conv), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -175,12 +138,9 @@ class CycloElem:
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         if self.is_rational():
-            return CycloElem.from_rational(self.order, 1 / self.as_fraction())
+            return CycloElem.from_rational(1 / self.as_fraction())
         # 1/a = (product of the other conjugates) / N(a), N(a) rational
-        others = CycloElem.from_rational(self.order, 1)
-        for k in range(2, self.order):
-            if _igcd(k, self.order) == 1:
-                others = others * self.galois(k)
+        others = self.galois(2) * self.galois(3) * self.galois(4)
         return others * (1 / (self * others).as_fraction())
 
     def __truediv__(self, other):
@@ -195,7 +155,7 @@ class CycloElem:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = CycloElem.from_rational(self.order, 1)
+        result = CycloElem.from_rational(1)
         base = self
         while n:
             if n & 1:
@@ -215,38 +175,27 @@ class CycloElem:
         return Fraction(self.nums[0], self.den)
 
     def galois(self, k):
-        """Apply the automorphism zeta -> zeta^k (k coprime to the order)."""
-        n = self.order
-        if _igcd(k, n) != 1:
+        """Apply the automorphism zeta -> zeta^k (k prime to 5)."""
+        if not k % 5:
             raise ExactDomainError("automorphism exponent must be a unit")
-        # zeta^i -> zeta^(ik mod n), distinct exponents for a unit k, folded
-        # back through the power table
-        conv = [0] * n
+        # zeta^i -> zeta^(ik mod 5), distinct exponents for a unit k
+        conv = [0] * 7
         for i, c in enumerate(self.nums):
-            conv[i * k % n] = c
-        return _cyclo(n, _fold(n, conv), self.den)
+            conv[i * k % 5] = c
+        return _cyclo(_fold(conv), self.den)
 
     def __repr__(self):
-        return f"CycloElem({self.order}, {self.coords})"
+        return f"CycloElem({self.coords})"
 
 
-def _fold(order, conv):
-    """Power-basis numerators of sum conv[k] zeta_n^k over k < len(conv), where
-    phi(n) <= len(conv) <= len(_POWERS[n])."""
-    phi = _PHI[order]
-    # only the rows k >= phi need folding back into the power basis
-    out = conv[:phi]
-    powers = _POWERS[order]
-    for k in range(phi, len(conv)):
-        ck = conv[k]
-        if ck:
-            for i, r in enumerate(powers[k]):
-                if r:
-                    out[i] += ck * r
-    return tuple(out)
+def _fold(conv):
+    """Power-basis numerators of sum conv[k] zeta^k over k < 7, by zeta^5 = 1
+    and zeta^4 = -(1 + zeta + zeta^2 + zeta^3)."""
+    c0, c1, c2, c3, c4, c5, c6 = conv
+    return (c0 + c5 - c4, c1 + c6 - c4, c2 - c4, c3 - c4)
 
 
-def _cyclo(order, nums, den):
+def _cyclo(nums, den):
     """The CycloElem nums/den in lowest terms; den must be positive."""
     if den != 1:
         g = _igcd(den, *nums)
@@ -254,7 +203,6 @@ def _cyclo(order, nums, den):
             nums = tuple(c // g for c in nums)
             den //= g
     e = object.__new__(CycloElem)
-    object.__setattr__(e, "order", order)
     object.__setattr__(e, "nums", nums)
     object.__setattr__(e, "den", den)
     return e
@@ -289,24 +237,16 @@ def _inv_coeff(c):
     return 1 / c
 
 
-def _cyclo_order(coeffs):
-    """n if every coefficient is an int, a Fraction or a CycloElem of order n
-    and at least one is a CycloElem; otherwise None."""
-    order = None
-    for c in coeffs:
-        if isinstance(c, CycloElem):
-            if order is None:
-                order = c.order
-            elif c.order != order:
-                return None
-        elif not isinstance(c, (int, Fraction)):
-            return None
-    return order
+def _over_cyclo(coeffs):
+    """True if every coefficient is an int, a Fraction or a CycloElem and at
+    least one is a CycloElem."""
+    types = set(map(type, coeffs))
+    return CycloElem in types and types <= {int, Fraction, CycloElem}
 
 
-def _numerator_rows(coeffs, phi):
+def _numerator_rows(coeffs):
     """(integer numerator rows, common positive denominator) of coefficients
-    that are ints, Fractions or CycloElems with phi coordinates."""
+    that are ints, Fractions or CycloElems."""
     den = _ilcm(*(c.den if isinstance(c, CycloElem) else c.denominator for c in coeffs))
     rows = []
     for c in coeffs:
@@ -314,24 +254,22 @@ def _numerator_rows(coeffs, phi):
             m = den // c.den
             rows.append(c.nums if m == 1 else tuple(x * m for x in c.nums))
         else:
-            rows.append((c.numerator * (den // c.denominator),) + (0,) * (phi - 1))
+            rows.append((c.numerator * (den // c.denominator), 0, 0, 0))
     return rows, den
 
 
-def _kronecker_mul(a, b, order):
-    """Coefficients of the product of two coefficient tuples over Q(zeta_n),
+def _kronecker_mul(a, b):
+    """Coefficients of the product of two coefficient tuples over Q(zeta_5),
     by one big-integer multiplication (Kronecker substitution).
 
-    Each operand becomes one integer in base 2^(8*kb) with 2*phi - 1 digits
-    per power of x, so the zeta-degrees 0 .. 2*phi-2 of a product coefficient
-    never reach the next power's digits.  Every product digit is a sum of at
-    most min(len a, len b) * phi terms, which bounds it and sets kb.
+    Each operand becomes one integer in base 2^(8*kb) with 7 digits per
+    power of x, so the zeta-degrees 0 .. 6 of a product coefficient never
+    reach the next power's digits.  Every product digit is a sum of at most
+    min(len a, len b) * 4 terms, which bounds it and sets kb.
     """
-    phi = _PHI[order]
-    stride = 2 * phi - 1
-    ra, da = _numerator_rows(a, phi)
-    rb, db = _numerator_rows(b, phi)
-    bound = (min(len(a), len(b)) * phi * max(map(abs, _chain.from_iterable(ra)))
+    ra, da = _numerator_rows(a)
+    rb, db = _numerator_rows(b)
+    bound = (min(len(a), len(b)) * 4 * max(map(abs, _chain.from_iterable(ra)))
              * max(map(abs, _chain.from_iterable(rb))))
     # a sign bit and one bit of headroom above the bound
     kb = (bound.bit_length() + 2 + 7) // 8
@@ -339,22 +277,20 @@ def _kronecker_mul(a, b, order):
     # [0, 2^(8*kb)) and to_bytes/from_bytes convert all of them at once.
     half = 1 << (8 * kb - 1)
     half_digit = half.to_bytes(kb, "little")
-    zeros = (0,) * (phi - 1)
 
     def offset(count):
         return int.from_bytes(half_digit * count, "little")
 
     def pack(rows):
         digits = [(x + half).to_bytes(kb, "little")
-                  for x in _chain.from_iterable(r + zeros for r in rows)]
+                  for x in _chain.from_iterable(r + (0, 0, 0) for r in rows)]
         return int.from_bytes(b"".join(digits), "little") - offset(len(digits))
 
-    n = (len(a) + len(b) - 1) * stride
+    n = (len(a) + len(b) - 1) * 7
     raw = (pack(ra) * pack(rb) + offset(n)).to_bytes(n * kb, "little")
     digits = [int.from_bytes(raw[i:i + kb], "little") - half for i in range(0, n * kb, kb)]
     den = da * db
-    return [_cyclo(order, _fold(order, digits[i:i + stride]), den)
-            for i in range(0, n, stride)]
+    return [_cyclo(_fold(digits[i:i + 7]), den) for i in range(0, n, 7)]
 
 
 class Poly:
@@ -446,9 +382,8 @@ class Poly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Poly()
-        order = _cyclo_order(self.coeffs + other.coeffs)
-        if order is not None:
-            return Poly(_kronecker_mul(self.coeffs, other.coeffs, order))
+        if _over_cyclo(self.coeffs + other.coeffs):
+            return Poly(_kronecker_mul(self.coeffs, other.coeffs))
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -555,9 +490,9 @@ def poly_gcd(p, q):
     return a.monic()
 
 
-def lift_to_cyclo(p, order=5):
+def lift_to_cyclo(p):
     """Lift a rational-coefficient polynomial to CycloElem coefficients."""
-    return p.map_coeffs(lambda c: CycloElem.from_rational(order, c))
+    return p.map_coeffs(CycloElem.from_rational)
 
 
 # ---------------------------------------------------------------------------
@@ -752,11 +687,7 @@ class RatFunc:
 
 
 def _as_cyclo(value):
-    if isinstance(value, CycloElem):
-        if value.order != 5:
-            raise ExactDomainError("mixed cyclotomic orders in Moebius map")
-        return value
-    return CycloElem.from_rational(5, value)
+    return value if isinstance(value, CycloElem) else CycloElem.from_rational(value)
 
 
 class MoebiusMap:

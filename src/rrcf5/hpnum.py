@@ -1,7 +1,7 @@
 """Arbitrary-precision numerics: Dedekind eta, the Rogers-Ramanujan
-continued fraction r(tau), the modular j-invariant, reconstruction of
-integer polynomials from floating root lists, and the precision ladder those
-reconstructions climb.
+continued fraction r(tau) and two of its transformation laws, the modular
+j-invariant, reconstruction of integer polynomials from floating root lists,
+and the precision ladder those reconstructions climb.
 
 All precision arguments are in bits.  The q-series and the root products
 run on fixed-point Gaussian integers (pairs of ints scaled by 2^bits); mpmath
@@ -220,6 +220,23 @@ def rr_r(tau, prec: int):
         result = v.value * num / den
     with mp.workprec(prec):
         return mpc(result)
+
+
+def r_transformation_laws(tau, prec: int):
+    """(r, (law5, lawT)) for r = r(tau) at prec bits, where each law is an
+    (lhs, rhs) pair of values computed at prec + 64 bits:
+    law5 is r(-1/(5 tau))^5 = (-r^5 + eps^5)/(eps^5 r^5 + 1) with
+    eps = (-1 + sqrt5)/2, and lawT is r(-1/tau) = T(r) =
+    (-(1 + sqrt5) r + 2)/(2r + 1 + sqrt5)."""
+    with mp.workprec(prec + 64):
+        tau = mpc(tau)
+        r = rr_r(tau, prec)
+        s5 = mpmath.sqrt(5)
+        eps5 = ((-1 + s5) / 2) ** 5
+        r5 = r**5
+        law5 = (rr_r(-1 / (5 * tau), prec) ** 5, (-r5 + eps5) / (eps5 * r5 + 1))
+        lawT = (rr_r(-1 / tau, prec), (-(1 + s5) * r + 2) / (2 * r + 1 + s5))
+    return r, (law5, lawT)
 
 
 def j_from_c(c):

@@ -201,7 +201,26 @@ def test_bad_precision_and_range_exit_2(cachedir, argv):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert done.stdout == "" and len(done.stderr.splitlines()) == 1
-    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", (["pipeline"], ["pipeline", "-d", "0"], ["classpoly"]))
+def test_a_missing_or_inadmissible_d_is_one_error_line(cachedir, capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+EXACT_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "exact_identities.json"
+
+
+@pytest.mark.parametrize("command", ("identities", "g60", "curve --symbolic", "examples"))
+def test_exact_commands_match_the_benchmark_references(capsys, command):
+    # every key and verdict of the report, and the exit code, as recorded
+    ref = json.loads(EXACT_REFS.read_text())[command]
+    assert main([*command.split(), "--json"]) == ref["rc"]
+    assert json.loads(capsys.readouterr().out) == ref["report"]
 
 
 def test_parser_is_built_once_and_usage_errors_keep_exit_2(capsys):

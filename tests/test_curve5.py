@@ -103,7 +103,7 @@ def composed_master_poly(twist, perturb_A1):
     zeta^(twist k) goes into the coefficient of u^k of XA before the
     composition."""
     a = CycloElem.sqrt5()
-    one = CycloElem.from_rational(5, 1)
+    one = CycloElem.from_rational(1)
     bnum_v = Poly(((-11 - 5 * a) * Fraction(1, 2), (-11 + 5 * a) * Fraction(1, 2)))
     bden_v = Poly((one, one))
 
@@ -114,7 +114,7 @@ def composed_master_poly(twist, perturb_A1):
     A1 = A1 + perturb_A1
     XA = Poly()
     for k, Ak in enumerate((A0, A1, A2, A3, A4)):
-        XA = XA + clear_b(Ak, 2) * CycloElem.zeta(5) ** (k * twist) * Poly.x() ** k
+        XA = XA + clear_b(Ak, 2) * CycloElem.zeta() ** (k * twist) * Poly.x() ** k
     psi5 = division_poly_5(TateCurve5(Poly.x()))
     Cs = Poly([clear_b(cj, 9) if cj else Poly() for cj in psi5.coeffs])
     bden = bden_v.subst_x_pow(5)
@@ -162,7 +162,7 @@ def test_det_D_is_the_A_product_times_the_vandermonde(bump):
     A4, A3, A2, A1, A0 = torsion_A_coeffs()
     A1 = A1 + bump
     As = (A4, A3, A2, A1, A0)
-    zeta = CycloElem.zeta(5)
+    zeta = CycloElem.zeta()
     matrix = [[As[j] * zeta ** ((4 - j) * i) for j in range(5)] for i in range(5)]
     assert _cofactor_det(matrix) == A4 * A3 * A2 * A1 * A0 * vandermonde_zeta5()
 

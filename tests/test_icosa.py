@@ -145,7 +145,7 @@ def test_f5_check_rejects_a_form_above_degree_60():
 
 
 def test_61_point_multiplier_matches_the_exact_pullback():
-    s5, two = CycloElem.sqrt5(), CycloElem.from_rational(5, 2)
+    s5, two = CycloElem.sqrt5(), CycloElem.from_rational(2)
     lam = t_pullback_values(F5_NUM, 60)[0]
     A = lift_to_cyclo(F5_NUM)
     pulled = poly_compose_rational(A, Poly((two, -(1 + s5))), Poly((1 + s5, two)), 60)
@@ -238,6 +238,25 @@ def test_conjugate_map_outside_stabilizer():
 def test_d4_corpus():
     rep = verify_d4_corpus()
     assert all(rep.values()), rep
+
+
+@pytest.mark.parametrize("name, index, coord, broken", (
+    ("G4_FACTOR_ROOTS_Z20", 1, 0, {"G4_factor_roots"}),
+    # every alpha_k also enters a fifth-power relation, which breaks with it
+    ("F4_QUARTIC_ROOTS_Z20", 1, 2, {"f4_roots", "fifth_power_a1a22"}),
+    ("F4_QUARTIC_ROOTS_Z20", 2, 7, {"f4_roots", "a1a3_is_minus_one"}),
+    ("F4_FIFTH_POWER_BASES", 0, 3, {"fifth_power_a1a22"}),
+    ("F4_FIFTH_POWER_BASES", 2, 5, {"fifth_power_a1a43"}),
+))
+def test_d4_corpus_fails_exactly_where_its_data_is_perturbed(monkeypatch, name, index,
+                                                             coord, broken):
+    rows = list(getattr(tables, name))
+    row = list(rows[index])
+    row[coord] += 1
+    rows[index] = tuple(row)
+    monkeypatch.setattr(tables, name, tuple(rows))
+    rep = verify_d4_corpus()
+    assert {k for k, ok in rep.items() if not ok} == broken
 
 
 def test_worked_examples():
