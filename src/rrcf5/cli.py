@@ -48,6 +48,9 @@ def cmd_pipeline(args) -> int:
     if d is None:
         print("error: pipeline requires -d", file=sys.stderr)
         return 2
+    if d <= 0:
+        print(f"error: d = {d}: d must be a positive integer", file=sys.stderr)
+        return 2
     if not is_admissible(d):
         print(f"error: d={d} is inadmissible: -d must be a nonzero square mod 5",
               file=sys.stderr)

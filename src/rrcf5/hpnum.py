@@ -1,26 +1,39 @@
 """Arbitrary-precision numerics: Dedekind eta, the Rogers-Ramanujan
 continued fraction r(tau) and two of its transformation laws, the modular
-j-invariant, reconstruction of integer polynomials from floating root lists,
-and the precision ladder those reconstructions climb.
+j-invariant, reconstruction of integer polynomials from root lists, and the
+precision ladder those reconstructions climb.
 
-All precision arguments are in bits.  The q-series and the root products
-run on fixed-point Gaussian integers (pairs of ints scaled by 2^bits); mpmath
-supplies exp and the values returned.  Each q-series evaluation
-takes one exp, of a root x of q (x = e^(pi i tau/12) for eta, e^(2 pi i tau/5)
-for r, e^(2 pi i w/25) for the Heegner values), and makes every q it sums at
-as a fixed-point power of x; the same x is the prefactor, so in a quotient of
-eta values the prefactors cancel to an integer power of x.  Only a
-cancellation retry takes the exp again, at wider bits.  Every public function
-sets its own working precision and restores the caller's on exit.
+All precision arguments are in bits.  Everything a ladder reconstructs from
+runs on fixed-point Gaussian integers: a value is a pair of ints (re, im)
+standing for (re + i im) / 2^bits.  The q-series sums, the values combined
+from them, the check of j through r(tau), the root products and the 64-bit
+pass that sizes a ladder's first step all stay on such pairs.  At a step of
+prec bits the values handed to reconstruct_int_poly (c, z, s and j) are
+pairs at scale 2^(prec + 64); the inputs they are combined from are first
+cut to prec significant bits in each part (eta_parts), the rounding
+mpc(...) at workprec(prec) makes, so a step is no more precise than its
+prec bits.
+check_j_by_r tests its bound multiplied through by the denominator, on
+squared norms in ints.  mpmath computes only the one exp per argument, the
+Heegner arguments themselves, and the values eta, rr_r and
+r_transformation_laws return.
+
+Each q-series evaluation takes one exp, of a root x of q (x = e^(pi i tau/12)
+for eta, e^(2 pi i tau/5) for r, e^(2 pi i w/25) for the Heegner values),
+and makes every q it sums at as a fixed-point power of x; the same x is the
+prefactor, so in a quotient of eta values the prefactors cancel to an
+integer power of x.  Only a cancellation retry takes the exp again, at wider
+bits.  Every public function sets its own working precision and restores the
+caller's on exit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import isqrt, log, pi
+from math import ceil, isqrt, log, log2, pi
 
 import mpmath
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpc
 from mpmath.libmp import from_man_exp, fzero, to_fixed
 
 
@@ -63,15 +76,16 @@ def climb(policy: PrecisionPolicy | None, step, roots_at, what: str):
 
     A policy without a first step (None means PrecisionPolicy()) gets one
     from a cheap pass: the root lists roots_at(SIZING_BITS) returns, one per
-    polynomial step reconstructs, give the largest log2 prod(1 + |root|), a
-    bound on the bits of the largest coefficient, and GUARD_BITS are added.
+    polynomial step reconstructs, as pairs at scale 2^(SIZING_BITS + 64),
+    give the largest log2 prod(1 + |root|), a bound on the bits of the
+    largest coefficient, and GUARD_BITS are added.
     """
     policy = policy or PrecisionPolicy()
     if policy.initial_bits is None:
-        with mp.workprec(SIZING_BITS):
-            top = max(sum(mpmath.log(1 + abs(r), 2) for r in roots)
-                      for roots in roots_at(SIZING_BITS))
-        policy = replace(policy, initial_bits=int(mpmath.ceil(top)) + GUARD_BITS)
+        w = SIZING_BITS + 64
+        top = max(sum(log2((1 << w) + isqrt(re * re + im * im)) - w for re, im in roots)
+                  for roots in roots_at(SIZING_BITS))
+        policy = replace(policy, initial_bits=ceil(top) + GUARD_BITS)
     last = None
     for bits in policy.ladder():
         try:
@@ -90,14 +104,49 @@ def _fixed(x, w: int):
     return to_fixed(re, w), to_fixed(im, w)
 
 
-def _fixed_pow(x, n: int, bits: int):
+def _to_mpc(x, bits: int):
+    """The pair x at scale 2^bits as an mpc, exactly."""
+    return mp.make_mpc((from_man_exp(x[0], -bits), from_man_exp(x[1], -bits)))
+
+
+def _cut(x, prec: int):
+    """The pair x with each part rounded to prec significant bits, as
+    mpc(...) at workprec(prec) rounds a value (ties go up, not to even)."""
+    out = []
+    for part in x:
+        drop = abs(part).bit_length() - prec
+        out.append(part if drop <= 0 else (((part >> (drop - 1)) + 1) >> 1) << drop)
+    return tuple(out)
+
+
+def fixed_mul(x, y, bits: int):
+    """floor(x y / 2^bits) in each part: the product of pairs at scales 2^a
+    and 2^b, at scale 2^(a + b - bits)."""
+    (xr, xi), (yr, yi) = x, y
+    return (xr * yr - xi * yi) >> bits, (xr * yi + xi * yr) >> bits
+
+
+def fixed_div(x, y, bits: int):
+    """floor(2^bits x / y) in each part: the quotient of pairs at one scale,
+    at scale 2^bits."""
+    (xr, xi), (yr, yi) = x, y
+    n = yr * yr + yi * yi
+    return ((xr * yr + xi * yi) << bits) // n, ((xi * yr - xr * yi) << bits) // n
+
+
+def fixed_pow(x, n: int, bits: int):
     """x^n, n >= 1, for a fixed-point pair x at bits, by binary powering."""
-    xr, xi = rr, ri = x
+    r = x
     for bit in bin(n)[3:]:
-        rr, ri = (rr * rr - ri * ri) >> bits, (2 * rr * ri) >> bits
+        r = fixed_mul(r, r, bits)
         if bit == "1":
-            rr, ri = (rr * xr - ri * xi) >> bits, (rr * xi + ri * xr) >> bits
-    return rr, ri
+            r = fixed_mul(r, x, bits)
+    return r
+
+
+def _bit_length(x) -> int:
+    """The bits of the larger part of the pair x."""
+    return max(abs(x[0]), abs(x[1])).bit_length()
 
 
 class _QRoot:
@@ -117,7 +166,7 @@ class _QRoot:
 
     def power(self, n: int):
         """bits -> x^n as a fixed-point pair at bits (the q_at of _jacobi_f)."""
-        return lambda bits: _fixed_pow(_fixed(self.at(bits), bits), n, bits)
+        return lambda bits: fixed_pow(_fixed(self.at(bits), bits), n, bits)
 
 
 def _jacobi_f(q_at, im_tau: float, pairs, prec: int):
@@ -140,6 +189,8 @@ def _jacobi_f(q_at, im_tau: float, pairs, prec: int):
     below 2^-(extra + 32) has lost more bits to cancellation than the guard
     allows for, and every sum is taken again with that many more, from a q
     made again at the wider bits.
+
+    Returns (bits, sums): the sums as pairs at scale 2^bits.
     """
     if im_tau <= 0:
         raise ValueError("q-series need Im(tau) > 0")
@@ -170,30 +221,33 @@ def _jacobi_f(q_at, im_tau: float, pairs, prec: int):
                     de += step
                     e += de
             sums.append((sr, si))
-        lost = max(bits - max(abs(sr), abs(si)).bit_length() for sr, si in sums)
+        lost = max(bits - _bit_length(s) for s in sums)
         if lost <= extra + 32:
-            return [mp.make_mpc((from_man_exp(sr, -bits), from_man_exp(si, -bits)))
-                    for sr, si in sums]
+            return bits, sums
         extra = lost
 
 
 def eta_parts(tau, k: int, ns, prec: int):
-    """x = e^(2 pi i tau / k) and the Euler products
+    """(bits, x, [P_n for n in ns]) for x = e^(2 pi i tau / k) and the Euler
+    products
 
         P_n = prod_{m>=1} (1 - q^m) = f(-q, -q^2),   q = x^n,
 
-    for each n in ns, each to relative 2^-prec, from one exp: every q is a
-    fixed-point power of x.  Since eta(n tau / k) = x^(n/24) P_n, a quotient
-    of eta values is a quotient of the P_n times an integer power of x when
-    the prefactors cancel that far.  With ns ascending, the first sum has the
+    each P_n to relative 2^-prec, from one exp: every q is a fixed-point
+    power of x.  Since eta(n tau / k) = x^(n/24) P_n, a quotient of eta
+    values is a quotient of the P_n times an integer power of x when the
+    prefactors cancel that far.  With ns ascending, the first sum has the
     smallest Im and the most terms, so it sets the bits the exp is taken at.
-    The values come back unrounded; callers round them to the precision they
-    combine them at.
+    x and the P_n come back as pairs at one scale 2^bits, the widest bits of
+    the sums plus the bits of 1/|x|, each cut to prec significant bits in
+    each part (_cut), the precision callers combine them at.
     """
     x = _QRoot(tau, k)
     im = float(tau.imag)
-    sums = [_jacobi_f(x.power(n), im * n / k, ((1, 2),), prec)[0] for n in ns]
-    return x.value, sums
+    parts = [_jacobi_f(x.power(n), im * n / k, ((1, 2),), prec) for n in ns]
+    bits = x.bits + int(2 * pi * im / (k * log(2)))
+    return bits, _cut(_fixed(x.value, bits), prec), [
+        _cut((sr << (bits - b), si << (bits - b)), prec) for b, ((sr, si),) in parts]
 
 
 def eta(tau, prec: int):
@@ -201,8 +255,10 @@ def eta(tau, prec: int):
     summed as Euler's pentagonal series u f(-q, -q^2) with u = e^(pi i tau/12)
     from one exp and q = u^24."""
     with mp.workprec(prec + 64):
-        u, (f,) = eta_parts(mpc(tau), 24, (24,), prec)
-        result = u * f
+        tau = mpc(tau)
+        u = _QRoot(tau, 24)
+        bits, (f,) = _jacobi_f(u.power(24), float(tau.imag), ((1, 2),), prec)
+        result = u.value * _to_mpc(f, bits)
     with mp.workprec(prec):
         return mpc(result)
 
@@ -216,8 +272,8 @@ def rr_r(tau, prec: int):
     with mp.workprec(prec + 64):
         tau = mpc(tau)
         v = _QRoot(tau, 5)
-        num, den = _jacobi_f(v.power(5), float(tau.imag), ((1, 4), (2, 3)), prec)
-        result = v.value * num / den
+        bits, (num, den) = _jacobi_f(v.power(5), float(tau.imag), ((1, 4), (2, 3)), prec)
+        result = v.value * _to_mpc(num, bits) / _to_mpc(den, bits)
     with mp.workprec(prec):
         return mpc(result)
 
@@ -239,29 +295,65 @@ def r_transformation_laws(tau, prec: int):
     return r, (law5, lawT)
 
 
-def j_from_c(c):
-    """j = (c^2 + 10 c + 5)^3 / c with c = (eta(tau/5)/eta(tau))^6 (caller
-    sets workprec)."""
-    return (c**2 + 10 * c + 5) ** 3 / c
+def j_from_c(num, den, bits: int):
+    """(c, j) as pairs at scale 2^bits, for c = num / den with num and den
+    pairs at one scale, and j = (c^2 + 10 c + 5)^3 / c.  c is taken at
+    2^(bits + K), K the bits of 1/|c|, so that j, near 125/c when c is
+    small, keeps as many significant bits as c."""
+    K = max(0, _bit_length(den) - _bit_length(num) + 1)
+    s = bits + K
+    c = fixed_div(num, den, s)
+    cr, ci = fixed_mul(c, c, s)
+    cube = fixed_pow((cr + 10 * c[0] + (5 << s), ci + 10 * c[1]), 3, s)
+    return (c[0] >> K, c[1] >> K), fixed_div(cube, c, bits)
 
 
 def check_j_by_r(j, tau, prec: int):
-    """The independent route: j recomputed from r(tau) through
+    """The independent route: j, a pair at scale 2^B with B = prec + 64,
+    must agree with the j that r = r(tau) gives,
 
-        j = (r^20 - 228 r^15 + 494 r^10 + 228 r^5 + 1)^3 / (r^5 (1 - 11 r^5 - r^10)^5)
+        j = N / D,  N = (r^20 - 228 r^15 + 494 r^10 + 228 r^5 + 1)^3,
+                    D = r^5 (1 - 11 r^5 - r^10)^5,
 
-    must agree with j to relative 2^(32-prec); raises PrecisionError if not.
+    to relative 2^(32-prec): |j - N/D| <= 2^(32-prec) max(|j|, 1).  r is
+    summed here from its own exp v = e^(2 pi i tau/5), with q = v^5 and
+    r^5 = q rho, rho = (f(-q, -q^4) / f(-q^2, -q^3))^5.  Multiplied through
+    by |D| = |q| |D/q|, the bound reads
+
+        |(j q)(D/q) - N| <= 2^(32-prec) max(|j q|, |q|) |D/q|,
+
+    and D/q = rho (1 - 11 r^5 - r^10)^5 needs no division by q.  q is taken
+    at scale 2^(B + K), K the bits of 1/|q|, so that j q keeps B bits; every
+    other value is a pair at 2^B, and the bound is tested on squared norms
+    in ints.  Raises PrecisionError if it fails.
     """
-    with mp.workprec(prec + 64):
-        r5 = rr_r(tau, prec + 64) ** 5
-        num = (r5**4 - 228 * r5**3 + 494 * r5**2 + 228 * r5 + 1) ** 3
-        den = r5 * (1 - 11 * r5 - r5**2) ** 5
-        if abs(j - num / den) / max(abs(j), mpf(1)) > mpf(2) ** (32 - prec):
-            raise PrecisionError("j-invariant routes disagree; raise the precision")
+    B = prec + 64
+    im = float(tau.imag)
+    K = int(2 * pi * im / log(2)) + 1
+    v = _QRoot(tau, 5)
+    _, (num, den) = _jacobi_f(v.power(5), im, ((1, 4), (2, 3)), B)
+    q = fixed_pow(_fixed(v.value, B + K), 5, B + K)
+    rho = fixed_pow(fixed_div(num, den, B), 5, B)
+    r5 = fixed_mul(q, rho, B + K)
+    jq = fixed_mul(j, q, B + K)
+    one = 1 << B
+    poly = (one, 0)  # r^20 - 228 r^15 + 494 r^10 + 228 r^5 + 1 by Horner in r^5
+    for coeff in (-228, 494, 228, 1):
+        hr, hi = fixed_mul(poly, r5, B)
+        poly = hr + (coeff << B), hi
+    N = fixed_pow(poly, 3, B)
+    r10 = fixed_mul(r5, r5, B)
+    D_q = fixed_mul(rho, fixed_pow((one - 11 * r5[0] - r10[0], -11 * r5[1] - r10[1]), 5, B), B)
+    lr, li = fixed_mul(jq, D_q, B)
+    lr, li = lr - N[0], li - N[1]
+    norm_max = max(jq[0] ** 2 + jq[1] ** 2, (q[0] >> K) ** 2 + (q[1] >> K) ** 2)
+    if (lr * lr + li * li) << (2 * B + 2 * prec - 64) > norm_max * (D_q[0] ** 2 + D_q[1] ** 2):
+        raise PrecisionError("j-invariant routes disagree; raise the precision")
 
 
 def j_from_tau(tau, prec: int):
-    """Modular j-invariant via the level-5 eta quotient:
+    """Modular j-invariant via the level-5 eta quotient, as a pair at scale
+    2^(prec + 64) cut to prec significant bits in each part:
 
         j = (c^2 + 10 c + 5)^3 / c,   c = (eta(tau/5)/eta(tau))^6 = (P_1/P_5)^6 / x,
 
@@ -269,17 +361,15 @@ def j_from_tau(tau, prec: int):
     the quotient heegner_values takes c from.  check_j_by_r is the
     independent route to check it by.
     """
-    x, sums = eta_parts(tau, 5, (1, 5), prec + 64)
-    with mp.workprec(prec + 64):
-        x, P1, P5 = mpc(x), *(mpc(P) for P in sums)
-        j = j_from_c((P1 / P5) ** 6 / x)
-    with mp.workprec(prec):
-        return mpc(j)
+    w = prec + 64
+    bits, x, (P1, P5) = eta_parts(tau, 5, (1, 5), w)
+    _, j = j_from_c(fixed_pow(P1, 6, bits), fixed_mul(fixed_pow(P5, 6, bits), x, bits), w)
+    return _cut(j, prec)
 
 
 def reconstruct_int_poly(roots, prec: int):
-    """Expand prod (x - root) on Gaussian integers scaled by 2^(prec + 64)
-    and round to the nearest integers.
+    """Expand prod (x - root) on Gaussian integers scaled by 2^(prec + 64),
+    the scale of the root pairs given, and round to the nearest integers.
 
     Raises PrecisionError when any coefficient sits farther than
     2^-ROUND_TOL_BITS from an integer, or when the imaginary parts do not
@@ -287,8 +377,7 @@ def reconstruct_int_poly(roots, prec: int):
     """
     w = prec + 64
     re, im = [1 << w], [0]  # coefficients, lowest degree first
-    for root in roots:
-        rr, ri = _fixed(root, w)
+    for rr, ri in roots:
         new_re, new_im = [0] + re, [0] + im  # x p(x) - root p(x)
         for i, (cr, ci) in enumerate(zip(re, im)):
             new_re[i] -= (rr * cr - ri * ci) >> w
@@ -304,4 +393,3 @@ def reconstruct_int_poly(roots, prec: int):
             raise PrecisionError("coefficient too far from an integer")
         out.append(n)
     return tuple(out)
-

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from mpmath import mp, mpc
-
 from .classdata import choose_v, n_system, reduced_forms
 from .exactmath import ExactDomainError, Poly, poly_compose_rational, poly_discriminant
 from .hpnum import (
@@ -24,6 +22,9 @@ from .hpnum import (
     check_j_by_r,
     climb,
     eta_parts,
+    fixed_div,
+    fixed_mul,
+    fixed_pow,
     j_from_c,
     reconstruct_int_poly,
 )
@@ -47,37 +48,36 @@ J5Z_NUM, J5Z_DEN = A**3, -Poly((11, 1))
 J55Z_NUM, J55Z_DEN = B**3, -Poly((11, 1)) ** 5
 
 
-def _with_conjugates(values):
-    """values followed by their complex conjugates (caller sets workprec)."""
-    return values + [mpc(v.real, -v.imag) for v in values]
-
-
 def heegner_values(ws, prec: int):
-    """z, s and j at each Heegner argument w in ws, from one exp per w:
-    t = e^(2 pi i w/25) gives q(w/25) = t, q(w/5) = t^5 and q(w) = t^25, and
-    F_k = prod_{m>=1} (1 - q(w/k)^m) at each (eta_parts).  Since
-    eta(w/k) = e^(2 pi i w/(24 k)) F_k, the eta prefactors cancel to powers
-    of t:
+    """z, s and j at each Heegner argument w in ws, from one exp per w, as
+    pairs at scale 2^(prec + 64): t = e^(2 pi i w/25) gives q(w/25) = t,
+    q(w/5) = t^5 and q(w) = t^25, and F_k = prod_{m>=1} (1 - q(w/k)^m) at
+    each (eta_parts).  Since eta(w/k) = e^(2 pi i w/(24 k)) F_k, the eta
+    prefactors cancel to powers of t:
 
-        c = (eta(w/5)/eta(w))^6 = (F5/F1)^6 / t^5,   z = -11 - c,
+        c = (eta(w/5)/eta(w))^6 = F5^6 / (F1^6 t^5),   z = -11 - c,
         s = -1 - eta(w/25)/eta(w) = -1 - F25 / (t F1),
-        j = (c^2 + 10 c + 5)^3 / c.
+        j = (c^2 + 10 c + 5)^3 / c   (j_from_c).
 
-    t and the F_k are rounded to prec bits before they are combined.
-    Returns (zs, ss, js); zs and ss also carry the complex conjugates, the
-    other h roots of R and S.
+    t and the F_k come cut to prec significant bits in each part, before
+    they are combined.  The products run at the scale eta_parts returns, over
+    prec + 64 bits; one of modulus 2^-k keeps k bits fewer, and at d <= 2000
+    k stays below 42 (F5^6 and t^5).  Returns (zs, ss, js); zs and ss
+    also carry the complex conjugates, the other h roots of R and S.
     """
+    w_bits = prec + 64
+    one = 1 << w_bits
     zs, ss, js = [], [], []
-    with mp.workprec(prec + 32):
-        for w in ws:
-            t, sums = eta_parts(w, 25, (1, 5, 25), prec)
-            with mp.workprec(prec):
-                t, F25, F5, F1 = mpc(t), *(mpc(F) for F in sums)
-            c = (F5 / F1) ** 6 / t**5
-            zs.append(-11 - c)
-            ss.append(-1 - F25 / (t * F1))
-            js.append(j_from_c(c))
-        return _with_conjugates(zs), _with_conjugates(ss), js
+    for w in ws:
+        bits, t, (F25, F5, F1) = eta_parts(w, 25, (1, 5, 25), prec)
+        c, j = j_from_c(fixed_pow(F5, 6, bits),
+                        fixed_mul(fixed_pow(F1, 6, bits), fixed_pow(t, 5, bits), bits),
+                        w_bits)
+        qr, qi = fixed_div(F25, fixed_mul(t, F1, bits), w_bits)
+        zs.append((-11 * one - c[0], -c[1]))
+        ss.append((-one - qr, -qi))
+        js.append(j)
+    return (zs + [(re, -im) for re, im in zs], ss + [(re, -im) for re, im in ss], js)
 
 
 def _heegner_ws(args, prec: int):

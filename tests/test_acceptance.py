@@ -28,7 +28,7 @@ from rrcf5.exactmath import (
     poly_discriminant,
     poly_resultant,
 )
-from rrcf5.hpnum import eta, reconstruct_int_poly, rr_r
+from rrcf5.hpnum import _fixed, eta, reconstruct_int_poly, rr_r
 from rrcf5.pipeline import (
     build_F_G,
     build_p_q,
@@ -202,7 +202,7 @@ def test_criterion_9a_hpnum_property_suite():
             continue
         with mp.workprec(256):
             roots = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=256)
-        if reconstruct_int_poly(roots, 256) != p.int_coeffs():
+        if reconstruct_int_poly([_fixed(r, 256 + 64) for r in roots], 256) != p.int_coeffs():
             ok = False
     _report("9a", "hpnum self-oracles", ok)
 

@@ -76,7 +76,7 @@ def test_classpoly_rejects_an_inadmissible_discriminant(cachedir, capsys, d):
 
 
 @pytest.mark.parametrize("argv", (["classpoly", "-d", "0"], ["pipeline", "-d", "-1"],
-                                  ["classpoly", "-d", "-1"]))
+                                  ["classpoly", "-d", "-1"], ["pipeline", "-d", "0"]))
 def test_d_below_one_exits_2_saying_d_must_be_positive(cachedir, capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()

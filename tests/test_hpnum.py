@@ -9,6 +9,9 @@ from rrcf5.hpnum import (
     GUARD_BITS,
     PrecisionError,
     PrecisionPolicy,
+    _fixed,
+    _to_mpc,
+    check_j_by_r,
     climb,
     eta,
     eta_parts,
@@ -147,9 +150,10 @@ def test_eta_inversion_needs_the_cancellation_retry():
 
 def test_one_exp_per_evaluation(monkeypatch):
     # Every q of an evaluation is a fixed-point power of one exp: eta, rr_r
-    # and j_from_tau take one each, heegner_values one per Heegner argument.
-    # At Im(tau) = 0.8 and at d = 71's arguments no sum needs the
-    # cancellation retry, which would take the exp again at wider bits.
+    # and j_from_tau take one each, check_j_by_r one of its own and
+    # heegner_values one per Heegner argument.  At Im(tau) = 0.8 and at
+    # d = 71's arguments no sum needs the cancellation retry, which would
+    # take the exp again at wider bits.
     calls = []
     exp = mpmath.exp
     monkeypatch.setattr(mpmath, "exp", lambda z: calls.append(z) or exp(z))
@@ -158,6 +162,10 @@ def test_one_exp_per_evaluation(monkeypatch):
         calls.clear()
         f(tau, PREC)
         assert len(calls) == 1, f.__name__
+    j = j_from_tau(tau, PREC)
+    calls.clear()
+    check_j_by_r(j, tau, PREC)
+    assert len(calls) == 1
     args = _heegner_args(71)[3]
     ws = _heegner_ws(args, PREC)
     calls.clear()
@@ -192,64 +200,87 @@ def test_r_satisfies_eta_quotient_identity():
     assert rel_close(lhs, rhs, PREC - 24)
 
 
+def _j(tau, prec):
+    """j_from_tau(tau, prec) as an mpc."""
+    return _to_mpc(j_from_tau(tau, prec), prec + 64)
+
+
 def test_c_from_r():
     # c = (eta(tau/5)/eta(tau))^6 = (P_1/P_5)^6 / x = 1/r(tau/5)^5 - 11 - r(tau/5)^5,
     # the quotient j_from_tau takes j = (c^2 + 10 c + 5)^3 / c from
     tau = mpc(0.11, 1.4)
-    x, (P1, P5) = eta_parts(tau, 5, (1, 5), PREC + 32)
+    bits, *parts = eta_parts(tau, 5, (1, 5), PREC + 32)
+    x, P1, P5 = (_to_mpc(v, bits) for v in (parts[0], *parts[1]))
     with mp.workprec(PREC + 32):
         c = (P1 / P5) ** 6 / x
         r5 = rr_r(tau / 5, PREC) ** 5
         assert rel_close(c, 1 / r5 - 11 - r5, PREC - 24)
-        assert rel_close(j_from_tau(tau, PREC), j_from_c(c), PREC - 24)
+        assert rel_close(_j(tau, PREC), (c**2 + 10 * c + 5) ** 3 / c, PREC - 24)
+
+
+@pytest.mark.parametrize("c", (mpc(3.5, -2.25), mpc(-4.9, 1e-3), mpc(2e-30, 3e-30), mpc(7e8, 0)))
+def test_j_from_c_on_pairs(c):
+    # c = num/den with num, den pairs at one scale; c near 2^-100 is taken
+    # wider, so that j, near 125/c, keeps its bits
+    bits = PREC + 64
+    num, den = _fixed(c, bits), _fixed(mpc(1, 0), bits)
+    got_c, got_j = j_from_c(num, den, bits)
+    with mp.workprec(bits + 64):
+        c = mpc(c)
+        assert close(_to_mpc(got_c, bits), c, PREC + 56)
+        assert rel_close(_to_mpc(got_j, bits), (c**2 + 10 * c + 5) ** 3 / c, PREC)
 
 
 def test_j_at_i_is_1728():
-    j = j_from_tau(1j, PREC)
+    j = _j(1j, PREC)
     assert close(j, 1728, PREC - 40)
 
 
 def test_j_at_zeta3_is_0():
     with mp.workprec(PREC + 32):
         tau = (-1 + mpmath.sqrt(-3)) / 2
-    j = j_from_tau(tau, PREC)
+    j = _j(tau, PREC)
     assert abs(j) < mpf(2) ** (-(PREC - 48))
 
 
 def test_j_at_2i():
     # j(2i) = 66^3
-    j = j_from_tau(2j, PREC)
+    j = _j(2j, PREC)
     assert close(j, 66**3, PREC - 40)
 
 
 def test_reconstruct_rejects_garbage():
     with pytest.raises(PrecisionError):
-        reconstruct_int_poly([mpc(0.5, 0)], PREC)
+        reconstruct_int_poly([_fixed(mpc(0.5, 0), PREC + 64)], PREC)
 
 
 def test_reconstruct_tolerates_2_to_minus_40_but_not_2_to_minus_28():
     # Moving a real root of x^3 - 2x^2 - x + 2 leaves a coefficient off an
     # integer; moving one of p_11's complex roots without its conjugate leaves
     # an imaginary part.
+    def pairs(roots):
+        return [_fixed(r, PREC + 64) for r in roots]
+
     for coeffs, roots, why in (
             ((2, -1, -2, 1), [mpc(1), mpc(2), mpc(-1)], "too far from an integer"),
             (tables.P_TABLE[11], _roots(tables.P_TABLE[11], PREC), "imaginary parts")):
-        assert reconstruct_int_poly(roots, PREC) == tuple(coeffs)
+        assert reconstruct_int_poly(pairs(roots), PREC) == tuple(coeffs)
         with mp.workprec(PREC):
             near = [roots[0] + mpf(2) ** -40] + roots[1:]
             far = [roots[0] + mpf(2) ** -28] + roots[1:]
-        assert reconstruct_int_poly(near, PREC) == tuple(coeffs)
+        assert reconstruct_int_poly(pairs(near), PREC) == tuple(coeffs)
         with pytest.raises(PrecisionError, match=why):
-            reconstruct_int_poly(far, PREC)
+            reconstruct_int_poly(pairs(far), PREC)
 
 
 def test_reconstruct_reads_roots_at_their_own_precision():
-    # Real 130-bit roots of H_24 at the default 53 bits of the caller: rounding
-    # them to 53 bits would move the root near 4.8e6 by about 2^-30.
+    # Real 130-bit roots of H_24 at the default 53 bits of the caller, made
+    # pairs from their own mantissas: rounding them to 53 bits would move the
+    # root near 4.8e6 by about 2^-30.
     H24 = tables.H_TABLE[24]
     roots = [r.real for r in _roots(H24, 130)]
     assert mp.prec == 53 and all(r._mpf_[3] > 100 for r in roots)  # mantissa bits
-    assert reconstruct_int_poly(roots, 98) == tuple(H24)
+    assert reconstruct_int_poly([_fixed(r, 98 + 64) for r in roots], 98) == tuple(H24)
 
 
 def test_precision_policy_ladder():
@@ -264,13 +295,15 @@ def test_climb_sizes_the_first_step_and_names_it_on_exhaustion():
         steps.append(bits)
         raise PrecisionError("never enough")
 
-    roots = [mpc(2**20 - 1), mpc(0)]  # log2 prod(1 + |root|) = 20
+    def roots(bits):  # log2 prod(1 + |root|) = 20, as pairs at 2^(bits + 64)
+        return [[((2**20 - 1) << (bits + 64), 0), (0, 0)]]
+
     first = 20 + GUARD_BITS
     with pytest.raises(PrecisionError, match=f"from {first} bits up to the ceiling of {3 * first} bits"):
-        climb(PrecisionPolicy(max_bits=3 * first), step, lambda bits: [roots], "demo")
+        climb(PrecisionPolicy(max_bits=3 * first), step, roots, "demo")
     assert steps == [first, 2 * first]
     with pytest.raises(PrecisionError, match="first step is above the ceiling"):
-        climb(PrecisionPolicy(max_bits=8), step, lambda bits: [roots], "demo")
+        climb(PrecisionPolicy(max_bits=8), step, roots, "demo")
 
 
 @pytest.mark.parametrize("kwargs", ({"initial_bits": 0}, {"initial_bits": -5},

@@ -116,6 +116,8 @@ def test_every_traced_name_resolves():
     targets = tracer_targets()
     assert ("icosa", "orbit_and_stabilizer") in targets
     assert ("exactmath", "CycloElem.__mul__") in targets
+    assert {("pipeline", "compute_z_values"), ("pipeline", "compute_s_values"),
+            ("hpnum", "j_from_tau"), ("hpnum", "reconstruct_int_poly")} <= set(targets)
     missing = []
     for module, path in targets:
         owner_name, _, attr = path.rpartition(".")
@@ -267,3 +269,29 @@ def test_hpnum_stands_alone_and_src_finds_no_roots_numerically():
     found = {path.name: lines for path in sorted(PACKAGE_DIR.glob("*.py"))
              if (lines := polyroots_calls(path.read_text()))}
     assert found == {}
+
+
+def mpmath_imports(source):
+    """Lines of source that import mpmath or anything from it."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, ast.Import)
+                      and any(a.name.partition(".")[0] == "mpmath" for a in node.names))
+                  or (isinstance(node, ast.ImportFrom) and not node.level
+                      and node.module.partition(".")[0] == "mpmath"))
+
+
+def test_scanner_sees_mpmath_imports():
+    src = ("import os\n"
+           "import mpmath\n"
+           "from mpmath import mpc\n"
+           "from mpmath.libmp import to_fixed\n"
+           "from .hpnum import eta\n"
+           "def f():\n"
+           "    import mpmath.libmp as lib\n")
+    assert mpmath_imports(src) == [2, 3, 4, 7]
+
+
+def test_pipeline_assembles_its_values_without_mpmath():
+    # the Heegner values are combined on the numeric kernel's integer pairs
+    # only, so no second assembly on mpc can come back into the pipeline
+    assert mpmath_imports((PACKAGE_DIR / "pipeline.py").read_text()) == []

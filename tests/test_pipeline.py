@@ -1,9 +1,11 @@
+import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
 from rrcf5 import tables
+from rrcf5.classdata import choose_v, n_system, reduced_forms
 from rrcf5.exactmath import Poly, poly_compose_rational, poly_discriminant
-from rrcf5.hpnum import PrecisionPolicy, eta, j_from_c
+from rrcf5.hpnum import PrecisionError, PrecisionPolicy, _to_mpc, check_j_by_r, eta, j_from_tau
 from rrcf5.pipeline import (
     J5Z_DEN,
     J5Z_NUM,
@@ -274,5 +276,51 @@ def test_heegner_values_match_the_eta_quotients(d):
         with mp.workprec(prec + 64):
             e1, e5, e25 = (eta(w / k, prec + 32) for k in (1, 5, 25))
             c = (e5 / e1) ** 6
-            for got, want in ((z, -11 - c), (s, -1 - e25 / e1), (j, j_from_c(c))):
-                assert rel_close(got, want, prec - 16)
+            for got, want in ((z, -11 - c), (s, -1 - e25 / e1),
+                              (j, (c**2 + 10 * c + 5) ** 3 / c)):
+                assert rel_close(_to_mpc(got, prec + 64), want, prec - 16)
+    # the other h roots of R and S are the complex conjugates
+    h = len(ws)
+    assert zs[h:] == [(re, -im) for re, im in zs[:h]]
+    assert ss[h:] == [(re, -im) for re, im in ss[:h]]
+
+
+def _scaled(j, log2_rel):
+    """The pair j times 1 + 2^log2_rel, log2_rel < 0."""
+    return tuple(part + (part >> -log2_rel) for part in j)
+
+
+@pytest.mark.parametrize("d, prec", ((11, 80), (71, 184), (119, 247), (144, 153)))
+def test_j_check_rejects_j_off_by_2_to_33_minus_prec(d, prec):
+    # At each step's own bits the check lets a j through that is off by
+    # relative 2^(31 - prec) and stops one off by 2^(33 - prec), on either
+    # side of its 2^(32 - prec) bound.
+    ws = _heegner_ws(_heegner_args(d)[3], prec)
+    for w, j in zip(ws, heegner_values(ws, prec)[2]):
+        check_j_by_r(j, w, prec)
+        check_j_by_r(_scaled(j, 31 - prec), w, prec)
+        with pytest.raises(PrecisionError, match="routes disagree"):
+            check_j_by_r(_scaled(j, 33 - prec), w, prec)
+
+
+def test_j_check_rejects_class_poly_j_off_by_2_to_33_minus_prec():
+    # the same bound on the class_poly route at d = 24
+    prec = 98
+    cd = reduced_forms(24)
+    for arg in n_system(cd, choose_v(24, cd.f)[0]):
+        w = arg.w(prec + 64)
+        j = j_from_tau(w, prec)
+        check_j_by_r(j, w, prec)
+        check_j_by_r(_scaled(j, 31 - prec), w, prec)
+        with pytest.raises(PrecisionError, match="routes disagree"):
+            check_j_by_r(_scaled(j, 33 - prec), w, prec)
+
+
+def test_run_pipeline_calls_no_mpmath_log(monkeypatch):
+    # the sizing pass reads log2 from the root pairs' ints
+    def log(*args):
+        raise AssertionError("mpmath.log called")
+
+    monkeypatch.setattr(mpmath, "log", log)
+    r = run_pipeline(71)
+    assert r.precision_used == 184 and r.all_ok
