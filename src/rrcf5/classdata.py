@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from mpmath import mp, mpc
+from mpmath import mp, mpc, mpf
 
 from .hpnum import PrecisionPolicy, check_j_by_r, climb, j_from_tau, reconstruct_int_poly
 
@@ -59,10 +59,9 @@ class HeegnerArg:
         assert (self.b_adj * self.b_adj + self.d) % (4 * a) == 0
 
     def w(self, prec: int):
+        two_a = 2 * self.form.a
         with mp.workprec(prec):
-            return mpc(-self.b_adj, 0) / (2 * self.form.a) + mpc(0, 1) * mp.sqrt(
-                mpc(self.d)
-            ) / (2 * self.form.a)
+            return mpc(mpf(-self.b_adj) / two_a, mp.sqrt(self.d) / two_a)
 
 
 @dataclass(frozen=True)
@@ -192,14 +191,12 @@ def class_poly(cd: ClassData, policy: PrecisionPolicy | None = None):
     v, _ = choose_v(cd.d, cd.f)
     args = n_system(cd, v)
 
-    def roots_at(bits):
-        return [j_from_tau(arg.w(bits + 64), bits) for arg in args]
-
     def step(bits):
-        js = roots_at(bits)
-        for arg, j in zip(args, js):
-            check_j_by_r(j, arg.w(bits + 64), bits)
+        ws = [arg.w(bits + 64) for arg in args]
+        js = [j_from_tau(w, bits) for w in ws]
+        for w, j in zip(ws, js):
+            check_j_by_r(j, w, bits)
         return reconstruct_int_poly(js, bits)
 
-    return climb(policy, step, lambda bits: [roots_at(bits)],
+    return climb(policy, step, [arg.w(53) for arg in args],
                  f"class polynomial for d={cd.d}")

@@ -363,7 +363,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     given = vars(args)
     if "prec" in given:
-        # --prec sets the first precision step (else a 64-bit pass sizes it),
+        # --prec sets the first precision step (else j in floats sizes it),
         # --max-prec caps the ladder of the commands that climb one
         max_prec = given.get("max_prec")
         try:

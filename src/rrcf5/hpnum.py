@@ -6,8 +6,10 @@ precision ladder those reconstructions climb.
 All precision arguments are in bits.  Everything a ladder reconstructs from
 runs on fixed-point Gaussian integers: a value is a pair of ints (re, im)
 standing for (re + i im) / 2^bits.  The q-series sums, the values combined
-from them, the check of j through r(tau), the root products and the 64-bit
-pass that sizes a ladder's first step all stay on such pairs.  At a step of
+from them, the check of j through r(tau) and the root products all stay on
+such pairs.  A ladder's first step is sized without them, from
+log2(1 + |j|) at the Heegner arguments in double precision, each argument
+first moved into the fundamental domain (log2_one_plus_abs_j).  At a step of
 prec bits the values handed to reconstruct_int_poly (c, z, s and j) are
 pairs at scale 2^(prec + 64); the inputs they are combined from are first
 cut to prec significant bits in each part (eta_parts), the rounding
@@ -29,6 +31,7 @@ caller's on exit.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 from math import ceil, isqrt, log, log2, pi
 
@@ -41,8 +44,6 @@ class PrecisionError(ArithmeticError):
     """Raised when a computation cannot be certified at the working precision."""
 
 
-# The cheap first pass that sizes a ladder's first step runs at this many bits.
-SIZING_BITS = 64
 # reconstruct_int_poly accepts a coefficient within 2^-ROUND_TOL_BITS of an
 # integer.
 ROUND_TOL_BITS = 32
@@ -70,21 +71,51 @@ class PrecisionPolicy:
             bits *= 2
 
 
-def climb(policy: PrecisionPolicy | None, step, roots_at, what: str):
+def log2_one_plus_abs_j(tau) -> float:
+    """log2(1 + |j(tau)|) in double precision, for Im(tau) > 0.
+
+    tau is first moved into the fundamental domain by tau -> tau - n and
+    tau -> -1/tau (j is SL2(Z)-invariant), where Im(tau) >= sqrt(3)/2 and
+    |q| < 0.0044.  There j = E4^3 / Delta with
+    E4 = 1 + 240 sum n^3 q^n / (1 - q^n) and Delta = q prod (1 - q^n)^24,
+    both summed in complex floats down to |q|^n < 2^-60.  The logs are
+    combined with log|q| = -2 pi Im(tau) taken as it stands, since q
+    underflows a double once Im(tau) passes about 113.
+    """
+    tau = complex(tau)
+    if tau.imag <= 0:
+        raise ValueError("j needs Im(tau) > 0")
+    while True:
+        tau -= round(tau.real)
+        if abs(tau) >= 1:
+            break
+        tau = -1 / tau
+    y = tau.imag
+    q = qn = cmath.exp(2j * pi * tau)
+    e4 = prod = 1
+    for n in range(1, ceil(60 * log(2) / (2 * pi * y)) + 1):
+        e4 += 240 * n**3 * qn / (1 - qn)
+        prod *= 1 - qn
+        qn *= q
+    bits = (3 * log(abs(e4)) + 2 * pi * y - 24 * log(abs(prod))) / log(2)  # log2|j|
+    return max(bits, 0) + log2(1 + 2 ** -abs(bits))
+
+
+def climb(policy: PrecisionPolicy | None, step, taus, what: str):
     """step(bits) at the first step of policy.ladder() where it raises no
     PrecisionError.
 
     A policy without a first step (None means PrecisionPolicy()) gets one
-    from a cheap pass: the root lists roots_at(SIZING_BITS) returns, one per
-    polynomial step reconstructs, as pairs at scale 2^(SIZING_BITS + 64),
-    give the largest log2 prod(1 + |root|), a bound on the bits of the
-    largest coefficient, and GUARD_BITS are added.
+    from the Heegner arguments taus: sum log2(1 + |j(tau)|) over them
+    (log2_one_plus_abs_j), a bound on the bits of the largest coefficient of
+    prod (x - j(tau)), plus GUARD_BITS.  The pipeline's z and s are far
+    smaller than j (their bound is at least 9 bits below it at every
+    admissible d <= 2000); a step too narrow for them fails and the ladder
+    doubles.
     """
     policy = policy or PrecisionPolicy()
     if policy.initial_bits is None:
-        w = SIZING_BITS + 64
-        top = max(sum(log2((1 << w) + isqrt(re * re + im * im)) - w for re, im in roots)
-                  for roots in roots_at(SIZING_BITS))
+        top = sum(map(log2_one_plus_abs_j, taus))
         policy = replace(policy, initial_bits=ceil(top) + GUARD_BITS)
     last = None
     for bits in policy.ladder():

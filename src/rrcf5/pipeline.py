@@ -10,8 +10,10 @@ Q | F, and R | G_z with p | Q(x^5) proves p | G(x^5)."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .classdata import choose_v, n_system, reduced_forms
@@ -191,13 +193,14 @@ def verify_T_invariance(p: Poly, h: int) -> bool:
                zip(t_pullback_values(p, p.degree), map(p, range(p.degree + 1))))
 
 
+@lru_cache(maxsize=1)
 def _primes_up_to(n: int):
     sieve = bytearray([1]) * (n + 1)
     sieve[:2] = b"\x00\x00"
     for i in range(2, isqrt(n) + 1):
         if sieve[i]:
             sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return tuple(i for i in range(2, n + 1) if sieve[i])
 
 
 @dataclass(frozen=True)
@@ -225,7 +228,7 @@ def disc_conjecture_check(S: Poly, d: int, h: int) -> DiscReport:
         assert disc.denominator == 1
         disc = disc.numerator
     n = abs(disc)
-    primes = _primes_up_to(max(d, 10_000))
+    primes = _primes_up_to(max(d, 10_000))  # sieved once for every d <= 10,000
     factors = []
     for q in primes:
         if n == 1:
@@ -238,7 +241,8 @@ def disc_conjecture_check(S: Poly, d: int, h: int) -> DiscReport:
             factors.append((q, e))
     fdict = dict(factors)
     # bound >= d, so the sieve holds every prime divisor of d
-    exact_ok = all(fdict.get(q, 0) == 2 * h for q in primes if q > 5 and d % q == 0)
+    exact_ok = all(fdict.get(q, 0) == 2 * h for q in primes[:bisect_right(primes, d)]
+                   if q > 5 and d % q == 0)
     smooth_ok = n == 1 and all(q <= d for q, _ in factors)
     return DiscReport(
         disc=disc,
@@ -298,8 +302,9 @@ class PipelineResult:
 
 def run_pipeline(d: int, policy: PrecisionPolicy | None = None) -> PipelineResult:
     """The whole tower for d.  H, R and S are reconstructed in one precision
-    ladder from the values of heegner_values; its first step is sized by a
-    64-bit pass unless the policy names one."""
+    ladder from the values of heegner_values; unless the policy names its
+    first step, climb sizes it from j at the Heegner arguments in double
+    precision."""
     if d == 4:
         raise PipelineIntegrityError(
             "d = 4 produces square factors; use the cyclotomic corpus instead"
@@ -320,9 +325,8 @@ def run_pipeline(d: int, policy: PrecisionPolicy | None = None) -> PipelineResul
             raise PrecisionError(str(exc)) from exc
         return bits, H, R, S, Q, p, q
 
-    used, H, R, S, Q, p, q = climb(
-        policy, step, lambda bits: heegner_values(_heegner_ws(args, bits), bits),
-        f"pipeline for d={d}")
+    used, H, R, S, Q, p, q = climb(policy, step, [arg.w(53) for arg in args],
+                                   f"pipeline for d={d}")
 
     if p.degree != 4 * h or q.degree != 16 * h:
         raise PipelineIntegrityError("degree bookkeeping failed")

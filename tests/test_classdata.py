@@ -1,6 +1,7 @@
 from math import gcd
 
 import pytest
+from mpmath import mp, mpc
 
 from rrcf5.classdata import (
     ClassDataError,
@@ -145,3 +146,15 @@ def test_class_poly_two_classes():
 def test_class_poly_larger():
     got = class_poly(reduced_forms(99))
     assert got == (-56171326053810176, 37616060956672, 1)
+
+
+@pytest.mark.parametrize("prec", (53, 117, 128, 192, 512))
+def test_heegner_w_is_the_complex_root_expression_bit_for_bit(prec):
+    # w takes the real sqrt(d); mpmath's complex sqrt of (d, 0) is (sqrt(d), 0)
+    for d in (11, 24, 71, 119, 1991):
+        cd = reduced_forms(d)
+        for arg in n_system(cd, choose_v(d, cd.f)[0]):
+            a = arg.form.a
+            with mp.workprec(prec):
+                old = mpc(-arg.b_adj, 0) / (2 * a) + mpc(0, 1) * mp.sqrt(mpc(d)) / (2 * a)
+            assert arg.w(prec)._mpc_ == old._mpc_, (d, arg)

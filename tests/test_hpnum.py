@@ -1,3 +1,5 @@
+from math import isfinite, log, pi, sqrt
+
 import mpmath
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from rrcf5.hpnum import (
     eta_parts,
     j_from_c,
     j_from_tau,
+    log2_one_plus_abs_j,
     reconstruct_int_poly,
     rr_r,
 )
@@ -295,15 +298,53 @@ def test_climb_sizes_the_first_step_and_names_it_on_exhaustion():
         steps.append(bits)
         raise PrecisionError("never enough")
 
-    def roots(bits):  # log2 prod(1 + |root|) = 20, as pairs at 2^(bits + 64)
-        return [[((2**20 - 1) << (bits + 64), 0), (0, 0)]]
-
-    first = 20 + GUARD_BITS
+    # j(i) = 1728 and j(2i) = 66^3: log2(1729) + log2(287497) = 28.89
+    taus = [1j, 2j]
+    first = 29 + GUARD_BITS
     with pytest.raises(PrecisionError, match=f"from {first} bits up to the ceiling of {3 * first} bits"):
-        climb(PrecisionPolicy(max_bits=3 * first), step, roots, "demo")
+        climb(PrecisionPolicy(max_bits=3 * first), step, taus, "demo")
     assert steps == [first, 2 * first]
     with pytest.raises(PrecisionError, match="first step is above the ceiling"):
-        climb(PrecisionPolicy(max_bits=8), step, roots, "demo")
+        climb(PrecisionPolicy(max_bits=8), step, taus, "demo")
+
+
+def _heegner_points(d):
+    return [arg.w(53) for arg in _heegner_args(d)[3]]
+
+
+@pytest.mark.parametrize("d", sorted(tables.P_TABLE) + [1991])
+def test_j_size_matches_mpmath_at_every_heegner_argument(d):
+    # against mpmath's own j = 1728 kleinj at 128 bits, at the unreduced w
+    with mp.workprec(128):
+        for arg in _heegner_args(d)[3]:
+            w = arg.w(128)
+            ref = mpmath.log(1 + abs(1728 * mpmath.kleinj(w)), 2)
+            assert abs(log2_one_plus_abs_j(arg.w(53)) - ref) < 1e-9, (d, w)
+
+
+def test_j_size_is_invariant_under_T_and_S():
+    taus = [1j, 2j, complex(-0.5, 0.8660254037844386), complex(0.3, 0.8),
+            complex(0.49, 0.05), complex(-0.2, 1e-3), 1e-4j] + _heegner_points(1991)
+    for tau in map(complex, taus):
+        size = log2_one_plus_abs_j(tau)
+        for image in (tau + 1, tau - 3, -1 / tau):
+            assert abs(log2_one_plus_abs_j(image) - size) < 1e-9, (tau, image)
+
+
+@pytest.mark.parametrize("tau", (0.3, 0j, complex(0.2, -1)))
+def test_j_size_rejects_tau_off_the_upper_half_plane(tau):
+    # the reduction loop would never leave the real line
+    with pytest.raises(ValueError, match="Im"):
+        log2_one_plus_abs_j(tau)
+
+
+def test_j_size_is_finite_where_q_underflows_a_double():
+    # at d = 60011 the largest Im(w) is sqrt(60011)/2 = 122.5 and
+    # |q| = e^(-2 pi 122.5) is below the smallest double
+    sizes = [log2_one_plus_abs_j(w) for w in _heegner_points(60011)]
+    assert all(isfinite(s) for s in sizes)
+    top = 2 * pi * sqrt(60011) / 2 / log(2)  # log2|j| at the principal form
+    assert abs(max(sizes) - top) < 1e-9
 
 
 @pytest.mark.parametrize("kwargs", ({"initial_bits": 0}, {"initial_bits": -5},

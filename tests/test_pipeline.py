@@ -15,6 +15,7 @@ from rrcf5.pipeline import (
     _heegner_args,
     _heegner_ws,
     _lift_through_x_minus_inv,
+    _primes_up_to,
     build_F_G,
     build_p_q,
     build_Q,
@@ -225,7 +226,7 @@ def test_anti_palindromic_symmetry():
     (96, 144), (99, 120), (104, 180), (111, 219), (116, 191), (124, 134),
     (131, 171), (136, 165), (139, 140)))
 def test_sized_ladder_succeeds_at_its_first_step(d, bits):
-    # 64-bit sizing pass plus GUARD_BITS; the step that succeeds is the first
+    # sum log2(1 + |j(w)|) plus GUARD_BITS; the step that succeeds is the first
     assert run_pipeline(d).precision_used == bits
 
 
@@ -317,10 +318,29 @@ def test_j_check_rejects_class_poly_j_off_by_2_to_33_minus_prec():
 
 
 def test_run_pipeline_calls_no_mpmath_log(monkeypatch):
-    # the sizing pass reads log2 from the root pairs' ints
+    # the first step is sized from j in double precision, and every value
+    # of a step is combined on ints
     def log(*args):
         raise AssertionError("mpmath.log called")
 
     monkeypatch.setattr(mpmath, "log", log)
     r = run_pipeline(71)
     assert r.precision_used == 184 and r.all_ok
+
+
+def test_run_pipeline_24_takes_two_exps_per_argument(monkeypatch):
+    # at its one step, heegner_values and check_j_by_r take one exp each per
+    # argument; sizing the step takes none
+    calls = []
+    exp = mpmath.exp
+    monkeypatch.setattr(mpmath, "exp", lambda z: calls.append(z) or exp(z))
+    r = run_pipeline(24)
+    assert (r.h, r.precision_used, len(calls)) == (2, 98, 4)
+
+
+def test_the_disc_primes_are_sieved_once():
+    _primes_up_to.cache_clear()
+    run_pipeline(11)
+    run_pipeline(24)
+    info = _primes_up_to.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
