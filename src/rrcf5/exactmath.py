@@ -11,7 +11,6 @@ this module ever rounds.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain as _chain
 from math import gcd as _igcd, lcm as _ilcm
 from operator import add as _add, sub as _sub
 
@@ -125,12 +124,7 @@ class CycloElem:
                 return NotImplemented
             n = other.numerator
             return _cyclo(tuple(c * n for c in self.nums), self.den * other.denominator)
-        a0, a1, a2, a3 = self.nums
-        b0, b1, b2, b3 = other.nums
-        conv = (a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
-                a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0, a1 * b3 + a2 * b2 + a3 * b1,
-                a2 * b3 + a3 * b2, a3 * b3)
-        return _cyclo(_fold(conv), self.den * other.den)
+        return _cyclo(_mul4(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -195,6 +189,18 @@ def _fold(conv):
     return (c0 + c5 - c4, c1 + c6 - c4, c2 - c4, c3 - c4)
 
 
+def _mul4(a, b):
+    """Power-basis numerators of the product of two elements given by their
+    4 power-basis numerators.  The entries may be ints or packed polynomials
+    (see _pack): the convolution and the fold are sums of products either
+    way."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return _fold((a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
+                  a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0, a1 * b3 + a2 * b2 + a3 * b1,
+                  a2 * b3 + a3 * b2, a3 * b3))
+
+
 def _cyclo(nums, den):
     """The CycloElem nums/den in lowest terms; den must be positive."""
     if den != 1:
@@ -244,9 +250,9 @@ def _over_cyclo(coeffs):
     return CycloElem in types and types <= {int, Fraction, CycloElem}
 
 
-def _numerator_rows(coeffs):
-    """(integer numerator rows, common positive denominator) of coefficients
-    that are ints, Fractions or CycloElems."""
+def _numerators(coeffs):
+    """(the 4 power-basis columns of integer numerators, common positive
+    denominator) of coefficients that are ints, Fractions or CycloElems."""
     den = _ilcm(*(c.den if isinstance(c, CycloElem) else c.denominator for c in coeffs))
     rows = []
     for c in coeffs:
@@ -255,42 +261,112 @@ def _numerator_rows(coeffs):
             rows.append(c.nums if m == 1 else tuple(x * m for x in c.nums))
         else:
             rows.append((c.numerator * (den // c.denominator), 0, 0, 0))
-    return rows, den
+    return (list(zip(*rows)) if rows else [()] * 4), den
+
+
+def _stride(bound):
+    """Bytes per power of x for packed numerators in [-bound, bound]: the
+    bound's bits and a sign bit."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _offset(count, kb):
+    """count digits 2^(8*kb-1) at a stride of kb bytes."""
+    return int.from_bytes((1 << (8 * kb - 1)).to_bytes(kb, "little") * count, "little")
+
+
+def _pack(cols, kb):
+    """The 4 ints sum_k cols[i][k] 2^(8*kb*k), i = 0..3, of the numerator
+    columns of a polynomial over Q(zeta_5), lowest power first.
+
+    Digits are stored offset by half = 2^(8*kb-1), so each lies in
+    [0, 2^(8*kb)) and to_bytes/from_bytes convert all of them at once.
+    Packing is a ring map, so sums and _mul4 products of packed values are
+    the packed sums and products; _unpack reads a value back when each of
+    its numerators lies in [-half, half).
+    """
+    count = len(cols[0])
+    if not count:
+        return (0, 0, 0, 0)
+    half = 1 << (8 * kb - 1)
+    size = count * kb
+    raw = b"".join([(x + half).to_bytes(kb, "little") for col in cols for x in col])
+    off = _offset(count, kb)
+    return tuple(int.from_bytes(raw[i:i + size], "little") - off
+                 for i in range(0, 4 * size, size))
+
+
+def _unpack(packed, kb, count, den):
+    """The first count coefficients, as CycloElems over den, of a value
+    packed at kb bytes per power."""
+    half = 1 << (8 * kb - 1)
+    off, size = _offset(count, kb), count * kb
+    raw = b"".join([(x + off).to_bytes(size, "little") for x in packed])
+    digits = [int.from_bytes(raw[i:i + kb], "little") - half for i in range(0, 4 * size, kb)]
+    cols = [digits[i:i + count] for i in range(0, 4 * count, count)]
+    return [_cyclo(row, den) for row in zip(*cols)]
 
 
 def _kronecker_mul(a, b):
     """Coefficients of the product of two coefficient tuples over Q(zeta_5),
-    by one big-integer multiplication (Kronecker substitution).
+    by Kronecker substitution: _mul4 on the two packed operands.
 
-    Each operand becomes one integer in base 2^(8*kb) with 7 digits per
-    power of x, so the zeta-degrees 0 .. 6 of a product coefficient never
-    reach the next power's digits.  Every product digit is a sum of at most
-    min(len a, len b) * 4 terms, which bounds it and sets kb.
+    A numerator of the product is a sum of at most 7 * min(len a, len b)
+    products of a numerator of a and one of b (7 pairs of zeta-powers fold
+    into the coordinate of zeta^3), which bounds it and sets the stride.
     """
-    ra, da = _numerator_rows(a)
-    rb, db = _numerator_rows(b)
-    bound = (min(len(a), len(b)) * 4 * max(map(abs, _chain.from_iterable(ra)))
-             * max(map(abs, _chain.from_iterable(rb))))
-    # a sign bit and one bit of headroom above the bound
-    kb = (bound.bit_length() + 2 + 7) // 8
-    # Digits are stored offset by half = 2^(8*kb-1), so each lies in
-    # [0, 2^(8*kb)) and to_bytes/from_bytes convert all of them at once.
-    half = 1 << (8 * kb - 1)
-    half_digit = half.to_bytes(kb, "little")
+    ca, da = _numerators(a)
+    cb, db = _numerators(b)
+    bound = (7 * min(len(a), len(b)) * max(max(map(abs, c)) for c in ca)
+             * max(max(map(abs, c)) for c in cb))
+    kb = _stride(bound)
+    return _unpack(_mul4(_pack(ca, kb), _pack(cb, kb)), kb, len(a) + len(b) - 1, da * db)
 
-    def offset(count):
-        return int.from_bytes(half_digit * count, "little")
 
-    def pack(rows):
-        digits = [(x + half).to_bytes(kb, "little")
-                  for x in _chain.from_iterable(r + (0, 0, 0) for r in rows)]
-        return int.from_bytes(b"".join(digits), "little") - offset(len(digits))
+def _norm(cols):
+    """||cols||, the sum of the absolute values of the numerators."""
+    return sum(sum(map(abs, c)) for c in cols)
 
-    n = (len(a) + len(b) - 1) * 7
-    raw = (pack(ra) * pack(rb) + offset(n)).to_bytes(n * kb, "little")
-    digits = [int.from_bytes(raw[i:i + kb], "little") - half for i in range(0, n * kb, kb)]
-    den = da * db
-    return [_cyclo(_fold(digits[i:i + 7]), den) for i in range(0, n, 7)]
+
+def _compose_packed(parts, num, den, h):
+    """poly_compose_rational over Q(zeta_5), with parts[k] the coefficients
+    of H_k in the variable of num and den, by homogeneous Horner on packed
+    values (see _pack), unpacked once.
+
+    With d the common denominator of num and den, N = d num and E = d den
+    are integral and den^h H(num/den) = sum_k H_k N^k E^(h-k) / d^h.  Since
+    ||ab|| <= 4 ||a|| ||b|| (the fold adds the zeta^4 numerators into all
+    four coordinates), every numerator of the sum is at most
+    4^h sum_k ||H_k|| ||N||^k ||E||^(h-k).  That bound on the result sets the
+    stride, and intermediate values are never unpacked.
+    """
+    cols, dH = _numerators([c for part in parts for c in part])
+    H_cols, start = [], 0
+    for part in parts:
+        H_cols.append([c[start:start + len(part)] for c in cols])
+        start += len(part)
+    cols, d = _numerators(num.coeffs + den.coeffs)
+    split = len(num.coeffs)
+    N_cols, E_cols = [c[:split] for c in cols], [c[split:] for c in cols]
+    nN, nE = _norm(N_cols), _norm(E_cols)
+    norms = list(map(_norm, H_cols))
+    bound = 4**h * sum(c * nN**k * nE ** (h - k) for k, c in enumerate(norms))
+    # the inputs must fit the stride too
+    kb = _stride(max(bound, nN, nE, *norms))
+    N, E = _pack(N_cols, kb), _pack(E_cols, kb)
+    n = len(parts) - 1
+    E_pows = [(1, 0, 0, 0)]
+    for _ in range(max(n, h - n)):
+        E_pows.append(_mul4(E_pows[-1], E))
+    acc = _pack(H_cols[n], kb)
+    for k in range(n - 1, -1, -1):
+        acc = _mul4(acc, N)
+        if norms[k]:
+            acc = tuple(map(_add, acc, _mul4(E_pows[n - k], _pack(H_cols[k], kb))))
+    if h > n:
+        acc = _mul4(acc, E_pows[h - n])
+    count = max(map(len, parts)) + h * (max(len(num.coeffs), len(den.coeffs)) - 1)
+    return Poly(_unpack(acc, kb, count, dH * d**h))
 
 
 class Poly:
@@ -584,16 +660,23 @@ def poly_compose_rational(H, num, den, h):
 
     Returns sum_k H_k * num^k * den^(h-k); integral whenever H, num and den
     are.  Every homogenised composition in the package goes through here.
-    It is computed by homogeneous Horner, n = deg H:
-    acc = H_n, then acc = acc * num + H_k * den^(n-k) for k = n-1..0, and
-    finally acc * den^(h-n): two polynomial products per degree.  The
-    coefficients H_k may themselves be polynomials in the variable of num
-    and den (a bivariate H); they multiply into acc rather than nest.
+    The coefficients H_k may themselves be polynomials in the variable of
+    num and den (a bivariate H); they multiply into the sum rather than
+    nest.  Over Q(zeta_5) (the test Poly.__mul__ makes, on the coefficients
+    of num, den and H, those of a bivariate H flattened) the sum is
+    _compose_packed's: homogeneous Horner on packed big integers, each
+    coefficient unpacked once as a CycloElem in lowest terms.  Otherwise it
+    is homogeneous Horner on Poly, n = deg H: acc = H_n, then
+    acc = acc * num + H_k * den^(n-k) for k = n-1..0, and finally
+    acc * den^(h-n).
     """
     if h < H.degree:
         raise ExactDomainError("h must be at least deg H")
     if H.is_zero():
         return Poly()
+    parts = [c.coeffs if isinstance(c, Poly) else (c,) for c in H.coeffs]
+    if _over_cyclo([c for part in parts for c in part] + [*num.coeffs, *den.coeffs]):
+        return _compose_packed(parts, num, den, h)
     n = H.degree
     den_pows = [Poly((1,))]
     for _ in range(max(n, h - n)):

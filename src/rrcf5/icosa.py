@@ -23,7 +23,7 @@ from .exactmath import (
     moebius_act_on_poly,
     poly_compose_rational,
     poly_discriminant,
-    poly_gcd,
+    poly_resultant,
 )
 from .hpnum import rr_r
 from .pipeline import J55_DEN, J55_NUM, build_F_G, t_pullback_values
@@ -270,11 +270,12 @@ def t_fixed_point_check(ds) -> bool:
     points of T = (az + b)/(cz + d) are the roots of c z^2 + (d - a) z - b
     over Q(sqrt5), so it suffices that p_d is prime to the norm of that
     quadratic to Q (zeta_5 -> zeta_5^2 takes sqrt5 to -sqrt5), which is
-    z^4 + 2z^3 - 6z^2 - 2z + 1 up to sign."""
+    z^4 + 2z^3 - 6z^2 - 2z + 1 up to sign: that their resultant, taken on
+    the integer subresultant PRS, is not 0."""
     a, b, c, d = T_map().entries()
     fixed = Poly((-b, d - a, c))
     norm = (fixed * fixed.map_coeffs(lambda e: e.galois(2))).map_coeffs(CycloElem.as_fraction)
-    return all(poly_gcd(Poly(tables.P_TABLE[k]), norm).degree == 0 for k in ds)
+    return all(poly_resultant(Poly(tables.P_TABLE[k]), norm) != 0 for k in ds)
 
 
 def verify_worked_examples(prec: int = 384) -> dict:

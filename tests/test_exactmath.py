@@ -413,33 +413,70 @@ compose_scalars = {
 
 
 def compose_case(ring):
-    """(H, num, den, h) over a coefficient ring; "Z[x]" gives H integer
-    polynomial coefficients in the variable of num and den (a bivariate H)."""
-    scalar = compose_scalars["Z" if ring == "Z[x]" else ring]
-    coeff = st.lists(small_int, max_size=3).map(Poly) if ring == "Z[x]" else scalar
+    """(H, num, den, h) over a coefficient ring; a ring "R[x]" gives H
+    coefficients that are polynomials over R in the variable of num and den
+    (a bivariate H)."""
+    scalar = compose_scalars[ring.removesuffix("[x]")]
+    coeff = st.lists(scalar, max_size=3).map(Poly) if ring.endswith("[x]") else scalar
     inner = st.lists(scalar, min_size=1, max_size=4).map(Poly)
     return st.tuples(st.lists(coeff, max_size=6).map(Poly), inner,
                      inner.filter(bool), st.integers(0, 3)).map(
         lambda t: (t[0], t[1], t[2], max(t[0].degree, 0) + t[3]))
 
 
+def schoolbook(a, b):
+    """The product of two coefficient lists, coefficient by coefficient."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def naive_compose(H, num, den, h):
+    """sum_k H_k num^k den^(h-k), each term a schoolbook product; a
+    coefficient H_k that is a Poly is a polynomial in the variable of num
+    and den."""
+    total = []
+    for k, c in enumerate(H.coeffs):
+        term = list(c.coeffs) if isinstance(c, Poly) else [c]
+        for factor in [num.coeffs] * k + [den.coeffs] * (h - k):
+            term = schoolbook(term, factor)
+        total = [x + y for x, y in zip(total, term)] + total[len(term):] + term[len(total):]
+    return Poly(total)
+
+
 @diff_settings
-@given(st.sampled_from(["Z", "Q", "Q(zeta5)", "Z[x]"]).flatmap(
+@given(st.sampled_from(["Z", "Q", "Q(zeta5)", "Z[x]", "Q(zeta5)[x]"]).flatmap(
     lambda ring: st.tuples(st.just(ring), compose_case(ring))))
 def test_compose_rational_matches_naive_sum(case):
     ring, (H, num, den, h) = case
-    naive = Poly()
-    for k, c in enumerate(H.coeffs):
-        naive = naive + num**k * den ** (h - k) * c
     got = poly_compose_rational(H, num, den, h)
-    assert got == naive
+    assert got == naive_compose(H, num, den, h)
     if H.degree <= 0:  # zero H gives zero; constant H gives H_0 den^h
         assert got == (den**h * H.coeffs[0] if H else Poly())
     if ring in ("Z", "Z[x]"):
         assert all(type(c) is int for c in got.coeffs)
+    if ring.startswith("Q(zeta5)"):
+        assert all(type(c) is CycloElem for c in got.coeffs)
     if H.degree >= 1:
         with pytest.raises(ExactDomainError):
             poly_compose_rational(H, num, den, H.degree - 1)
+
+
+@pytest.mark.parametrize("bits", range(1, 42))
+def test_compose_rational_unpacks_coefficients_at_the_stride_edge(bits):
+    # Over Q(zeta_5) the stride of the packed coefficients is sized from a
+    # bound on the result; bits runs over 5 byte boundaries, so some case
+    # fills the top byte of every stride.
+    top, one = 2**bits - 1, Poly((1,))
+    for sign in (1, -1):
+        c = CycloElem((0, 0, sign * top, 0))
+        # h = 0: the result is H_0 = c u, and its numerator +-top is the bound
+        assert poly_compose_rational(Poly((Poly((0, c)),)), one, one, 0).coeffs == (0, c)
+        # h = 1: c x at x = u - 1 is -c + c u, 3 bits below the bound, with
+        # a value of each sign below the top coefficient
+        assert poly_compose_rational(Poly((0, c)), Poly((-1, 1)), one, 1).coeffs == (-c, c)
 
 
 # ------------------------------------------------------------------ RatFunc
