@@ -149,12 +149,10 @@ def cmd_identities(args) -> int:
     report["det_vanishes_at_unit"] = vanishes
     report["psi5_master_identity"] = curve5.master_torsion_identity()[0]
     for d in sorted(tables.P_TABLE):
-        h = tables.class_number(d)
-        report[f"T_invariance_d{d}"] = verify_T_invariance(
-            Poly(tables.P_TABLE[d]), h)
+        report[f"T_invariance_d{d}"] = verify_T_invariance(Poly(tables.P_TABLE[d]),
+                                                           tables.class_number(d))
     for d in sorted(tables.R_TABLE):
-        h = tables.class_number(d)
-        report[f"cor42_d{d}"] = verify_cor42(Poly(tables.R_TABLE[d]), h)
+        report[f"cor42_d{d}"] = verify_cor42(Poly(tables.R_TABLE[d]), tables.class_number(d))
     _print_report(args, report, "exact identities")
     return 0 if all(report.values()) else 1
 
@@ -169,7 +167,7 @@ def cmd_g60(args) -> int:
                    icosa.group_structure_report(group).items()})
     report["f5_invariance"] = icosa.verify_f5_invariance()
     for d in (11, 16, 19):
-        _, Gx5 = build_F_G(Poly(tables.H_TABLE[d]), 1)
+        Gx5 = build_F_G(Poly(tables.H_TABLE[d]), 1)
         orbit_size, stab = icosa.orbit_and_stabilizer(
             Poly(tables.P_TABLE[d]), group, Gx5)
         report[f"orbit_size_d{d}"] = orbit_size

@@ -16,7 +16,7 @@ from mpmath import mp, mpc, mpf
 from . import tables
 from .classdata import choose_v, reduced_forms
 from .exactmath import (CycloElem, Poly, RatFunc, golden_unit, golden_unit_conj,
-                        lift_to_cyclo, poly_compose_rational, poly_gcd)
+                        lift_to_cyclo, poly_compose_rational, poly_resultant)
 from .hpnum import eta, r_transformation_laws, rr_r
 from .pipeline import J5_DEN, J5_NUM, J55_DEN, J55_NUM
 from .pipeline import J5Z_DEN, J5Z_NUM, J55Z_DEN, J55Z_NUM
@@ -158,15 +158,14 @@ def division_poly_factors_symbolic() -> bool:
 def doubling_proves_5_torsion(psi5: Poly, psi3: Poly, N: Poly, D: Poly) -> bool:
     """Every root of psi5 is x(P) for a point P with 5P = O, given
     x(2P) = N/D (Silverman III.2.3), the identity N4 - X D4 = -psi5 psi3
-    with N4 = D^4 N(N/D) and D4 = D^4 D(N/D), and gcd 1 for (psi5, psi3),
-    (psi5, D) and (N, D).
+    with N4 = D^4 N(N/D) and D4 = D^4 D(N/D), and a nonzero resultant (no
+    common root) for (psi5, psi3), (psi5, D) and (N, D).
 
     At a root x of psi5: D(x) != 0, so 2P != O and x(2P) = N(x)/D(x).
     D4(x) = 0 would force N4(x) = 0, that is N and D both vanishing at
     x(2P); so 4P != O and x(4P) = N4(x)/D4(x) = x.  Then 4P = +-P, and
     3P != O since psi3(x) != 0, so 5P = O."""
-    coprime = all(poly_gcd(f, g).degree == 0
-                  for f, g in ((psi5, psi3), (psi5, D), (N, D)))
+    coprime = all(poly_resultant(f, g) != 0 for f, g in ((psi5, psi3), (psi5, D), (N, D)))
     N4, D4 = (poly_compose_rational(P, N, D, 4) for P in (N, D))
     return coprime and N4 - Poly.x() * D4 == -(psi5 * psi3)
 

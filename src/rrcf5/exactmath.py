@@ -556,16 +556,6 @@ class Poly:
         return "Poly(" + " + ".join(parts) + ")"
 
 
-def poly_gcd(p, q):
-    """Monic gcd over the coefficient field."""
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
-
-
 def lift_to_cyclo(p):
     """Lift a rational-coefficient polynomial to CycloElem coefficients."""
     return p.map_coeffs(CycloElem.from_rational)
@@ -773,6 +763,12 @@ def _as_cyclo(value):
     return value if isinstance(value, CycloElem) else CycloElem.from_rational(value)
 
 
+# t = 2 + 2 cos(2 pi k/n) = (x + y sqrt5)/2 -> n, k prime to n, at every
+# n > 1 with 2 cos(2 pi/n) in Q(sqrt5)
+_ORDER_BY_TRACE = {(x + y * CycloElem.sqrt5()) / 2: n for x, y, n in (
+    (0, 0, 2), (2, 0, 3), (4, 0, 4), (6, 0, 6), (3, 1, 5), (3, -1, 5), (5, 1, 10), (5, -1, 10))}
+
+
 class MoebiusMap:
     """Projective linear fractional map z -> (az + b)/(cz + d) over Q(zeta_5).
 
@@ -825,14 +821,17 @@ class MoebiusMap:
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
 
     def element_order(self):
-        """The order of the map, if it is at most 61 (every element of G60
-        qualifies)."""
-        acc, one = self, MoebiusMap.identity()
-        for n in range(1, 62):
-            if acc == one:
-                return n
-            acc = acc * self
-        raise ExactDomainError("order exceeds 61")
+        """The order of the map, from t = tr^2/det = 2 + w + 1/w for the ratio
+        w of its eigenvalues.  If w has finite order n, w + 1/w lies in
+        Q(zeta_5) and is real, so in Q(sqrt5), which leaves n in
+        {1, 2, 3, 4, 5, 6, 10} (_ORDER_BY_TRACE).  t = 4 off the identity
+        (w = 1, a parabolic map) and every other t mean infinite order."""
+        if not (self.b or self.c or self.a - self.d):
+            return 1
+        t = (self.a + self.d) ** 2 / (self.a * self.d - self.b * self.c)
+        if t not in _ORDER_BY_TRACE:
+            raise ExactDomainError("the map has infinite order")
+        return _ORDER_BY_TRACE[t]
 
     def apply(self, z):
         """Exact action on a field element z."""

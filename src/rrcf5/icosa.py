@@ -1,5 +1,5 @@
-"""The order-60 Moebius group generated by S(z) = zeta_5 z and
-T(z) = (-(1+sqrt5)z+2)/(2z+1+sqrt5), its invariant f5 = j55(x^5), the
+"""The order-60 Moebius group generated by S(z) = zeta_5 z and T (pipeline.T,
+over Q(sqrt5)), its invariant f5 = j55(x^5), the
 stabilizer and orbit size of a minimal polynomial (witnesses mod a prime for
 non-members), the exact Q(zeta_20) corpus for d = 4 (computed in
 Q[x]/Phi_20), the checks of the two worked radical examples, and the exact
@@ -21,20 +21,15 @@ from .exactmath import (
     Poly,
     lift_to_cyclo,
     moebius_act_on_poly,
-    poly_compose_rational,
     poly_discriminant,
     poly_resultant,
 )
 from .hpnum import rr_r
-from .pipeline import J55_DEN, J55_NUM, build_F_G, t_pullback_values
+from .pipeline import J55_DEN, J55_NUM, T, build_F_G, lift_through_x_minus_inv, pullback_values
 
 
 class IcosaError(ValueError):
     pass
-
-
-def _c(n):
-    return CycloElem.from_rational(n)
 
 
 def S_map() -> MoebiusMap:
@@ -43,16 +38,16 @@ def S_map() -> MoebiusMap:
 
 def T_map() -> MoebiusMap:
     s5 = CycloElem.sqrt5()
-    return MoebiusMap(-(1 + s5), _c(2), _c(2), 1 + s5)
+    return MoebiusMap(*(x + y * s5 for x, y in T))
 
 
 def U_map() -> MoebiusMap:
-    return MoebiusMap(0, _c(-1), _c(1), 0)
+    return MoebiusMap(0, -1, 1, 0)
 
 
 def T2_map() -> MoebiusMap:
-    s5 = CycloElem.sqrt5()
-    return MoebiusMap(-(1 - s5), _c(2), _c(2), 1 - s5)
+    """T with sqrt5 -> -sqrt5 (zeta_5 -> zeta_5^2)."""
+    return MoebiusMap(*(e.galois(2) for e in T_map().entries()))
 
 
 @dataclass(frozen=True)
@@ -100,11 +95,11 @@ F5_NUM, F5_DEN = J55_NUM.subst_x_pow(5), J55_DEN.subst_x_pow(5)
 def _f5_invariant(A: Poly, B: Poly) -> bool:
     """A/B, for A and B read as forms of degree 60, is invariant under S: every
     exponent is a multiple of 5; and under T: P|T = lam P for P = A, B, with
-    F|T = (2z+1+sqrt5)^60 F(T(z)) and lam = A|T(0) / A(0), proven at
-    z = 0..60 (t_pullback_values)."""
+    P|T the pullback of the form P of degree 60 and lam = A|T(0) / A(0),
+    proven at z = 0..60 (pullback_values)."""
     if any(k % 5 for P in (A, B) for k, c in enumerate(P.coeffs) if c):
         return False
-    a0, pulled = A(0), [(P, t_pullback_values(P, 60)) for P in (A, B)]
+    a0, pulled = A(0), [(P, pullback_values(P, 60, T)) for P in (A, B)]
     lam = pulled[0][1][0]
     return bool(a0) and all((a0 * a, a0 * b) == (lam[0] * P(z), lam[1] * P(z))
                             for P, vals in pulled for z, (a, b) in enumerate(vals))
@@ -176,7 +171,7 @@ def group_structure_report(group: G60Group) -> dict:
                      T2.element_order()) == (5, 2, 2, 2)
     out["klein_four"] = T * U == T2 and U * T == T2 and T2 * T2 == MoebiusMap.identity()
     conj = S.inverse() * U * S
-    out["conjugate_is_printed"] = conj == MoebiusMap(0, -(zeta**3), _c(1), 0)
+    out["conjugate_is_printed"] = conj == MoebiusMap(0, -(zeta**3), 1, 0)
     out["conjugate_not_in_H"] = conj not in expected_stabilizer()
     out["census"] = group.order_census() == {1: 1, 2: 15, 3: 20, 5: 24}
     return out
@@ -208,7 +203,7 @@ def verify_d4_corpus() -> dict:
     root of f exactly when PHI20 divides f(alpha)."""
     out = {}
     H4 = Poly(tables.H_TABLE[4])
-    _, Gx5 = build_F_G(H4, 1)
+    Gx5 = build_F_G(H4, 1)
     printed = Poly((1,))
     for fac in tables.G4_FACTORS:
         printed = printed * Poly(fac) ** 2
@@ -268,13 +263,12 @@ def ramanujan_r3i(prec: int = 384):
 def t_fixed_point_check(ds) -> bool:
     """No fixed point of T is a root of p_d for any d in ds.  The fixed
     points of T = (az + b)/(cz + d) are the roots of c z^2 + (d - a) z - b
-    over Q(sqrt5), so it suffices that p_d is prime to the norm of that
-    quadratic to Q (zeta_5 -> zeta_5^2 takes sqrt5 to -sqrt5), which is
-    z^4 + 2z^3 - 6z^2 - 2z + 1 up to sign: that their resultant, taken on
-    the integer subresultant PRS, is not 0."""
-    a, b, c, d = T_map().entries()
-    fixed = Poly((-b, d - a, c))
-    norm = (fixed * fixed.map_coeffs(lambda e: e.galois(2))).map_coeffs(CycloElem.as_fraction)
+    = rat(z) + irr(z) sqrt5, so it suffices that p_d is prime to the norm
+    rat^2 - 5 irr^2 = 4 (z^4 + 2z^3 - 6z^2 - 2z + 1) of that quadratic to Q:
+    that their resultant, taken on the integer subresultant PRS, is not 0."""
+    (a0, a1), (b0, b1), (c0, c1), (d0, d1) = T
+    rat, irr = Poly((-b0, d0 - a0, c0)), Poly((-b1, d1 - a1, c1))
+    norm = rat * rat - irr * irr * 5
     return all(poly_resultant(Poly(tables.P_TABLE[k]), norm) != 0 for k in ds)
 
 
@@ -291,13 +285,14 @@ def verify_worked_examples(prec: int = 384) -> dict:
         # -alpha is a root of q_19(T(zeta^2 x))
         zeta = mpmath.exp(2j * mp.pi / 5)
         s5 = mpmath.sqrt(mpf(5))
+        a, b, c, d = (x + y * s5 for x, y in T)
         arg = zeta**2 * (-alpha)
-        val = (-(1 + s5) * arg + 2) / (2 * arg + 1 + s5)
+        val = (a * arg + b) / (c * arg + d)
         out["ex1_q19_root"] = abs(Poly(tables.Q19_COFACTOR)(val)) < tol
 
     # ptilde_19(x) divides G_19(x^5) exactly over Q
     ptilde = Poly([(-1) ** k * c for k, c in enumerate(tables.P19_TILDE_NEG)])
-    _, G19x5 = build_F_G(Poly(tables.H_TABLE[19]), 1)
+    G19x5 = build_F_G(Poly(tables.H_TABLE[19]), 1)
     out["ex1_ptilde_divides_G19"] = ptilde.divides(G19x5)
 
     # Example 2: r(3i) equals the Ramanujan radical
@@ -308,27 +303,26 @@ def verify_worked_examples(prec: int = 384) -> dict:
 
     # m(x) divides G_36(x^5) exactly
     m = Poly(tables.M36)
-    _, G36x5 = build_F_G(Poly(tables.H_TABLE[36]), 2)
+    G36x5 = build_F_G(Poly(tables.H_TABLE[36]), 2)
     out["ex2_m_divides_G36"] = m.divides(G36x5)
 
     # m = m1 * conj(m1) over Q(sqrt5)
     s5e = CycloElem.sqrt5()
 
     def sqrt5_poly(pairs):
-        return Poly([_c(r) + s * s5e for r, s in pairs])
+        return Poly([r + s * s5e for r, s in pairs])
 
     m1 = sqrt5_poly(tables.M36_FACTOR_SQRT5)
     out["ex2_m1_conj_product"] = m1 * m1.map_coeffs(lambda c: c.galois(2)) == lift_to_cyclo(m)
 
     # m1(x) = x^4 m2(x - 1/x)
     m2 = sqrt5_poly(tables.M36_QUARTIC_SQRT5)
-    num, den = Poly((_c(-1), _c(0), _c(1))), Poly((_c(0), _c(1)))
-    out["ex2_m1_from_m2"] = poly_compose_rational(m2, num, den, 4) == m1
+    out["ex2_m1_from_m2"] = lift_through_x_minus_inv(m2) == m1
 
     # m2 = (x^2 + (19+11s5)/2 x + (27+11s5)/2)^2 - 75 ((1+s5)/2)^4 (x+1)^2
     half = Fraction(1, 2)
-    A = Poly(((27 + 11 * s5e) * half, (19 + 11 * s5e) * half, _c(1)))
-    B = Poly((_c(1), _c(1)))
+    A = Poly(((27 + 11 * s5e) * half, (19 + 11 * s5e) * half, 1))
+    B = Poly((1, 1))
     eps4 = ((1 + s5e) * half) ** 4
     out["ex2_m2_difference_of_squares"] = A * A - B * B * (75 * eps4) == m2
 

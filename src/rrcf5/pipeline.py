@@ -4,16 +4,16 @@ polynomials Q_d, p_d, q_d, the class-equation composites F_z and G_z (H_{-d}
 at j5 and j55 written in z), exact invariance identities, and the
 discriminant factorization report.
 
-The lift T -> x^deg(T) T(x - 1/x) is multiplicative and takes R to Q, S to p
-and F_z, G_z to F and G, the composites in x of build_F_G.  So R | F_z proves
-Q | F, and R | G_z with p | Q(x^5) proves p | G(x^5)."""
+The lift P -> x^deg(P) P(x - 1/x) is multiplicative and takes R to Q, S to p
+and F_z, G_z to F and G, the composites in x (build_F_G returns G(x^5)).  So
+R | F_z proves Q | F, and R | G_z with p | Q(x^5) proves p | G(x^5)."""
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import isqrt
 
 from .classdata import choose_v, n_system, reduced_forms
@@ -105,7 +105,7 @@ def _heegner_args(d: int):
     return cd, v, relaxed, n_system(cd, v)
 
 
-def _lift_through_x_minus_inv(S: Poly) -> Poly:
+def lift_through_x_minus_inv(S: Poly) -> Poly:
     """x^deg(S) * S(x - 1/x): doubles the degree, preserves integrality."""
     n = S.degree
     return poly_compose_rational(S, Poly((-1, 0, 1)), Poly((0, 1)), n)
@@ -116,12 +116,12 @@ def build_Q(R: Poly) -> Poly:
     would break the anti-palindromic symmetry."""
     if R.is_zero() or not R.coeffs[0]:
         raise PipelineIntegrityError("R must have a nonzero constant term")
-    return _lift_through_x_minus_inv(R)
+    return lift_through_x_minus_inv(R)
 
 
 def build_p_q(S: Poly, Q: Poly):
     """p(x) = x^{2h} S(x - 1/x) and the exact cofactor q = Q(x^5) / p."""
-    p = _lift_through_x_minus_inv(S)
+    p = lift_through_x_minus_inv(S)
     Qx5 = Q.subst_x_pow(5)
     quo, rem = divmod(Qx5, p)
     if not rem.is_zero():
@@ -131,15 +131,14 @@ def build_p_q(S: Poly, Q: Poly):
     return p, Poly(quo.int_coeffs())
 
 
-def build_F_G(H: Poly, h: int):
-    """F(x) = x^{5h} (1-11x-x^2)^h H(j5(x)) of degree 12h, and
-    G(x^5) = x^{5h} (1-11x^5-x^10)^{5h} H(j55(x^5)) of degree 60h."""
+def build_F_G(H: Poly, h: int) -> Poly:
+    """G(x^5) = x^{5h} (1-11x^5-x^10)^{5h} H(j55(x^5)) of degree 60h.  Its
+    partner F(x) = x^{5h} (1-11x-x^2)^h H(j5(x)) is
+    poly_compose_rational(H, J5_NUM, J5_DEN, h); no caller needs it.  The
+    name stays, since perfbench/tracer.py times pipeline.build_F_G."""
     if h != H.degree:
         raise PipelineIntegrityError("h must equal deg H")
-    F = poly_compose_rational(H, J5_NUM, J5_DEN, h)
-    G_in_y = poly_compose_rational(H, J55_NUM, J55_DEN, h)
-    Gx5 = G_in_y.subst_x_pow(5)
-    return F, Gx5
+    return poly_compose_rational(H, J55_NUM, J55_DEN, h).subst_x_pow(5)
 
 
 def z_plane_checks(H: Poly, R: Poly, h: int):
@@ -150,11 +149,10 @@ def z_plane_checks(H: Poly, R: Poly, h: int):
             R.divides(poly_compose_rational(H, J55Z_NUM, J55Z_DEN, h)))
 
 
-def verify_cor42(R: Poly, h: int) -> bool:
-    """(z+11)^{2h} R((-11z+4)/(z+11)) = 5^{3h} R(z) as an exact identity."""
-    n = R.degree
-    lhs = poly_compose_rational(R, Poly((4, -11)), Poly((11, 1)), n)
-    return lhs == R * (5 ** (3 * h))
+# Moebius maps z -> (az + b)/(cz + d) as (a, b, c, d), each entry a pair (x, y)
+# = x + y sqrt5: T, with r(-1/tau) = T(r(tau)), and Cor. 4.2's (-11z + 4)/(z + 11)
+T = ((-1, -1), (2, 0), (2, 0), (1, 1))
+COR42 = ((-11, 0), (4, 0), (1, 0), (11, 0))
 
 
 def _times_sqrt5(a, b):
@@ -162,35 +160,46 @@ def _times_sqrt5(a, b):
     return a[0] * b[0] + 5 * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def t_pullback_values(P: Poly, n: int):
-    """(2z+1+sqrt5)^n P(T(z)) at z = 0..n: the pullback of P, read as a form
-    of degree n >= deg P, by T = N/D with N = 2 - z - z sqrt5 and
-    D = 1 + 2z + sqrt5, as a homogeneous Horner pass on pairs
-    (a, b) = a + b sqrt5.  These n + 1 values fix the pullback."""
+def pullback_values(P: Poly, n: int, m):
+    """(cz+d)^n P((az+b)/(cz+d)) at z = 0..n, for m = (a, b, c, d) with
+    entries in Z[sqrt5]: the pullback P|m of P, read as a form of degree
+    n >= deg P, as a homogeneous Horner pass on pairs (x, y) = x + y sqrt5.
+    These n + 1 values fix P|m."""
     if P.degree > n:
         raise ExactDomainError(f"degree {P.degree} exceeds the form degree {n}")
+    (a0, a1), (b0, b1), (c0, c1), (d0, d1) = m
     cs = P.coeffs + (0,) * (n - P.degree)
     out = []
     for z in range(n + 1):
-        N, D = (2 - z, -z), (1 + 2 * z, 1)
+        N, D = (a0 * z + b0, a1 * z + b1), (c0 * z + d0, c1 * z + d1)
         acc, D_pow = (cs[-1], 0), (1, 0)
         for c in reversed(cs[:-1]):
             D_pow = _times_sqrt5(D_pow, D)
-            a, b = _times_sqrt5(acc, N)
-            acc = a + c * D_pow[0], b + c * D_pow[1]
+            x, y = _times_sqrt5(acc, N)
+            acc = x + c * D_pow[0], y + c * D_pow[1]
         out.append(acc)
     return out
 
 
+def _pulls_back_to(P: Poly, m, lam) -> bool:
+    """P|m = lam P, n = deg P, for lam in Z[sqrt5]: both sides are
+    polynomials in z of degree at most n, so they are equal once they agree
+    at z = 0..n (pullback_values)."""
+    n = P.degree
+    return all(t == (lam[0] * pz, lam[1] * pz)
+               for t, pz in zip(pullback_values(P, n, m), map(P, range(n + 1))))
+
+
+def verify_cor42(R: Poly, h: int) -> bool:
+    """(z+11)^n R((-11z+4)/(z+11)) = 5^{3h} R(z), n = deg R: R|COR42 = 5^{3h} R
+    (_pulls_back_to)."""
+    return _pulls_back_to(R, COR42, (5 ** (3 * h), 0))
+
+
 def verify_T_invariance(p: Poly, h: int) -> bool:
-    """(2z+1+sqrt5)^n p(T(z)) = 2^{2h} (5+sqrt5)^{2h} p(z) over Q(sqrt5),
-    n = deg p.  Both sides are polynomials in z of degree at most n, so they
-    are equal once they agree at z = 0..n (t_pullback_values)."""
-    scale = (4**h, 0)
-    for _ in range(2 * h):
-        scale = _times_sqrt5(scale, (5, 1))
-    return all(t == (scale[0] * pz, scale[1] * pz) for t, pz in
-               zip(t_pullback_values(p, p.degree), map(p, range(p.degree + 1))))
+    """p|T = 2^{2h} (5+sqrt5)^{2h} p = (120 + 40 sqrt5)^h p over Q(sqrt5), read
+    at n = deg p (_pulls_back_to)."""
+    return _pulls_back_to(p, T, reduce(_times_sqrt5, [(120, 40)] * h, (1, 0)))
 
 
 @lru_cache(maxsize=1)

@@ -4,8 +4,10 @@ Each test prints one PASS/FAIL line for its criterion (visible with -s or in
 the captured output of a failing run) and asserts the same condition.
 """
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -25,11 +27,14 @@ from rrcf5.curve5 import (
 )
 from rrcf5.exactmath import (
     Poly,
+    poly_compose_rational,
     poly_discriminant,
     poly_resultant,
 )
 from rrcf5.hpnum import _fixed, eta, reconstruct_int_poly, rr_r
 from rrcf5.pipeline import (
+    J5_DEN,
+    J5_NUM,
     build_F_G,
     build_p_q,
     build_Q,
@@ -72,6 +77,19 @@ def test_criterion_2_table2(pipeline_results):
     _report(2, "table 2 reproduction", ok)
 
 
+TABLES_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "tables.json"
+
+
+def test_pipeline_results_match_the_benchmark_references(pipeline_results):
+    # H, R, S, Q, p, q and disc of all 28 d, as the cache stores them
+    refs = json.loads(TABLES_REFS.read_text())
+    assert sorted(map(int, refs)) == sorted(ALL_DS)
+    for d, res in pipeline_results.items():
+        entry = cache.result_to_entry(res)
+        fields = ("H", "R", "S", "Q", "p", "q", "disc")
+        assert {k: entry[k] for k in fields} == refs[str(d)]["entry"], d
+
+
 def test_disc_through_S_matches_the_subresultant_route(pipeline_results):
     for d, res in pipeline_results.items():
         report = disc_conjecture_check(res.S, d, res.h)
@@ -79,13 +97,14 @@ def test_disc_through_S_matches_the_subresultant_route(pipeline_results):
 
 
 def test_z_plane_checks_match_the_x_plane_route(pipeline_results):
-    # build_F_G is the reference route: Q | F and p | G(x^5) in x.  H + 1
+    # The x-plane route is the reference: Q | F and p | G(x^5) in x.  H + 1
     # compares the two routes where both must say no.
     results = list(pipeline_results.values()) + [run_pipeline(d) for d in (479, 959)]
     for res in results:
         for H, got in ((res.H, (res.F_check, res.G_check)),
                        (res.H + 1, z_plane_checks(res.H + 1, res.R, res.h))):
-            F, Gx5 = build_F_G(H, res.h)
+            F = poly_compose_rational(H, J5_NUM, J5_DEN, res.h)
+            Gx5 = build_F_G(H, res.h)
             assert got == (res.Q.divides(F), res.p.divides(Gx5)), res.d
 
 
@@ -101,10 +120,11 @@ def test_criterion_3_printed_intermediates(pipeline_results):
     for d, coeffs in tables.Q_TABLE.items():
         checks.append(build_Q(Poly(tables.R_TABLE[d])) == Poly(coeffs))
     # F_19, F_4, G_4(x^5)
-    F19, _ = build_F_G(Poly(tables.H_TABLE[19]), 1)
+    F19 = poly_compose_rational(Poly(tables.H_TABLE[19]), J5_NUM, J5_DEN, 1)
     f1, f2 = (Poly(c) for c in tables.F19_FACTORS)
     checks.append(F19 == f1 * f2)
-    F4, G4x5 = build_F_G(Poly(tables.H_TABLE[4]), 1)
+    H4 = Poly(tables.H_TABLE[4])
+    F4, G4x5 = poly_compose_rational(H4, J5_NUM, J5_DEN, 1), build_F_G(H4, 1)
     q4, f4 = (Poly(c) for c in tables.F4_FACTORS)
     checks.append(F4 == (q4 * f4) ** 2)
     printed_G4 = Poly((1,))
@@ -143,7 +163,7 @@ def test_criterion_5_g60_orbits():
     checks = [len(group) == 60,
               group.order_census() == {1: 1, 2: 15, 3: 20, 5: 24}]
     for d in (11, 16, 19):
-        _, Gx5 = build_F_G(Poly(tables.H_TABLE[d]), 1)
+        Gx5 = build_F_G(Poly(tables.H_TABLE[d]), 1)
         orbit_size, stab = icosa.orbit_and_stabilizer(
             Poly(tables.P_TABLE[d]), group, Gx5)
         checks.append(orbit_size == 15)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 
 from rrcf5.curve5 import (
     C5Report,
@@ -25,7 +26,7 @@ from rrcf5.curve5 import (
     vandermonde_zeta5,
     verify_j_forms,
 )
-from rrcf5.exactmath import CycloElem, Poly, poly_compose_rational, poly_gcd
+from rrcf5.exactmath import CycloElem, Poly, poly_compose_rational, poly_resultant
 
 rng = random.Random(20260823)
 
@@ -211,6 +212,14 @@ def test_j_forms_agree():
 RATIONAL_BS = [Fraction(1, 2), Fraction(3), Fraction(-7, 5), Fraction(2, 9), Fraction(1)]
 
 
+X = sympy.Symbol("X")
+
+
+def sympy_poly(p):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
+                      X, domain="QQ")
+
+
 def doubling_parts(b):
     """(psi5, psi3, N, D) of E5(b), with x(2P) = N/D."""
     E = TateCurve5(b)
@@ -225,8 +234,12 @@ def test_group_law_5P_by_doubling(b):
     psi5, psi3, N, D = doubling_parts(b)
     N4, D4 = (poly_compose_rational(P, N, D, 4) for P in (N, D))
     assert N4 - Poly.x() * D4 == -(psi5 * psi3)
+    shared = Poly((b, 1))  # X + b
     for f, g in ((psi5, psi3), (psi5, D), (N, D)):
-        assert poly_gcd(f, g) == Poly((1,))
+        # sympy's gcd over Q is the independent reference for coprimality
+        assert sympy.gcd(sympy_poly(f), sympy_poly(g)).degree() == 0
+        assert poly_resultant(f, g) != 0
+        assert poly_resultant(f * shared, g * shared) == 0  # negative control
 
 
 @pytest.mark.parametrize("b", RATIONAL_BS)

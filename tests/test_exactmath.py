@@ -20,7 +20,6 @@ from rrcf5.exactmath import (
     moebius_act_on_poly,
     poly_compose_rational,
     poly_discriminant,
-    poly_gcd,
     poly_resultant,
 )
 
@@ -261,13 +260,6 @@ def test_divmod_by_monic_int_poly_matches_sympy(a_cs, b_cs, lc):
     for mine, ref in ((q, sq), (r, sr)):
         assert all(type(c) is int for c in mine.coeffs)
         assert mine == Poly([int(c) for c in reversed(ref.all_coeffs())])
-
-
-def test_gcd():
-    x = Poly.x().map_coeffs(Fraction)
-    a = (x - 1) ** 2 * (x + 3)
-    b = (x - 1) * (x + 5)
-    assert poly_gcd(a, b) == x - 1
 
 
 def test_reversed_and_subst_pow():
@@ -552,6 +544,31 @@ def test_moebius_group_laws():
     x = CycloElem.from_rational(Fraction(3, 2))
     assert S.inverse().apply(S.apply(x)) == x
     assert (S * T).apply(x) == S.apply(T.apply(x))
+
+
+def order_by_products(m):
+    acc, n = m, 1
+    while acc != MoebiusMap.identity():
+        acc, n = acc * m, n + 1
+    return n
+
+
+@pytest.mark.parametrize("entries, order", [
+    ((1, -1, 1, 0), 3),                    # z -> (z - 1)/z
+    ((1, -1, 1, 1), 4),                    # z -> (z - 1)/(z + 1)
+    ((2, -1, 1, 1), 6),                    # z -> (2z - 1)/(z + 1)
+    ((-CycloElem.zeta(), 0, 0, 1), 10),    # z -> -zeta z
+    ((1, 0, 0, 1), 1),
+])
+def test_element_order_from_the_trace(entries, order):
+    m = MoebiusMap(*entries)
+    assert m.element_order() == order == order_by_products(m)
+
+
+@pytest.mark.parametrize("entries", [(1, 1, 0, 1), (2, 0, 0, 1)])  # z + 1, 2z
+def test_element_order_refuses_infinite_order(entries):
+    with pytest.raises(ExactDomainError):
+        MoebiusMap(*entries).element_order()
 
 
 def test_moebius_poly_action_matches_roots():

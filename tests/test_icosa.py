@@ -37,7 +37,7 @@ from rrcf5.icosa import (
     verify_worked_examples,
     unwitnessed,
 )
-from rrcf5.pipeline import build_F_G, t_pullback_values
+from rrcf5.pipeline import T, build_F_G, pullback_values
 
 
 def reference_orbit_and_stabilizer(p, group, Gd5=None):
@@ -90,6 +90,14 @@ def test_group_order_and_census(g60):
     assert g60.order_census() == {1: 1, 2: 15, 3: 20, 5: 24}
 
 
+def test_orders_from_the_trace_match_repeated_products(g60):
+    for m in g60.elements:
+        acc, n = m, 1
+        while acc != MoebiusMap.identity():
+            acc, n = acc * m, n + 1
+        assert m.element_order() == n, m
+
+
 def test_generator_orders():
     assert S_map().element_order() == 5
     assert T_map().element_order() == 2
@@ -117,9 +125,9 @@ def test_f5_check_rejects_a_perturbed_form():
         assert not _f5_invariant(F5_NUM + bump, F5_DEN), k
         assert not _f5_invariant(F5_NUM, F5_DEN + bump), k
     # T multiplies p_11^15 by the same lam as F5_NUM, but S does not fix it
-    lam = t_pullback_values(F5_NUM, 60)[0]  # F5_NUM(0) = 1
+    lam = pullback_values(F5_NUM, 60, T)[0]  # F5_NUM(0) = 1
     p15 = Poly(tables.P_TABLE[11]) ** 15
-    assert t_pullback_values(p15, 60) == lam_times(lam, p15)
+    assert pullback_values(p15, 60, T) == lam_times(lam, p15)
     assert not _f5_invariant(p15, F5_DEN)
 
 
@@ -129,8 +137,8 @@ def test_f5_check_needs_one_multiplier():
     # S rejects W^15 too: T multiplies every S-invariant form of degree 60
     # that it multiplies by a scalar by lam, as A5 has no nontrivial character.
     W15 = Poly((1, -2, -6, 2, 1)) ** 15
-    lam = t_pullback_values(F5_NUM, 60)[0]
-    assert t_pullback_values(W15, 60) == lam_times((-lam[0], -lam[1]), W15)
+    lam = pullback_values(F5_NUM, 60, T)[0]
+    assert pullback_values(W15, 60, T) == lam_times((-lam[0], -lam[1]), W15)
     assert not _f5_invariant(F5_NUM, W15)
     assert not _f5_invariant(W15, F5_DEN)
 
@@ -139,14 +147,14 @@ def test_f5_check_rejects_a_form_above_degree_60():
     # x^65 passes the exponent test for S, but 61 points cannot fix its pullback
     x65 = Poly((0,) * 65 + (1,))
     with pytest.raises(ExactDomainError):
-        t_pullback_values(x65, 60)
+        pullback_values(x65, 60, T)
     with pytest.raises(ExactDomainError):
         _f5_invariant(F5_NUM + x65, F5_DEN)
 
 
 def test_61_point_multiplier_matches_the_exact_pullback():
     s5, two = CycloElem.sqrt5(), CycloElem.from_rational(2)
-    lam = t_pullback_values(F5_NUM, 60)[0]
+    lam = pullback_values(F5_NUM, 60, T)[0]
     A = lift_to_cyclo(F5_NUM)
     pulled = poly_compose_rational(A, Poly((two, -(1 + s5))), Poly((1 + s5, two)), 60)
     assert pulled == A * (lam[0] + lam[1] * s5)
@@ -167,7 +175,7 @@ def test_witnesses_leave_only_the_stabilizer_at_d11(g60):
 
 def test_exact_fallback_alone_gives_the_stabilizer(g60, monkeypatch):
     monkeypatch.setattr(icosa, "unwitnessed", lambda elements, p: list(elements))
-    _, Gx5 = build_F_G(Poly(tables.H_TABLE[11]), 1)
+    Gx5 = build_F_G(Poly(tables.H_TABLE[11]), 1)
     assert orbit_and_stabilizer(Poly(tables.P_TABLE[11]), g60, Gx5) == (
         15, expected_stabilizer())
 
@@ -184,7 +192,7 @@ def test_no_witness_where_the_reduction_mod_ell_fails():
 @pytest.mark.parametrize("d", [11, 16, 19, 24])
 def test_orbit_and_stabilizer(d, g60):
     p = Poly(tables.P_TABLE[d])
-    _, Gx5 = build_F_G(Poly(tables.H_TABLE[d]), tables.class_number(d))
+    Gx5 = build_F_G(Poly(tables.H_TABLE[d]), tables.class_number(d))
     orbit, stab = reference_orbit_and_stabilizer(p, g60, Gx5)
     assert (len(orbit), stab) == (15, expected_stabilizer())
     assert orbit_and_stabilizer(p, g60, Gx5) == (15, expected_stabilizer())
@@ -206,13 +214,13 @@ def test_perturbed_p_matches_the_exact_route(bump, stab_expected, g60):
 
 def test_orbit_rejects_wrong_target(g60):
     # p_11's orbit cannot divide G_19(x^5)
-    _, G19 = build_F_G(Poly(tables.H_TABLE[19]), 1)
+    G19 = build_F_G(Poly(tables.H_TABLE[19]), 1)
     with pytest.raises(IcosaError):
         orbit_and_stabilizer(Poly(tables.P_TABLE[11]), g60, G19)
 
 
 def test_orbit_root_match_d19(g60):
-    _, Gx5 = build_F_G(Poly(tables.H_TABLE[19]), 1)
+    Gx5 = build_F_G(Poly(tables.H_TABLE[19]), 1)
     orbit, _ = reference_orbit_and_stabilizer(Poly(tables.P_TABLE[19]), g60, Gx5)
     hit = orbit_root_match(19, orbit)
     assert hit is not None
@@ -227,6 +235,14 @@ def test_stabilizer_is_klein_four():
         for b in stab:
             assert a * b in stab
     assert T_map() * U_map() == T2_map()
+
+
+def test_T_maps_carry_the_entries_of_T_and_its_conjugate():
+    s5 = CycloElem.sqrt5()
+    assert T == ((-1, -1), (2, 0), (2, 0), (1, 1))
+    assert T_map() == MoebiusMap(-(1 + s5), 2, 2, 1 + s5)
+    assert T2_map() == MoebiusMap(-(1 - s5), 2, 2, 1 - s5)
+    assert T_map() != T2_map()
 
 
 def test_conjugate_map_outside_stabilizer():

@@ -1,26 +1,48 @@
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from rrcf5 import tables
 from rrcf5.classdata import choose_v, n_system, reduced_forms
-from rrcf5.exactmath import Poly, poly_compose_rational, poly_discriminant
-from rrcf5.hpnum import PrecisionError, PrecisionPolicy, _to_mpc, check_j_by_r, eta, j_from_tau
+from rrcf5.exactmath import (
+    CycloElem,
+    ExactDomainError,
+    Poly,
+    lift_to_cyclo,
+    poly_compose_rational,
+    poly_discriminant,
+)
+from rrcf5.hpnum import (
+    PrecisionError,
+    PrecisionPolicy,
+    _to_mpc,
+    check_j_by_r,
+    eta,
+    j_from_tau,
+    r_transformation_laws,
+)
 from rrcf5.pipeline import (
+    COR42,
+    J5_DEN,
+    J5_NUM,
     J5Z_DEN,
     J5Z_NUM,
     J55Z_DEN,
     J55Z_NUM,
+    T,
     PipelineIntegrityError,
     _heegner_args,
     _heegner_ws,
-    _lift_through_x_minus_inv,
     _primes_up_to,
     build_F_G,
     build_p_q,
     build_Q,
     disc_conjecture_check,
     heegner_values,
+    lift_through_x_minus_inv,
+    pullback_values,
     run_pipeline,
     verify_cor42,
     verify_T_invariance,
@@ -59,16 +81,21 @@ def test_build_p_q_printed_cofactor():
     assert q == Poly(tables.Q19_COFACTOR)
 
 
+def F_of(H, h):
+    """F(x) = x^{5h} (1-11x-x^2)^h H(j5(x)), which build_F_G does not build."""
+    return poly_compose_rational(H, J5_NUM, J5_DEN, h)
+
+
 def test_F19_matches_printed_factorization():
     H = Poly(tables.H_TABLE[19])
-    F, _ = build_F_G(H, 1)
+    F = F_of(H, 1)
     f1, f2 = (Poly(c) for c in tables.F19_FACTORS)
     assert F == f1 * f2
 
 
 def test_F4_and_G4_printed():
     H = Poly(tables.H_TABLE[4])
-    F, Gx5 = build_F_G(H, 1)
+    F, Gx5 = F_of(H, 1), build_F_G(H, 1)
     q4, f4 = (Poly(c) for c in tables.F4_FACTORS)
     assert F == (q4 * f4) ** 2
     g = Poly((1,))
@@ -81,6 +108,54 @@ def test_verify_cor42():
     assert verify_cor42(Poly(tables.R_TABLE[11]), 1)
     assert verify_cor42(Poly(tables.R_TABLE[84]), 4)
     assert not verify_cor42(Poly((1, 0, 1)), 1)  # negative control
+
+
+def test_verify_cor42_rejects_R_plus_one():
+    for d, coeffs in tables.R_TABLE.items():
+        h = tables.class_number(d)
+        assert verify_cor42(Poly(coeffs), h), d
+        assert not verify_cor42(Poly(coeffs) + 1, h), d
+
+
+def test_pullback_values_refuse_a_form_above_degree_n():
+    # n + 1 points cannot fix the pullback of a polynomial of degree n + 1
+    for n in (0, 2, 8):
+        with pytest.raises(ExactDomainError):
+            pullback_values(Poly((0,) * (n + 1) + (1,)), n, COR42)
+
+
+def test_the_numeric_T_law_uses_the_entries_of_T():
+    # hpnum imports no package module, so r(-1/tau) = T(r(tau)) writes T out
+    # again in mpmath; it must be the map the exact checks use
+    r, (_, (_, rhs)) = r_transformation_laws(mpc(0.1, 0.9), 256)
+    with mp.workprec(320):
+        s5 = mpmath.sqrt(5)
+        a, b, c, d = (x + y * s5 for x, y in T)
+        assert abs(rhs - (a * r + b) / (c * r + d)) < mpf(2) ** -300
+
+
+def conjugate(m):
+    return tuple((x, -y) for x, y in m)
+
+
+U = ((0, 0), (-1, 0), (1, 0), (0, 0))  # z -> -1/z
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=12),
+       st.integers(0, 3), st.sampled_from(["T", "T2", "COR42", "U"]))
+def test_pullback_values_match_the_exact_pullback(cs, extra, name):
+    # (cz+d)^n P((az+b)/(cz+d)) over Q(zeta_5), by poly_compose_rational,
+    # read at z = 0..n
+    m = {"T": T, "T2": conjugate(T), "COR42": COR42, "U": U}[name]
+    P = Poly(cs)
+    n = max(P.degree, 0) + extra
+    s5 = CycloElem.sqrt5()
+    a, b, c, d = (x + y * s5 for x, y in m)
+    exact = poly_compose_rational(lift_to_cyclo(P), Poly((b, a)), Poly((d, c)), n)
+    got = pullback_values(P, n, m)
+    assert len(got) == n + 1
+    assert all(x + y * s5 == exact(z) for z, (x, y) in enumerate(got))
 
 
 def test_verify_T_invariance():
@@ -235,14 +310,14 @@ def test_z_forms_lift_to_F_and_G():
     # multiplicative, R | F_z gives Q | F and R | G_z gives Q | G
     for d, coeffs in tables.H_TABLE.items():
         H = Poly(coeffs)
-        F, Gx5 = build_F_G(H, H.degree)
+        F, Gx5 = F_of(H, H.degree), build_F_G(H, H.degree)
         F_z = poly_compose_rational(H, J5Z_NUM, J5Z_DEN, H.degree)
         G_z = poly_compose_rational(H, J55Z_NUM, J55Z_DEN, H.degree)
         assert F_z.degree == G_z.degree == 6 * H.degree, d
         # so no root of an R dividing F_z is z = -11, the pole of j5 and j55
         assert (F_z(-11), G_z(-11)) == (5 ** (3 * H.degree), 5 ** (15 * H.degree)), d
-        assert _lift_through_x_minus_inv(F_z) == F, d
-        assert _lift_through_x_minus_inv(G_z).subst_x_pow(5) == Gx5, d
+        assert lift_through_x_minus_inv(F_z) == F, d
+        assert lift_through_x_minus_inv(G_z).subst_x_pow(5) == Gx5, d
 
 
 @pytest.mark.parametrize("d", (11, 24, 71, 119, 144))
