@@ -184,19 +184,15 @@ def five_torsion_by_doubling(b) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _c(n):
-    return CycloElem.from_rational(n)
-
-
 def torsion_A_coeffs():
     """The five polynomials A_4..A_0 in b (lowest-degree-first coefficient
     tuples over Q(sqrt5)) from the solved quintic."""
     a = CycloElem.sqrt5()
-    A4 = Poly((8 * a - 18, 6 * a - 12, _c(-2)))
-    A3 = Poly((3 * a - 7, -4 * a + 12, _c(2)))
-    A2 = Poly((a - 3, 7 * a - 7, _c(-2)))
-    A1 = Poly((_c(-2), _c(22), _c(2)))
-    A0 = Poly((-3 - a, 3 * a - 7, _c(-2)))
+    A4 = Poly((8 * a - 18, 6 * a - 12, -2))
+    A3 = Poly((3 * a - 7, -4 * a + 12, 2))
+    A2 = Poly((a - 3, 7 * a - 7, -2))
+    A1 = Poly((-2, 22, 2))
+    A0 = Poly((-3 - a, 3 * a - 7, -2))
     return A4, A3, A2, A1, A0
 
 
@@ -215,7 +211,7 @@ def master_torsion_polys(perturb_A1: int = 0):
     P_t is zeta^(tk) times coefficient k of P_0."""
     a = CycloElem.sqrt5()
     bnum_v = Poly((golden_unit_conj()**5, golden_unit()**5))
-    bden_v = Poly((_c(1), _c(1)))
+    bden_v = Poly((1, 1))
 
     def clear_b(poly_in_b, h):
         return poly_compose_rational(poly_in_b, bnum_v, bden_v, h).subst_x_pow(5)
@@ -226,7 +222,7 @@ def master_torsion_polys(perturb_A1: int = 0):
     # clear b out of each A_k (deg_b <= 2) and attach u^k
     XA = Poly()
     for k, Ak in enumerate((A0, A1, A2, A3, A4)):
-        XA = XA + clear_b(Ak, 2) * Poly([_c(0)] * k + [_c(1)])
+        XA = XA + clear_b(Ak, 2) * Poly((0,) * k + (1,))
 
     # psi_5 over Z[b] (coefficients of degree <= 9 in b), b cleared in v
     psi5 = division_poly_5(TateCurve5(Poly.x()))
@@ -271,11 +267,11 @@ def det_D_identity():
     A4, A3, A2, A1, A0 = torsion_A_coeffs()
     det = A4 * A3 * A2 * A1 * A0 * vandermonde_zeta5()
 
-    f1 = Poly((a - 1, _c(-2)))          # -2b - 1 + alpha
-    f2 = Poly((a + 1, _c(2)))           # 2b + alpha + 1
-    f3 = Poly((5 * a + 11, _c(2)))      # 2b + 11 + 5 alpha
-    f4 = Poly((a + 2, _c(-1)))          # -b + 2 + alpha
-    f5 = Poly((5 * a - 11, _c(-2)))     # -2b - 11 + 5 alpha
+    f1 = Poly((a - 1, -2))       # -2b - 1 + alpha
+    f2 = Poly((a + 1, 2))        # 2b + alpha + 1
+    f3 = Poly((5 * a + 11, 2))   # 2b + 11 + 5 alpha
+    f4 = Poly((a + 2, -1))       # -b + 2 + alpha
+    f5 = Poly((5 * a - 11, -2))  # -2b - 11 + 5 alpha
     core = A0 * f1 * f2 * f3 * f4 * f5**4
     closed = core * (a * Fraction(-25, 8))
     closed_ok = det == closed or det == -closed
@@ -321,20 +317,20 @@ def tau_and_isogeny_checks():
     (v) the two closed forms of phi(b) agree.  Returns a dict of booleans."""
     a = CycloElem.sqrt5()
     eps1, epsbar1 = golden_unit()**5, golden_unit_conj()**5
-    tau = RatFunc(Poly((eps1, _c(-1))), Poly((_c(1), eps1)))
+    tau = RatFunc(Poly((eps1, -1)), Poly((1, eps1)))
 
     j5 = _lift_rf(J5_NUM, J5_DEN)
     j55 = _lift_rf(J55_NUM, J55_DEN)
     out = {}
     out["j5_tau_is_j55"] = j5.substitute(tau) == j55
 
-    x = RatFunc(Poly((_c(0), _c(1))))
+    x = RatFunc(Poly((0, 1)))
     out["tau_involution"] = tau.substitute(tau) == x
 
-    phi = RatFunc(Poly((-epsbar1, _c(1))), Poly((eps1, _c(-1))))
-    out["phi_tau"] = phi.substitute(tau) == RatFunc(Poly((_c(1),)), Poly((_c(0), eps1)))
+    phi = RatFunc(Poly((-epsbar1, 1)), Poly((eps1, -1)))
+    out["phi_tau"] = phi.substitute(tau) == RatFunc(Poly((1,)), Poly((0, eps1)))
 
-    phi_other = RatFunc(Poly((5 * a + 11, _c(2))), Poly((5 * a - 11, _c(-2))))
+    phi_other = RatFunc(Poly((5 * a + 11, 2)), Poly((5 * a - 11, -2)))
     out["phi_two_forms"] = phi == phi_other
 
     # isogeny X-coordinate: numerator in x with Poly-in-b1 coefficients
@@ -400,10 +396,11 @@ def verify_C5_solution(d: int, prec: int = 512) -> C5Report:
                     zeta_index=j_idx, xi5_is_tau_eta5=xi5_ok)
 
 
-def verify_duke_identities(tau_samples, prec: int = 256) -> bool:
-    """Three transformation laws of r(tau), checked numerically:
+def verify_duke_identities(tau_samples) -> bool:
+    """Three transformation laws of r(tau), checked numerically at 192 bits:
     the level-5 Fricke relation for r^5, the full Fricke relation via T,
     and the degree-1 eta-quotient identity."""
+    prec = 192
     with mp.workprec(prec + 64):
         tol = mpf(2) ** (-(prec - 32))
         for tau in tau_samples:

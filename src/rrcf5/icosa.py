@@ -7,7 +7,7 @@ proof that no fixed point of T is a root of a tabulated p_d."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 from operator import mul
 
@@ -25,7 +25,7 @@ from .exactmath import (
     poly_resultant,
 )
 from .hpnum import rr_r
-from .pipeline import J55_DEN, J55_NUM, T, build_F_G, lift_through_x_minus_inv, pullback_values
+from .pipeline import J55_DEN, J55_NUM, T, build_F_G, is_fixed_by, lift_through_x_minus_inv
 
 
 class IcosaError(ValueError):
@@ -50,25 +50,9 @@ def T2_map() -> MoebiusMap:
     return MoebiusMap(*(e.galois(2) for e in T_map().entries()))
 
 
-@dataclass(frozen=True)
-class G60Group:
-    elements: tuple
-    S: MoebiusMap
-    T: MoebiusMap
-
-    def __len__(self):
-        return len(self.elements)
-
-    def order_census(self):
-        census = {}
-        for m in self.elements:
-            n = m.element_order()
-            census[n] = census.get(n, 0) + 1
-        return census
-
-
-def generate_g60() -> G60Group:
-    """Closure of {S, T} under composition; must stop at 60 elements."""
+def generate_g60() -> tuple:
+    """The 60 maps of the closure of {S, T} under composition; the closure
+    must stop at 60 elements."""
     S, T = S_map(), T_map()
     seen = {MoebiusMap.identity(), S, T}
     frontier = [S, T]
@@ -85,7 +69,7 @@ def generate_g60() -> G60Group:
         frontier = nxt
     if len(seen) != 60:
         raise IcosaError(f"closure stopped at {len(seen)} elements")
-    return G60Group(elements=tuple(seen), S=S, T=T)
+    return tuple(seen)
 
 
 # f5(x) = j55(x^5) = F5_NUM / F5_DEN, both read as forms of degree 60
@@ -94,15 +78,11 @@ F5_NUM, F5_DEN = J55_NUM.subst_x_pow(5), J55_DEN.subst_x_pow(5)
 
 def _f5_invariant(A: Poly, B: Poly) -> bool:
     """A/B, for A and B read as forms of degree 60, is invariant under S: every
-    exponent is a multiple of 5; and under T: P|T = lam P for P = A, B, with
-    P|T the pullback of the form P of degree 60 and lam = A|T(0) / A(0),
-    proven at z = 0..60 (pullback_values)."""
+    exponent is a multiple of 5; and under T: both forms are fixed by T,
+    P|T = (10 + 2 sqrt5)^30 P (is_fixed_by)."""
     if any(k % 5 for P in (A, B) for k, c in enumerate(P.coeffs) if c):
         return False
-    a0, pulled = A(0), [(P, pullback_values(P, 60, T)) for P in (A, B)]
-    lam = pulled[0][1][0]
-    return bool(a0) and all((a0 * a, a0 * b) == (lam[0] * P(z), lam[1] * P(z))
-                            for P, vals in pulled for z, (a, b) in enumerate(vals))
+    return is_fixed_by(A, T, 60) and is_fixed_by(B, T, 60)
 
 
 def verify_f5_invariance() -> bool:
@@ -144,14 +124,14 @@ def unwitnessed(elements, p: Poly) -> list:
     return out
 
 
-def orbit_and_stabilizer(p: Poly, group: G60Group, Gd5: Poly):
+def orbit_and_stabilizer(p: Poly, group: tuple, Gd5: Poly):
     """(orbit size, stabilizer) of the integer polynomial p, which must divide
     Gd5 over Z.  The exact pullback over Q(zeta_5) decides each unwitnessed
     map; the others are not in the stabilizer.  The orbit size is the index."""
     if not p.divides(Gd5):
         raise IcosaError("p does not divide G_d(x^5)")
     base = lift_to_cyclo(p).monic()  # the identity's pullback
-    stabilizer = frozenset(m for m in unwitnessed(group.elements, p)
+    stabilizer = frozenset(m for m in unwitnessed(group, p)
                            if moebius_act_on_poly(m, p) == base)
     return len(group) // len(stabilizer), stabilizer
 
@@ -160,9 +140,9 @@ def expected_stabilizer() -> frozenset:
     return frozenset((MoebiusMap.identity(), T_map(), U_map(), T2_map()))
 
 
-def group_structure_report(group: G60Group) -> dict:
-    """The printed relations among S, T, U, T2."""
-    S, T, U, T2 = group.S, group.T, U_map(), T2_map()
+def group_structure_report(group: tuple) -> dict:
+    """The printed relations among S, T, U, T2, and the order census."""
+    S, T, U, T2 = S_map(), T_map(), U_map(), T2_map()
     zeta = CycloElem.zeta()
     out = {}
     S2, S3 = S * S, S * S * S
@@ -173,7 +153,7 @@ def group_structure_report(group: G60Group) -> dict:
     conj = S.inverse() * U * S
     out["conjugate_is_printed"] = conj == MoebiusMap(0, -(zeta**3), 1, 0)
     out["conjugate_not_in_H"] = conj not in expected_stabilizer()
-    out["census"] = group.order_census() == {1: 1, 2: 15, 3: 20, 5: 24}
+    out["census"] = Counter(m.element_order() for m in group) == {1: 1, 2: 15, 3: 20, 5: 24}
     return out
 
 
@@ -187,15 +167,6 @@ def group_structure_report(group: G60Group) -> dict:
 PHI20 = Poly((1, 0, -1, 0, 1, 0, -1, 0, 1))
 
 
-def _value_in_z20(f: Poly, alpha: Poly) -> Poly:
-    """f(alpha) mod PHI20, reduced after every Horner step, so no
-    intermediate exceeds degree 14."""
-    acc = Poly()
-    for c in reversed(f.coeffs):
-        acc = (acc * alpha + c) % PHI20
-    return acc
-
-
 def verify_d4_corpus() -> dict:
     """All exact Q(zeta_20) facts for the degenerate discriminant d = 4.  An
     identity among elements of Q(zeta_20) holds exactly when PHI20 divides
@@ -203,7 +174,7 @@ def verify_d4_corpus() -> dict:
     root of f exactly when PHI20 divides f(alpha)."""
     out = {}
     H4 = Poly(tables.H_TABLE[4])
-    Gx5 = build_F_G(H4, 1)
+    Gx5 = build_F_G(H4)
     printed = Poly((1,))
     for fac in tables.G4_FACTORS:
         printed = printed * Poly(fac) ** 2
@@ -214,13 +185,13 @@ def verify_d4_corpus() -> dict:
 
     # x_1, x_2, x_3 are roots of the quartic and the two octic factors
     out["G4_factor_roots"] = all(
-        _value_in_z20(Poly(fac), Poly(coords)).is_zero()
+        PHI20.divides(Poly(fac)(Poly(coords)))
         for coords, fac in zip(tables.G4_FACTOR_ROOTS_Z20, tables.G4_FACTORS[1:]))
 
     # the quartic square factor f_4 of F_4 and its four zeta_20 roots
     f4 = Poly(tables.F4_FACTORS[1])
     alphas = [Poly(c) for c in tables.F4_QUARTIC_ROOTS_Z20]
-    out["f4_roots"] = all(_value_in_z20(f4, a).is_zero() for a in alphas)
+    out["f4_roots"] = all(PHI20.divides(f4(a)) for a in alphas)
 
     # fifth-power relations among the roots
     a1, a2, a3, a4 = alphas
@@ -240,20 +211,24 @@ def verify_d4_corpus() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def nested_radical_example1(prec: int = 384):
+# working bits of the numeric example checks, whose tolerance is 10^-60
+EXAMPLES_PREC = 384
+
+
+def nested_radical_example1():
     """The real value (-8-3s5-sqrt(125+60 s5)+sqrt(250+108 s5+(16+6 s5)
     sqrt(125+60 s5)))/4, taking the positive branch of every radical."""
-    with mp.workprec(prec):
+    with mp.workprec(EXAMPLES_PREC):
         s5 = mpmath.sqrt(mpf(5))
         t = mpmath.sqrt(125 + 60 * s5)
         inner = mpmath.sqrt(250 + 108 * s5 + (16 + 6 * s5) * t)
         return (-8 - 3 * s5 - t + inner) / 4
 
 
-def ramanujan_r3i(prec: int = 384):
+def ramanujan_r3i():
     """sqrt(c^2+1) - c with 2c = sqrt5 (q+2-sqrt3+sqrt5)/(q-2+sqrt3-sqrt5) + 1,
     q = 60^(1/4)."""
-    with mp.workprec(prec):
+    with mp.workprec(EXAMPLES_PREC):
         s3, s5 = mpmath.sqrt(mpf(3)), mpmath.sqrt(mpf(5))
         q = mpf(60) ** Fraction(1, 4)
         c = (s5 * (q + 2 - s3 + s5) / (q - 2 + s3 - s5) + 1) / 2
@@ -272,14 +247,14 @@ def t_fixed_point_check(ds) -> bool:
     return all(poly_resultant(Poly(tables.P_TABLE[k]), norm) != 0 for k in ds)
 
 
-def verify_worked_examples(prec: int = 384) -> dict:
+def verify_worked_examples() -> dict:
     """Exact and numeric checks for the two worked examples (d = 19, 36)."""
     out = {}
     tol = mpf(10) ** (-60)
 
     # Example 1: the nested radical is a root of the printed degree-8 poly
-    with mp.workprec(prec):
-        alpha = nested_radical_example1(prec)
+    with mp.workprec(EXAMPLES_PREC):
+        alpha = nested_radical_example1()
         out["ex1_radical_root"] = abs(Poly(tables.P19_TILDE_NEG)(alpha)) < tol
 
         # -alpha is a root of q_19(T(zeta^2 x))
@@ -292,18 +267,18 @@ def verify_worked_examples(prec: int = 384) -> dict:
 
     # ptilde_19(x) divides G_19(x^5) exactly over Q
     ptilde = Poly([(-1) ** k * c for k, c in enumerate(tables.P19_TILDE_NEG)])
-    G19x5 = build_F_G(Poly(tables.H_TABLE[19]), 1)
+    G19x5 = build_F_G(Poly(tables.H_TABLE[19]))
     out["ex1_ptilde_divides_G19"] = ptilde.divides(G19x5)
 
     # Example 2: r(3i) equals the Ramanujan radical
-    with mp.workprec(prec):
-        r3i = rr_r(mpc(0, 3), prec)
-        out["ex2_r3i_radical"] = abs(r3i - ramanujan_r3i(prec)) < tol
+    with mp.workprec(EXAMPLES_PREC):
+        r3i = rr_r(mpc(0, 3), EXAMPLES_PREC)
+        out["ex2_r3i_radical"] = abs(r3i - ramanujan_r3i()) < tol
         out["ex2_r3i_min_poly"] = abs(Poly(tables.M36)(r3i)) < tol
 
     # m(x) divides G_36(x^5) exactly
     m = Poly(tables.M36)
-    G36x5 = build_F_G(Poly(tables.H_TABLE[36]), 2)
+    G36x5 = build_F_G(Poly(tables.H_TABLE[36]))
     out["ex2_m_divides_G36"] = m.divides(G36x5)
 
     # m = m1 * conj(m1) over Q(sqrt5)

@@ -131,20 +131,19 @@ def build_p_q(S: Poly, Q: Poly):
     return p, Poly(quo.int_coeffs())
 
 
-def build_F_G(H: Poly, h: int) -> Poly:
-    """G(x^5) = x^{5h} (1-11x^5-x^10)^{5h} H(j55(x^5)) of degree 60h.  Its
-    partner F(x) = x^{5h} (1-11x-x^2)^h H(j5(x)) is
+def build_F_G(H: Poly) -> Poly:
+    """G(x^5) = x^{5h} (1-11x^5-x^10)^{5h} H(j55(x^5)) of degree 60h,
+    h = deg H.  Its partner F(x) = x^{5h} (1-11x-x^2)^h H(j5(x)) is
     poly_compose_rational(H, J5_NUM, J5_DEN, h); no caller needs it.  The
     name stays, since perfbench/tracer.py times pipeline.build_F_G."""
-    if h != H.degree:
-        raise PipelineIntegrityError("h must equal deg H")
-    return poly_compose_rational(H, J55_NUM, J55_DEN, h).subst_x_pow(5)
+    return poly_compose_rational(H, J55_NUM, J55_DEN, H.degree).subst_x_pow(5)
 
 
-def z_plane_checks(H: Poly, R: Poly, h: int):
+def z_plane_checks(H: Poly, R: Poly):
     """(R | F_z, R | G_z) for F_z = (-(z+11))^h H(j5(z)) and
-    G_z = (-(z+11)^5)^h H(j55(z)), each of degree 6h; they prove Q | F and
-    p | G(x^5) for the F and G of build_F_G."""
+    G_z = (-(z+11)^5)^h H(j55(z)), h = deg H, each of degree 6h; they prove
+    Q | F and p | G(x^5) for the F and G of build_F_G."""
+    h = H.degree
     return (R.divides(poly_compose_rational(H, J5Z_NUM, J5Z_DEN, h)),
             R.divides(poly_compose_rational(H, J55Z_NUM, J55Z_DEN, h)))
 
@@ -181,25 +180,36 @@ def pullback_values(P: Poly, n: int, m):
     return out
 
 
-def _pulls_back_to(P: Poly, m, lam) -> bool:
-    """P|m = lam P, n = deg P, for lam in Z[sqrt5]: both sides are
-    polynomials in z of degree at most n, so they are equal once they agree
-    at z = 0..n (pullback_values)."""
-    n = P.degree
+def is_fixed_by(P: Poly, m, n: int) -> bool:
+    """P|m = (-det m)^(n/2) P for P read as a form of degree n and m an
+    involution (a + d = 0): both sides are polynomials in z of degree at
+    most n, so they are equal once they agree at z = 0..n (pullback_values).
+
+    With d = -a, m^2 = (a^2 + bc) I = -det(m) I, so P|m = lam P forces
+    lam^2 P = P|m^2 = (-det m)^n P: lam = +-(-det m)^(n/2), and only the
+    sign is a fact to prove.  Raises ExactDomainError when a + d != 0 or n
+    is odd."""
+    a, b, c, d = m
+    if a[0] + d[0] or a[1] + d[1]:
+        raise ExactDomainError(f"{m} is not an involution: a + d != 0")
+    if n % 2:
+        raise ExactDomainError(f"the form degree {n} is odd")
+    (x0, x1), (y0, y1) = _times_sqrt5(a, a), _times_sqrt5(b, c)
+    lam = reduce(_times_sqrt5, [(x0 + y0, x1 + y1)] * (n // 2), (1, 0))
     return all(t == (lam[0] * pz, lam[1] * pz)
                for t, pz in zip(pullback_values(P, n, m), map(P, range(n + 1))))
 
 
-def verify_cor42(R: Poly, h: int) -> bool:
-    """(z+11)^n R((-11z+4)/(z+11)) = 5^{3h} R(z), n = deg R: R|COR42 = 5^{3h} R
-    (_pulls_back_to)."""
-    return _pulls_back_to(R, COR42, (5 ** (3 * h), 0))
+def verify_cor42(R: Poly) -> bool:
+    """(z+11)^n R((-11z+4)/(z+11)) = 125^h R(z), n = deg R = 2h: R|COR42 =
+    5^{3h} R (is_fixed_by)."""
+    return is_fixed_by(R, COR42, R.degree)
 
 
-def verify_T_invariance(p: Poly, h: int) -> bool:
-    """p|T = 2^{2h} (5+sqrt5)^{2h} p = (120 + 40 sqrt5)^h p over Q(sqrt5), read
-    at n = deg p (_pulls_back_to)."""
-    return _pulls_back_to(p, T, reduce(_times_sqrt5, [(120, 40)] * h, (1, 0)))
+def verify_T_invariance(p: Poly) -> bool:
+    """p|T = (10 + 2 sqrt5)^{2h} p = (120 + 40 sqrt5)^h p over Q(sqrt5),
+    read at n = deg p = 4h (is_fixed_by)."""
+    return is_fixed_by(p, T, p.degree)
 
 
 @lru_cache(maxsize=1)
@@ -221,8 +231,8 @@ class DiscReport:
     smooth_ok: bool  # no prime factor exceeds d
 
 
-def disc_conjecture_check(S: Poly, d: int, h: int) -> DiscReport:
-    """Factor disc(p) for p(x) = x^m S(x - 1/x), m = deg S.
+def disc_conjecture_check(S: Poly, d: int) -> DiscReport:
+    """Factor disc(p) for p(x) = x^m S(x - 1/x), m = deg S = 2h.
 
     Each root s of S gives the roots x, -1/x of p, with (x + 1/x)^2 = s^2 + 4;
     the four differences between two such pairs multiply to -(s_k - s_l)^2.
@@ -250,7 +260,7 @@ def disc_conjecture_check(S: Poly, d: int, h: int) -> DiscReport:
             factors.append((q, e))
     fdict = dict(factors)
     # bound >= d, so the sieve holds every prime divisor of d
-    exact_ok = all(fdict.get(q, 0) == 2 * h for q in primes[:bisect_right(primes, d)]
+    exact_ok = all(fdict.get(q, 0) == S.degree for q in primes[:bisect_right(primes, d)]
                    if q > 5 and d % q == 0)
     smooth_ok = n == 1 and all(q <= d for q, _ in factors)
     return DiscReport(
@@ -344,10 +354,10 @@ def run_pipeline(d: int, policy: PrecisionPolicy | None = None) -> PipelineResul
     if not (_antipalindromic(p) and _antipalindromic(q) and _antipalindromic(Q.subst_x_pow(5))):
         raise PipelineIntegrityError("anti-palindromic symmetry violated")
 
-    F_check, G_check = z_plane_checks(H, R, h)
-    cor42 = verify_cor42(R, h)
-    t_check = verify_T_invariance(p, h)
-    report = disc_conjecture_check(S, d, h)
+    F_check, G_check = z_plane_checks(H, R)
+    cor42 = verify_cor42(R)
+    t_check = verify_T_invariance(p)
+    report = disc_conjecture_check(S, d)
 
     return PipelineResult(
         d=d, f=cd.f, h=h, v=v, v_relaxed=relaxed,

@@ -275,4 +275,4 @@ def test_C5_solution_needs_a_tabulated_d(d):
 def test_duke_identities_random_taus():
     taus = [mpmath.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.6))
             for _ in range(4)]
-    assert verify_duke_identities(taus, prec=192)
+    assert verify_duke_identities(taus)

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from rrcf5 import tables
+from rrcf5 import icosa, tables
 from rrcf5.classdata import choose_v, n_system, reduced_forms
 from rrcf5.exactmath import (
     CycloElem,
     ExactDomainError,
+    MoebiusMap,
     Poly,
     lift_to_cyclo,
     poly_compose_rational,
@@ -41,6 +42,7 @@ from rrcf5.pipeline import (
     build_Q,
     disc_conjecture_check,
     heegner_values,
+    is_fixed_by,
     lift_through_x_minus_inv,
     pullback_values,
     run_pipeline,
@@ -95,7 +97,7 @@ def test_F19_matches_printed_factorization():
 
 def test_F4_and_G4_printed():
     H = Poly(tables.H_TABLE[4])
-    F, Gx5 = F_of(H, 1), build_F_G(H, 1)
+    F, Gx5 = F_of(H, 1), build_F_G(H)
     q4, f4 = (Poly(c) for c in tables.F4_FACTORS)
     assert F == (q4 * f4) ** 2
     g = Poly((1,))
@@ -105,16 +107,15 @@ def test_F4_and_G4_printed():
 
 
 def test_verify_cor42():
-    assert verify_cor42(Poly(tables.R_TABLE[11]), 1)
-    assert verify_cor42(Poly(tables.R_TABLE[84]), 4)
-    assert not verify_cor42(Poly((1, 0, 1)), 1)  # negative control
+    assert verify_cor42(Poly(tables.R_TABLE[11]))
+    assert verify_cor42(Poly(tables.R_TABLE[84]))
+    assert not verify_cor42(Poly((1, 0, 1)))  # negative control
 
 
 def test_verify_cor42_rejects_R_plus_one():
     for d, coeffs in tables.R_TABLE.items():
-        h = tables.class_number(d)
-        assert verify_cor42(Poly(coeffs), h), d
-        assert not verify_cor42(Poly(coeffs) + 1, h), d
+        assert verify_cor42(Poly(coeffs)), d
+        assert not verify_cor42(Poly(coeffs) + 1), d
 
 
 def test_pullback_values_refuse_a_form_above_degree_n():
@@ -158,33 +159,67 @@ def test_pullback_values_match_the_exact_pullback(cs, extra, name):
     assert all(x + y * s5 == exact(z) for z, (x, y) in enumerate(got))
 
 
+def test_the_four_maps_are_involutions():
+    for m in (T, conjugate(T), COR42, U):
+        (a0, a1), _, _, (d0, d1) = m
+        assert (a0 + d0, a1 + d1) == (0, 0), m
+
+
+def test_every_tabulated_p_is_fixed_by_its_stabilizer():
+    # the stabilizer {1, T, U, T2} of icosa, built from the pairs, fixes
+    # every p_d: p|m = (-det m)^(2h) p
+    s5 = CycloElem.sqrt5()
+    pairs = (T, U, conjugate(T))
+    maps = {MoebiusMap(*(x + y * s5 for x, y in m)) for m in pairs}
+    assert maps | {MoebiusMap.identity()} == icosa.expected_stabilizer()
+    for d, coeffs in tables.P_TABLE.items():
+        p = Poly(coeffs)
+        assert all(is_fixed_by(p, m, p.degree) for m in pairs), d
+
+
+def test_fixed_point_quadratics_take_the_other_sign():
+    # the fixed-point quadratic of an involution m is multiplied by
+    # -(-det m), so it is not fixed: z^2 + 22z - 4 for COR42 (-det = 125)
+    # and z^2 + 1 for U (-det = -1)
+    for P, m, minus_det in ((Poly((-4, 22, 1)), COR42, 125), (Poly((1, 0, 1)), U, -1)):
+        assert pullback_values(P, 2, m) == [(-minus_det * P(z), 0) for z in range(3)]
+        assert not is_fixed_by(P, m, 2)
+
+
+def test_is_fixed_by_refuses_a_non_involution_and_odd_n():
+    p = Poly(tables.P_TABLE[11])
+    with pytest.raises(ExactDomainError):
+        is_fixed_by(p, ((1, 0), (1, 0), (0, 0), (1, 0)), 4)  # z -> z + 1
+    with pytest.raises(ExactDomainError):
+        is_fixed_by(p, T, 5)
+
+
 def test_verify_T_invariance():
-    assert verify_T_invariance(Poly(tables.P_TABLE[11]), 1)
-    assert verify_T_invariance(Poly(tables.P_TABLE[36]), 2)
+    assert verify_T_invariance(Poly(tables.P_TABLE[11]))
+    assert verify_T_invariance(Poly(tables.P_TABLE[36]))
     # cyclotomic near-miss
-    assert not verify_T_invariance(Poly((1, -1, 1, -1, 1)), 1)
+    assert not verify_T_invariance(Poly((1, -1, 1, -1, 1)))
 
 
 def test_verify_T_invariance_accepts_every_tabulated_p():
     for d, coeffs in tables.P_TABLE.items():
-        assert verify_T_invariance(Poly(coeffs), tables.class_number(d)), d
+        assert verify_T_invariance(Poly(coeffs)), d
 
 
-def test_verify_T_invariance_rejects_perturbed_p_and_wrong_h():
+def test_verify_T_invariance_rejects_perturbed_p():
     for d, coeffs in tables.P_TABLE.items():
-        h = tables.class_number(d)
-        for k in (0, 2 * h, 4 * h - 1):
+        n = len(coeffs) - 1
+        for k in (0, n // 2, n - 1):
             bumped = list(coeffs)
             bumped[k] += 1
-            assert not verify_T_invariance(Poly(bumped), h), (d, k)
-        assert not verify_T_invariance(Poly(coeffs), h + 1), d
+            assert not verify_T_invariance(Poly(bumped)), (d, k)
 
 
 def test_disc_conjecture_examples():
-    rep = disc_conjecture_check(Poly((3, -1, 1)), 11, 1)
+    rep = disc_conjecture_check(Poly((3, -1, 1)), 11)
     assert rep.disc == 5 * 11**2
     assert rep.exact_power_ok and rep.smooth_ok
-    rep = disc_conjecture_check(Poly((23, -2, 3, 4, 1)), 91, 2)
+    rep = disc_conjecture_check(Poly((23, -2, 3, 4, 1)), 91)
     assert dict(rep.factors) == {2: 8, 3: 4, 5: 6, 7: 4, 13: 4}
     assert rep.cofactor == 1
 
@@ -310,7 +345,7 @@ def test_z_forms_lift_to_F_and_G():
     # multiplicative, R | F_z gives Q | F and R | G_z gives Q | G
     for d, coeffs in tables.H_TABLE.items():
         H = Poly(coeffs)
-        F, Gx5 = F_of(H, H.degree), build_F_G(H, H.degree)
+        F, Gx5 = F_of(H, H.degree), build_F_G(H)
         F_z = poly_compose_rational(H, J5Z_NUM, J5Z_DEN, H.degree)
         G_z = poly_compose_rational(H, J55Z_NUM, J55Z_DEN, H.degree)
         assert F_z.degree == G_z.degree == 6 * H.degree, d
@@ -330,7 +365,7 @@ def test_z_plane_checks_reject_perturbed_H_and_R(d):
     bumped_top[h - 1] += 1
     for H_bad, R_bad in ((H + H.coeffs[0], R), (H + 1, R), (H, R + 1),
                          (Poly(bumped_top), R)):
-        assert z_plane_checks(H_bad, R_bad, h) == (False, False)
+        assert z_plane_checks(H_bad, R_bad) == (False, False)
 
 
 def rel_close(a, b, bits):
