@@ -29,13 +29,16 @@ class CacheError(ValueError):
 
 
 def cache_dir_from(flag_value: str | None) -> str:
-    """RR5_CACHE_DIR wins over the --cache flag; default is ./.rr5cache."""
-    env = os.environ.get("RR5_CACHE_DIR")
-    if env:
-        return env
-    if flag_value:
-        return flag_value
-    return os.path.join(os.getcwd(), ".rr5cache")
+    """The cache directory, made if missing: RR5_CACHE_DIR wins over the
+    --cache flag; default is ./.rr5cache.  Raises CacheError naming the
+    path when the directory cannot be made."""
+    path = (os.environ.get("RR5_CACHE_DIR") or flag_value
+            or os.path.join(os.getcwd(), ".rr5cache"))
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise CacheError(f"cache directory {path!r}: {exc.strerror}") from exc
+    return path
 
 
 def entry_path(cache_dir: str, d: int) -> str:
@@ -104,7 +107,6 @@ def entry_to_result(entry: dict) -> PipelineResult:
 
 
 def save(cache_dir: str, res: PipelineResult) -> str:
-    os.makedirs(cache_dir, exist_ok=True)
     path = entry_path(cache_dir, res.d)
     payload = json.dumps(result_to_entry(res), indent=1, sort_keys=True)
     fd, tmp = tempfile.mkstemp(prefix=f"d{res.d:04d}.", suffix=".tmp",

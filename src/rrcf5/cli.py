@@ -2,7 +2,9 @@
 
 Subcommands: pipeline, verify-tables, identities, g60, curve, examples,
 eval-r, classpoly.  Exit codes: 0 success, 1 verification mismatch, 2 bad
-input, 3 precision exhaustion.
+input, 3 precision exhaustion.  A handler returns 0 or 1 and raises on any
+other failure; `main` alone maps a raised failure to its exit code and its
+one line of stderr.
 """
 
 from __future__ import annotations
@@ -21,6 +23,12 @@ from . import cache, tables
 from .classdata import ClassDataError, class_poly, is_admissible, reduced_forms
 from .exactmath import Poly
 from .hpnum import PrecisionError, PrecisionPolicy, r_transformation_laws
+from .pipeline import (PipelineIntegrityError, build_F_G, run_pipeline,
+                       verify_cor42, verify_T_invariance)
+
+
+class InputError(ValueError):
+    """A bad input that the front end finds before any work starts."""
 
 
 def _poly_list(p: Poly):
@@ -41,29 +49,22 @@ def _print_report(args, report: dict, title: str):
 # ---------------------------------------------------------------------------
 
 
-def cmd_pipeline(args) -> int:
-    from .pipeline import PipelineIntegrityError, run_pipeline
-
+def _admissible_d(args) -> int:
+    """The -d of pipeline and classpoly, refused when it is missing or not
+    +-1 mod 5 before the class group is enumerated; reduced_forms refuses
+    d <= 0 and a -d that is no discriminant."""
     d = args.d
     if d is None:
-        print("error: pipeline requires -d", file=sys.stderr)
-        return 2
-    if d <= 0:
-        print(f"error: d = {d}: d must be a positive integer", file=sys.stderr)
-        return 2
-    if not is_admissible(d):
-        print(f"error: d={d} is inadmissible: -d must be a nonzero square mod 5",
-              file=sys.stderr)
-        return 2
-    try:
-        res = run_pipeline(d, args.policy)
-    except (ClassDataError, PipelineIntegrityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PrecisionError as exc:
-        print(f"precision exhausted: {exc}", file=sys.stderr)
-        return 3
+        raise InputError(f"{args.command} requires -d")
+    if d > 0 and not is_admissible(d):
+        raise InputError(f"d = {d} is not admissible (need d = +-1 mod 5)")
+    return d
+
+
+def cmd_pipeline(args) -> int:
+    d = _admissible_d(args)
     cdir = cache.cache_dir_from(args.cache)
+    res = run_pipeline(d, args.policy)
     path = cache.save(cdir, res)
     report = {
         "d": res.d, "f": res.f, "h": res.h, "v": res.v,
@@ -83,59 +84,44 @@ def _parse_range(text):
         return None
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
     if not m:
-        raise ValueError(f"bad range {text!r}; expected a..b")
+        raise InputError(f"bad range {text!r}; expected a..b")
     a, b = int(m.group(1)), int(m.group(2))
     if a > b:
-        raise ValueError(f"bad range {text!r}; a must not exceed b")
+        raise InputError(f"bad range {text!r}; a must not exceed b")
     return a, b
 
 
 def cmd_verify_tables(args) -> int:
-    from .pipeline import run_pipeline
-
-    try:
-        bounds = _parse_range(args.range)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    bounds = _parse_range(args.range)
     ds = sorted(tables.P_TABLE)
     if bounds:
         ds = [d for d in ds if bounds[0] <= d <= bounds[1]]
         if not ds:
-            print(f"error: no tabulated d in range {args.range!r}", file=sys.stderr)
-            return 2
+            raise InputError(f"no tabulated d in range {args.range!r}")
     cdir = cache.cache_dir_from(args.cache)
     failures = []
     lines = []
     for d in ds:
-        try:
-            res = run_pipeline(d, args.policy)
-        except PrecisionError as exc:
-            print(f"precision exhausted at d={d}: {exc}", file=sys.stderr)
-            return 3
+        res = run_pipeline(d, args.policy)
         cache.save(cdir, res)
         p_ok = res.p == Poly(tables.P_TABLE[d])
         disc_ok = dict(res.disc_report.factors) == tables.DISC_TABLE[d] \
             and res.disc_report.cofactor == 1
-        ok = p_ok and disc_ok and res.all_ok
         lines.append({"d": d, "p_match": p_ok, "disc_match": disc_ok,
                       "flags_ok": res.all_ok})
-        if not ok:
+        if not (p_ok and disc_ok and res.all_ok):
             failures.append(d)
     if args.json:
         print(json.dumps({"results": lines, "failures": failures},
                          sort_keys=True))
     else:
-        for row in lines:
-            status = "ok" if (row["p_match"] and row["disc_match"]
-                              and row["flags_ok"]) else "MISMATCH"
-            print(f"d={row['d']:<4} {status}")
+        for d in ds:
+            print(f"d={d:<4} {'MISMATCH' if d in failures else 'ok'}")
     return 1 if failures else 0
 
 
 def cmd_identities(args) -> int:
     from . import curve5
-    from .pipeline import verify_cor42, verify_T_invariance
 
     report = {}
     report["j_forms_match"] = curve5.verify_j_forms()
@@ -158,7 +144,6 @@ def cmd_identities(args) -> int:
 
 def cmd_g60(args) -> int:
     from . import icosa
-    from .pipeline import build_F_G
 
     group = icosa.generate_g60()
     report = {"order": len(group)}
@@ -212,21 +197,12 @@ def cmd_examples(args) -> int:
 
 
 def cmd_classpoly(args) -> int:
-    if args.d is None:
-        print("error: classpoly requires -d", file=sys.stderr)
-        return 2
-    try:
-        cd = reduced_forms(args.d)
-        coeffs = class_poly(cd, args.policy)
-    except ClassDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PrecisionError as exc:
-        print(f"precision exhausted: {exc}", file=sys.stderr)
-        return 3
-    report = {"d": args.d, "h": cd.h, "d_K": cd.d_K, "f": cd.f,
+    d = _admissible_d(args)
+    cd = reduced_forms(d)
+    coeffs = class_poly(cd, args.policy)
+    report = {"d": d, "h": cd.h, "d_K": cd.d_K, "f": cd.f,
               "H_coeffs_low_first": list(coeffs)}
-    _print_report(args, report, f"class polynomial for -d = -{args.d}")
+    _print_report(args, report, f"class polynomial for -d = -{d}")
     return 0
 
 
@@ -244,7 +220,7 @@ def parse_tau(text: str, prec: int):
         if m:
             p_, sign, q_, minus_d, r_ = m.groups()
             if int(r_) == 0:
-                raise ValueError(f"cannot parse tau {text!r}: the denominator r is 0")
+                raise InputError(f"cannot parse tau {text!r}: the denominator r is 0")
             q = int(q_) if q_ else 1
             if sign == "-":
                 q = -q
@@ -260,23 +236,17 @@ def parse_tau(text: str, prec: int):
         m = _TAU_NI.fullmatch(text)
         if m:
             return mpc(0, mpf(m.group(1)) if m.group(1) else mpf(1))
-    raise ValueError(f"cannot parse tau {text!r}; use a+bi, ni, or "
+    raise InputError(f"cannot parse tau {text!r}; use a+bi, ni, or "
                      "(p+q sqrt -d)/r")
 
 
 def cmd_eval_r(args) -> int:
     if args.digits is not None and args.digits < 1:
-        print("error: --digits must be at least 1", file=sys.stderr)
-        return 2
+        raise InputError("--digits must be at least 1")
     prec = args.policy.initial_bits or 512
-    try:
-        tau = parse_tau(args.tau, prec)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tau = parse_tau(args.tau, prec)
     if not tau.imag > 0:
-        print("error: Im(tau) must be positive", file=sys.stderr)
-        return 2
+        raise InputError("Im(tau) must be positive")
     digits = args.digits or 50
     with mp.workprec(prec + 64):
         r, ((lhs5, rhs5), (lhsT, rhsT)) = r_transformation_laws(tau, prec)
@@ -359,18 +329,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     given = vars(args)
-    if "prec" in given:
-        # --prec sets the first precision step (else j in floats sizes it),
-        # --max-prec caps the ladder of the commands that climb one
-        max_prec = given.get("max_prec")
-        try:
-            args.policy = PrecisionPolicy(
-                args.prec, PrecisionPolicy.max_bits if max_prec is None else max_prec)
-        except ValueError:
-            names = "--prec and --max-prec" if "max_prec" in given else "--prec"
-            print(f"error: {names} must be at least 1 bit", file=sys.stderr)
-            return 2
-    return args.handler(args)
+    try:
+        if "prec" in given:
+            # --prec sets the first precision step (else j in floats sizes it),
+            # --max-prec caps the ladder of the commands that climb one
+            max_prec = given.get("max_prec")
+            try:
+                args.policy = PrecisionPolicy(
+                    args.prec, PrecisionPolicy.max_bits if max_prec is None else max_prec)
+            except ValueError:
+                names = "--prec and --max-prec" if "max_prec" in given else "--prec"
+                raise InputError(f"{names} must be at least 1 bit") from None
+        return args.handler(args)
+    except PrecisionError as exc:
+        print(f"precision exhausted: {exc}", file=sys.stderr)
+        return 3
+    except (InputError, ClassDataError, PipelineIntegrityError,
+            cache.CacheError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

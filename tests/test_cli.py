@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rrcf5 import cache, tables
+from rrcf5 import cache, cli, pipeline, tables
 from rrcf5.cli import build_parser, main, parse_tau
 from rrcf5.pipeline import run_pipeline
 
@@ -268,3 +268,47 @@ def test_an_option_the_handler_does_not_read_is_a_usage_error(capsys, argv):
 def test_the_benchmark_options_are_accepted(argv):
     args = build_parser().parse_args(argv)
     assert args.json and args.command == argv[0]
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("the run started before the input was refused")
+
+
+@pytest.mark.parametrize("argv", (["pipeline", "-d", "19"],
+                                  ["verify-tables", "--range", "11..11"]))
+@pytest.mark.parametrize("via_env", (False, True))
+def test_an_unwritable_cache_is_refused_before_the_run(tmp_path, monkeypatch, capsys,
+                                                       argv, via_env):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    monkeypatch.setattr(cli, "run_pipeline", _refuse_to_run)
+    if via_env:
+        monkeypatch.setenv("RR5_CACHE_DIR", str(blocker))
+    else:
+        monkeypatch.delenv("RR5_CACHE_DIR", raising=False)
+        argv = argv + ["--cache", str(blocker)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: cache directory {str(blocker)!r}: ")
+
+
+@pytest.mark.parametrize("d", (7, 99_999_992))
+def test_pipeline_and_classpoly_refuse_an_inadmissible_d_alike_and_first(
+        cachedir, monkeypatch, capsys, d):
+    # the refusal comes before the class group is enumerated
+    monkeypatch.setattr(cli, "reduced_forms", _refuse_to_run)
+    monkeypatch.setattr(pipeline, "reduced_forms", _refuse_to_run)
+    line = f"error: d = {d} is not admissible (need d = +-1 mod 5)\n"
+    for command in ("pipeline", "classpoly"):
+        assert main([command, "-d", str(d)]) == 2
+        assert capsys.readouterr() == ("", line)
+
+
+def test_verify_tables_names_the_exhausted_d_once(cachedir, capsys):
+    assert main(["verify-tables", "--range", "24..24", "--max-prec", "8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("precision exhausted: ")
+    assert captured.err.count("\n") == 1 and captured.err.count("d=24") == 1

@@ -140,16 +140,19 @@ TEST_ONLY = {
 def package_reads(sources):
     """The (module, name) pairs that the modules in sources (keyed by module
     name) read: a bare name in its own module, `module.name`, and
-    `from .module import name`."""
+    `from .module import name` or `from rrcf5.module import name`.  A name
+    that is only assigned is not read."""
     reads = set()
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 reads.add((module, node.id))
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 reads.add((node.value.id, node.attr))
             elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
                 reads.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rrcf5."):
+                reads.update((node.module[6:], alias.name) for alias in node.names)
     return reads
 
 
@@ -295,3 +298,68 @@ def test_pipeline_assembles_its_values_without_mpmath():
     # the Heegner values are combined on the numeric kernel's integer pairs
     # only, so no second assembly on mpc can come back into the pipeline
     assert mpmath_imports((PACKAGE_DIR / "pipeline.py").read_text()) == []
+
+
+def public_constants(sources):
+    """module.NAME of each module-level assignment to an upper-case public
+    name in sources."""
+    return {f"{module}.{target.id}" for module, source in sources.items()
+            for node in ast.parse(source).body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id.isupper()
+            and not target.id.startswith("_")}
+
+
+def test_scanner_sees_unread_public_constants():
+    sources = {
+        "a": "LIMIT = 3\nDEAD = (1, 2)\n_PRIVATE = 0\nlower = 1\nTABLE = {}\n"
+             "def f():\n    return LIMIT\n",
+        "test_a": "from rrcf5.a import TABLE\nfrom rrcf5 import a\nX = a.SEEN\n",
+    }
+    assert public_constants(sources) == {"a.LIMIT", "a.DEAD", "a.TABLE", "test_a.X"}
+    reads = {f"{m}.{n}" for m, n in package_reads(sources)}
+    assert public_constants(sources) - reads == {"a.DEAD", "test_a.X"}
+
+
+def test_every_public_constant_is_read():
+    # reference data such as TABLE1_DS and Q_TABLE earns its place by a test
+    package = {path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    tests = {path.stem: path.read_text()
+             for path in sorted(Path(__file__).parent.glob("test_*.py"))}
+    reads = {f"{m}.{n}" for m, n in package_reads({**package, **tests})}
+    assert public_constants(package) - reads == set()
+
+
+def stderr_readers(sources):
+    """module.function (dotted through classes and nested defs) of each
+    scope in sources that reads sys.stderr; code outside any def is named
+    by its module alone."""
+    found = set()
+
+    def visit(node, scope):
+        if (isinstance(node, ast.Attribute) and node.attr == "stderr"
+                and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return found
+
+
+def test_scanner_sees_stderr_readers():
+    src = ("import sys\n"
+           "def main():\n    print('x', file=sys.stderr)\n"
+           "class C:\n    def warn(self):\n"
+           "        def inner():\n            sys.stderr.write('y')\n"
+           "def quiet():\n    print('z', file=sys.stdout)\n"
+           "sys.stderr.flush()\n")
+    assert stderr_readers({"m": src}) == {"m.main", "m.C.warn.inner", "m"}
+
+
+def test_only_cli_main_writes_to_stderr():
+    # cli.main maps every failure to its exit code and its one stderr line
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert stderr_readers(sources) == {"cli.main"}
