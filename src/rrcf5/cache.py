@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 
 from .exactmath import Poly
 from .pipeline import DiscReport, PipelineResult
@@ -28,17 +29,33 @@ class CacheError(ValueError):
     pass
 
 
-def cache_dir_from(flag_value: str | None) -> str:
-    """The cache directory, made if missing: RR5_CACHE_DIR wins over the
-    --cache flag; default is ./.rr5cache.  Raises CacheError naming the
-    path when the directory cannot be made."""
+@contextmanager
+def cache_dir_from(flag_value: str | None):
+    """The cache directory, for one with block: RR5_CACHE_DIR wins over the
+    --cache flag; default is ./.rr5cache.  It is made if missing, and the
+    directories made here are removed again if the block raises before
+    anything is saved in them.  Raises CacheError naming the path when the
+    directory cannot be made."""
     path = (os.environ.get("RR5_CACHE_DIR") or flag_value
             or os.path.join(os.getcwd(), ".rr5cache"))
+    made = []  # deepest first
+    parent = os.path.abspath(path)
+    while not os.path.exists(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise CacheError(f"cache directory {path!r}: {exc.strerror}") from exc
-    return path
+    try:
+        yield path
+    except BaseException:
+        for directory in made:
+            try:
+                os.rmdir(directory)
+            except OSError:  # an entry was saved in it
+                break
+        raise
 
 
 def entry_path(cache_dir: str, d: int) -> str:

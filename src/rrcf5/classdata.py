@@ -93,12 +93,17 @@ def _fundamental_split(d: int):
     return 4 * s, m // 2
 
 
-def reduced_forms(d: int) -> ClassData:
-    """All primitive reduced forms of discriminant -d (standard sweep)."""
+def check_discriminant(d: int) -> None:
+    """Refuse d <= 0 and a -d that is not 0 or 1 mod 4."""
     if d <= 0:
         raise ClassDataError(f"d = {d}: d must be a positive integer")
     if (-d) % 4 not in (0, 1):
         raise ClassDataError(f"-{d} is not a discriminant: need -d = 0 or 1 (mod 4)")
+
+
+def reduced_forms(d: int) -> ClassData:
+    """All primitive reduced forms of discriminant -d (standard sweep)."""
+    check_discriminant(d)
     forms = []
     bound = isqrt(d // 3)
     for a in range(1, bound + 1):

@@ -23,8 +23,8 @@ from . import cache, tables
 from .classdata import ClassDataError, class_poly, is_admissible, reduced_forms
 from .exactmath import Poly
 from .hpnum import PrecisionError, PrecisionPolicy, r_transformation_laws
-from .pipeline import (PipelineIntegrityError, build_F_G, run_pipeline,
-                       verify_cor42, verify_T_invariance)
+from .pipeline import (PipelineIntegrityError, build_F_G, check_pipeline_d,
+                       run_pipeline, verify_cor42, verify_T_invariance)
 
 
 class InputError(ValueError):
@@ -52,7 +52,8 @@ def _print_report(args, report: dict, title: str):
 def _admissible_d(args) -> int:
     """The -d of pipeline and classpoly, refused when it is missing or not
     +-1 mod 5 before the class group is enumerated; reduced_forms refuses
-    d <= 0 and a -d that is no discriminant."""
+    d <= 0 and a -d that is no discriminant, and pipeline refuses them and
+    d = 4 before it makes the cache directory (check_pipeline_d)."""
     d = args.d
     if d is None:
         raise InputError(f"{args.command} requires -d")
@@ -63,9 +64,10 @@ def _admissible_d(args) -> int:
 
 def cmd_pipeline(args) -> int:
     d = _admissible_d(args)
-    cdir = cache.cache_dir_from(args.cache)
-    res = run_pipeline(d, args.policy)
-    path = cache.save(cdir, res)
+    check_pipeline_d(d)
+    with cache.cache_dir_from(args.cache) as cdir:
+        res = run_pipeline(d, args.policy)
+        path = cache.save(cdir, res)
     report = {
         "d": res.d, "f": res.f, "h": res.h, "v": res.v,
         "v_relaxed": res.v_relaxed,
@@ -98,19 +100,19 @@ def cmd_verify_tables(args) -> int:
         ds = [d for d in ds if bounds[0] <= d <= bounds[1]]
         if not ds:
             raise InputError(f"no tabulated d in range {args.range!r}")
-    cdir = cache.cache_dir_from(args.cache)
     failures = []
     lines = []
-    for d in ds:
-        res = run_pipeline(d, args.policy)
-        cache.save(cdir, res)
-        p_ok = res.p == Poly(tables.P_TABLE[d])
-        disc_ok = dict(res.disc_report.factors) == tables.DISC_TABLE[d] \
-            and res.disc_report.cofactor == 1
-        lines.append({"d": d, "p_match": p_ok, "disc_match": disc_ok,
-                      "flags_ok": res.all_ok})
-        if not (p_ok and disc_ok and res.all_ok):
-            failures.append(d)
+    with cache.cache_dir_from(args.cache) as cdir:
+        for d in ds:
+            res = run_pipeline(d, args.policy)
+            cache.save(cdir, res)
+            p_ok = res.p == Poly(tables.P_TABLE[d])
+            disc_ok = dict(res.disc_report.factors) == tables.DISC_TABLE[d] \
+                and res.disc_report.cofactor == 1
+            lines.append({"d": d, "p_match": p_ok, "disc_match": disc_ok,
+                          "flags_ok": res.all_ok})
+            if not (p_ok and disc_ok and res.all_ok):
+                failures.append(d)
     if args.json:
         print(json.dumps({"results": lines, "failures": failures},
                          sort_keys=True))

@@ -13,10 +13,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import isqrt
 
-from .classdata import choose_v, n_system, reduced_forms
+from .classdata import check_discriminant, choose_v, n_system, reduced_forms
 from .exactmath import ExactDomainError, Poly, poly_compose_rational, poly_discriminant
 from .hpnum import (
     PrecisionError,
@@ -155,49 +155,95 @@ COR42 = ((-11, 0), (4, 0), (1, 0), (11, 0))
 
 
 def _times_sqrt5(a, b):
-    """(a0 + a1 sqrt5)(b0 + b1 sqrt5) on coordinate pairs."""
+    """(a0 + a1 sqrt5)(b0 + b1 sqrt5) on coordinate pairs, in three products
+    when both a1 and b1 are nonzero; products by 0 are free."""
+    if a[1] and b[1]:
+        x, y = a[0] * b[0], a[1] * b[1]
+        return x + 5 * y, (a[0] + a[1]) * (b[0] + b[1]) - x - y
     return a[0] * b[0] + 5 * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def pullback_values(P: Poly, n: int, m):
-    """(cz+d)^n P((az+b)/(cz+d)) at z = 0..n, for m = (a, b, c, d) with
-    entries in Z[sqrt5]: the pullback P|m of P, read as a form of degree
-    n >= deg P, as a homogeneous Horner pass on pairs (x, y) = x + y sqrt5.
-    These n + 1 values fix P|m."""
+def _power(x, e: int, memo: dict):
+    """x^e on pairs by squaring; memo maps exponents to powers of x already
+    taken and starts as {0: (1, 0)}."""
+    if e not in memo:
+        half = _power(x, e >> 1, memo)
+        square = _times_sqrt5(half, half)
+        memo[e] = _times_sqrt5(square, x) if e & 1 else square
+    return memo[e]
+
+
+def pullback_at(P: Poly, n: int, m, z: int):
+    """(cz+d)^n P((az+b)/(cz+d)) at one integer z, for m = (a, b, c, d) with
+    entries in Z[sqrt5] as pairs (x, y) = x + y sqrt5: the value of the
+    pullback P|m of P, read as a form of degree n >= deg P, as a pair.
+
+    With N = az + b and D = cz + d it is sum_k p_k N^k D^(n-k), taken by
+    halves: p_0..p_n split at mid into lo and hi, and the sum is
+    lo(N, D) D^(n+1-mid) + hi(N, D) N^mid, down to single coefficients.
+    The halves at one depth have lengths that differ by at most 1, so each
+    power of N and D is squared once, and the products are balanced, where
+    big-integer multiplication is fastest."""
     if P.degree > n:
         raise ExactDomainError(f"degree {P.degree} exceeds the form degree {n}")
     (a0, a1), (b0, b1), (c0, c1), (d0, d1) = m
+    N, D = (a0 * z + b0, a1 * z + b1), (c0 * z + d0, c1 * z + d1)
+    N_pows, D_pows = {0: (1, 0)}, {0: (1, 0)}
     cs = P.coeffs + (0,) * (n - P.degree)
-    out = []
-    for z in range(n + 1):
-        N, D = (a0 * z + b0, a1 * z + b1), (c0 * z + d0, c1 * z + d1)
-        acc, D_pow = (cs[-1], 0), (1, 0)
-        for c in reversed(cs[:-1]):
-            D_pow = _times_sqrt5(D_pow, D)
-            x, y = _times_sqrt5(acc, N)
-            acc = x + c * D_pow[0], y + c * D_pow[1]
-        out.append(acc)
-    return out
+
+    def form(lo, hi):
+        # sum_{lo <= k < hi} p_k N^(k - lo) D^(hi - 1 - k)
+        if hi - lo == 1:
+            return cs[lo], 0
+        mid = (lo + hi) // 2
+        x, y = _times_sqrt5(form(lo, mid), _power(D, hi - mid, D_pows))
+        u, v = _times_sqrt5(form(mid, hi), _power(N, mid - lo, N_pows))
+        return x + u, y + v
+
+    return form(0, n + 1)
 
 
 def is_fixed_by(P: Poly, m, n: int) -> bool:
-    """P|m = (-det m)^(n/2) P for P read as a form of degree n and m an
-    involution (a + d = 0): both sides are polynomials in z of degree at
-    most n, so they are equal once they agree at z = 0..n (pullback_values).
+    """P|m = (-det m)^(n/2) P for an integer P read as a form of degree n and
+    m an involution (a + d = 0), proven at the one point z0 = 2^s.
 
     With d = -a, m^2 = (a^2 + bc) I = -det(m) I, so P|m = lam P forces
     lam^2 P = P|m^2 = (-det m)^n P: lam = +-(-det m)^(n/2), and only the
-    sign is a fact to prove.  Raises ExactDomainError when a + d != 0 or n
-    is odd."""
+    sign is a fact to prove.
+
+    Why one point is enough: nu(x + y sqrt5) = |x| + 3|y| bounds both
+    coordinates and is submultiplicative, and so is its sum over the
+    coefficients of a polynomial.  So every coefficient of
+    (az+b)^k (cz+d)^(n-k) has nu at most M^n, M = max(nu(a) + nu(b),
+    nu(c) + nu(d)), and every coordinate of every coefficient of
+    P|m - lam P is at most B = sum_k |p_k| (M^n + nu(lam)).  Take s with
+    2^s > B.  Each coordinate of P|m(z0) - lam P(z0) is an integer
+    polynomial in z0 with coefficients of modulus below z0; if it is not
+    zero, its value is z0^j (f_j + z0 g(z0)) for its lowest nonzero
+    coefficient f_j, and z0 cannot divide f_j, so the value is not zero.
+    Hence P|m = lam P once both coordinates vanish at z0.  The left side is
+    pullback_at(P, n, m, z0); lam P(z0) is lam times the sum of the shifts
+    p_k << (k s).
+
+    Raises ExactDomainError when a + d != 0, n is odd, P is not integral or
+    deg P > n."""
     a, b, c, d = m
     if a[0] + d[0] or a[1] + d[1]:
         raise ExactDomainError(f"{m} is not an involution: a + d != 0")
     if n % 2:
         raise ExactDomainError(f"the form degree {n} is odd")
     (x0, x1), (y0, y1) = _times_sqrt5(a, a), _times_sqrt5(b, c)
-    lam = reduce(_times_sqrt5, [(x0 + y0, x1 + y1)] * (n // 2), (1, 0))
-    return all(t == (lam[0] * pz, lam[1] * pz)
-               for t, pz in zip(pullback_values(P, n, m), map(P, range(n + 1))))
+    lam = _power((x0 + y0, x1 + y1), n // 2, {0: (1, 0)})
+    cs = P.int_coeffs()
+
+    def nu(x):
+        return abs(x[0]) + 3 * abs(x[1])
+
+    M = max(nu(a) + nu(b), nu(c) + nu(d))
+    s = (sum(map(abs, cs)) * (M**n + nu(lam))).bit_length()
+    x, y = pullback_at(P, n, m, 1 << s)
+    Pz = sum(p << (k * s) for k, p in enumerate(cs))
+    return x == lam[0] * Pz and y == lam[1] * Pz
 
 
 def verify_cor42(R: Poly) -> bool:
@@ -319,15 +365,22 @@ class PipelineResult:
         return all(self.flags.values())
 
 
+def check_pipeline_d(d: int) -> None:
+    """Refuse, before any work, d = 4 and the d that reduced_forms refuses
+    (check_discriminant)."""
+    if d == 4:
+        raise PipelineIntegrityError(
+            "d = 4 produces square factors; use the cyclotomic corpus instead"
+        )
+    check_discriminant(d)
+
+
 def run_pipeline(d: int, policy: PrecisionPolicy | None = None) -> PipelineResult:
     """The whole tower for d.  H, R and S are reconstructed in one precision
     ladder from the values of heegner_values; unless the policy names its
     first step, climb sizes it from j at the Heegner arguments in double
     precision."""
-    if d == 4:
-        raise PipelineIntegrityError(
-            "d = 4 produces square factors; use the cyclotomic corpus instead"
-        )
+    check_pipeline_d(d)
     cd, v, relaxed, args = _heegner_args(d)
     h = cd.h
 

@@ -312,3 +312,49 @@ def test_verify_tables_names_the_exhausted_d_once(cachedir, capsys):
     assert captured.out == ""
     assert captured.err.startswith("precision exhausted: ")
     assert captured.err.count("\n") == 1 and captured.err.count("d=24") == 1
+
+
+@pytest.mark.parametrize("d", (4, 6, 0, -3))
+def test_pipeline_refuses_a_bad_d_before_it_makes_the_cache_directory(
+        tmp_path, monkeypatch, capsys, d):
+    # d = 4, a non-discriminant and d <= 0 are refused with run_pipeline's
+    # own texts, before ./.rr5cache is made
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RR5_CACHE_DIR", raising=False)
+    monkeypatch.setattr(cli, "run_pipeline", _refuse_to_run)
+    assert main(["pipeline", "-d", str(d)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    with pytest.raises((pipeline.PipelineIntegrityError, ValueError)) as refused:
+        run_pipeline(d)
+    assert captured.err == f"error: {refused.value}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", (["pipeline", "-d", "24"],
+                                  ["verify-tables", "--range", "24..24"]))
+def test_an_exhausted_run_leaves_no_cache_directory(tmp_path, monkeypatch, argv):
+    # the directories made for the run go again when it fails before saving;
+    # a directory that was there stays
+    monkeypatch.delenv("RR5_CACHE_DIR", raising=False)
+    argv = argv + ["--max-prec", "8"]
+    assert main(argv + ["--cache", str(tmp_path / "a" / "b")]) == 3
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "kept").mkdir()
+    assert main(argv + ["--cache", str(tmp_path / "kept")]) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+
+
+def test_a_cache_path_beneath_a_file_is_refused_before_the_run(tmp_path, monkeypatch,
+                                                               capsys):
+    # as for --cache /dev/null/x: exit 2 with the OS's reason, before the run
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    monkeypatch.delenv("RR5_CACHE_DIR", raising=False)
+    monkeypatch.setattr(cli, "run_pipeline", _refuse_to_run)
+    assert main(["pipeline", "-d", "19", "--cache", str(blocker / "x")]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cache directory {str(blocker / 'x')!r}: Not a directory\n")

@@ -38,7 +38,7 @@ from rrcf5.icosa import (
     verify_worked_examples,
     unwitnessed,
 )
-from rrcf5.pipeline import T, build_F_G, pullback_values
+from rrcf5.pipeline import T, build_F_G, pullback_at
 
 
 def reference_orbit_and_stabilizer(p, group, Gd5=None):
@@ -119,6 +119,11 @@ def lam_times(lam, P):
     return [(lam[0] * P(z), lam[1] * P(z)) for z in range(61)]
 
 
+def pulled_by_T(P):
+    """P|T at z = 0..60, for P read as a form of degree 60 (pullback_at)."""
+    return [pullback_at(P, 60, T, z) for z in range(61)]
+
+
 def test_f5_check_rejects_a_perturbed_form():
     # +1 on x^10 keeps S-invariance and breaks T; +1 on x^7 breaks S
     for k in (10, 7):
@@ -126,9 +131,9 @@ def test_f5_check_rejects_a_perturbed_form():
         assert not _f5_invariant(F5_NUM + bump, F5_DEN), k
         assert not _f5_invariant(F5_NUM, F5_DEN + bump), k
     # T multiplies p_11^15 by the same lam as F5_NUM, but S does not fix it
-    lam = pullback_values(F5_NUM, 60, T)[0]  # F5_NUM(0) = 1
+    lam = pullback_at(F5_NUM, 60, T, 0)  # F5_NUM(0) = 1
     p15 = Poly(tables.P_TABLE[11]) ** 15
-    assert pullback_values(p15, 60, T) == lam_times(lam, p15)
+    assert pulled_by_T(p15) == lam_times(lam, p15)
     assert not _f5_invariant(p15, F5_DEN)
 
 
@@ -138,26 +143,27 @@ def test_f5_check_needs_one_multiplier():
     # S rejects W^15 too: T multiplies every S-invariant form of degree 60
     # that it multiplies by a scalar by lam, as A5 has no nontrivial character.
     W15 = Poly((1, -2, -6, 2, 1)) ** 15
-    lam = pullback_values(F5_NUM, 60, T)[0]
-    assert pullback_values(W15, 60, T) == lam_times((-lam[0], -lam[1]), W15)
+    lam = pullback_at(F5_NUM, 60, T, 0)
+    assert pulled_by_T(W15) == lam_times((-lam[0], -lam[1]), W15)
     assert not _f5_invariant(F5_NUM, W15)
     assert not _f5_invariant(W15, F5_DEN)
 
 
 def test_f5_check_rejects_a_form_above_degree_60():
-    # x^65 passes the exponent test for S, but 61 points cannot fix its pullback
+    # x^65 passes the exponent test for S, but it is no form of degree 60:
+    # its pullback (cz+d)^60 x65((az+b)/(cz+d)) is no polynomial
     x65 = Poly((0,) * 65 + (1,))
     with pytest.raises(ExactDomainError):
-        pullback_values(x65, 60, T)
+        pullback_at(x65, 60, T, 0)
     with pytest.raises(ExactDomainError):
         _f5_invariant(F5_NUM + x65, F5_DEN)
 
 
-def test_61_point_multiplier_matches_the_exact_pullback():
+def test_the_T_multiplier_matches_the_exact_pullback():
     # T multiplies both forms by (-det T)^30 = (10 + 2 sqrt5)^30
     s5, two = CycloElem.sqrt5(), CycloElem.from_rational(2)
     lam = (10 + 2 * s5) ** 30
-    x, y = pullback_values(F5_NUM, 60, T)[0]  # F5_NUM(0) = 1
+    x, y = pullback_at(F5_NUM, 60, T, 0)  # F5_NUM(0) = 1
     assert x + y * s5 == lam
     for P in (F5_NUM, F5_DEN):
         A = lift_to_cyclo(P)

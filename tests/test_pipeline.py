@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import prod
+
 import mpmath
 import pytest
 from hypothesis import given, settings
@@ -44,7 +47,7 @@ from rrcf5.pipeline import (
     heegner_values,
     is_fixed_by,
     lift_through_x_minus_inv,
-    pullback_values,
+    pullback_at,
     run_pipeline,
     verify_cor42,
     verify_T_invariance,
@@ -118,11 +121,15 @@ def test_verify_cor42_rejects_R_plus_one():
         assert not verify_cor42(Poly(coeffs) + 1), d
 
 
-def test_pullback_values_refuse_a_form_above_degree_n():
-    # n + 1 points cannot fix the pullback of a polynomial of degree n + 1
+def test_pullback_at_refuses_a_form_above_degree_n():
+    # a polynomial of degree n + 1 is no form of degree n: its pullback
+    # (cz+d)^n P((az+b)/(cz+d)) is no polynomial
     for n in (0, 2, 8):
+        P = Poly((0,) * (n + 1) + (1,))
         with pytest.raises(ExactDomainError):
-            pullback_values(Poly((0,) * (n + 1) + (1,)), n, COR42)
+            pullback_at(P, n, COR42, 0)
+        with pytest.raises(ExactDomainError):
+            is_fixed_by(P, COR42, n)
 
 
 def test_the_numeric_T_law_uses_the_entries_of_T():
@@ -140,23 +147,59 @@ def conjugate(m):
 
 
 U = ((0, 0), (-1, 0), (1, 0), (0, 0))  # z -> -1/z
+MAPS = {"T": T, "T2": conjugate(T), "COR42": COR42, "U": U}
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=12),
        st.integers(0, 3), st.sampled_from(["T", "T2", "COR42", "U"]))
-def test_pullback_values_match_the_exact_pullback(cs, extra, name):
+def test_pullback_at_matches_the_exact_pullback(cs, extra, name):
     # (cz+d)^n P((az+b)/(cz+d)) over Q(zeta_5), by poly_compose_rational,
     # read at z = 0..n
-    m = {"T": T, "T2": conjugate(T), "COR42": COR42, "U": U}[name]
+    m = MAPS[name]
     P = Poly(cs)
     n = max(P.degree, 0) + extra
+    exact = exact_pullback(P, n, m)
+    s5 = CycloElem.sqrt5()
+    for z in range(n + 1):
+        x, y = pullback_at(P, n, m, z)
+        assert x + y * s5 == exact(z)
+
+
+def exact_pullback(P, n, m):
+    """P|m over Q(zeta_5), by poly_compose_rational."""
     s5 = CycloElem.sqrt5()
     a, b, c, d = (x + y * s5 for x, y in m)
-    exact = poly_compose_rational(lift_to_cyclo(P), Poly((b, a)), Poly((d, c)), n)
-    got = pullback_values(P, n, m)
-    assert len(got) == n + 1
-    assert all(x + y * s5 == exact(z) for z, (x, y) in enumerate(got))
+    return poly_compose_rational(lift_to_cyclo(P), Poly((b, a)), Poly((d, c)), n)
+
+
+def fixed_forms(name):
+    """Integer forms fixed by the map: products of tabulated p (stabilizer
+    {1, T, U, T2}) or of tabulated R (COR42)."""
+    table = tables.R_TABLE if name == "COR42" else tables.P_TABLE
+    return st.lists(st.sampled_from(sorted(table)), min_size=1, max_size=2).map(
+        lambda ds: prod((Poly(table[d]) for d in ds), start=Poly.const(1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(MAPS)).flatmap(lambda name: st.tuples(
+           st.just(name),
+           st.one_of(fixed_forms(name),
+                     st.lists(st.integers(-10**12, 10**12), min_size=1,
+                              max_size=12).map(Poly)),
+           st.integers(0, 2), st.integers(0, 40), st.integers(-2, 2))))
+def test_is_fixed_by_agrees_with_the_exact_pullback(case):
+    # the one-point verdict is the verdict of the whole pullback over
+    # Q(zeta_5): P|m = (-det m)^(n/2) P, on forms that are fixed, forms one
+    # coefficient away and random forms; n = deg P + 2 * pad
+    name, P, pad, k, bump = case
+    m = MAPS[name]
+    if k <= P.degree:
+        P = P + Poly((0,) * k + (bump,))
+    n = P.degree + P.degree % 2 + 2 * pad
+    a, b, c, _ = (x + y * CycloElem.sqrt5() for x, y in m)
+    lam = (a * a + b * c) ** (n // 2)
+    assert is_fixed_by(P, m, n) == (exact_pullback(P, n, m) == lift_to_cyclo(P) * lam)
 
 
 def test_the_four_maps_are_involutions():
@@ -182,8 +225,17 @@ def test_fixed_point_quadratics_take_the_other_sign():
     # -(-det m), so it is not fixed: z^2 + 22z - 4 for COR42 (-det = 125)
     # and z^2 + 1 for U (-det = -1)
     for P, m, minus_det in ((Poly((-4, 22, 1)), COR42, 125), (Poly((1, 0, 1)), U, -1)):
-        assert pullback_values(P, 2, m) == [(-minus_det * P(z), 0) for z in range(3)]
+        assert all(pullback_at(P, 2, m, z) == (-minus_det * P(z), 0) for z in range(3))
         assert not is_fixed_by(P, m, 2)
+
+
+def test_agreement_at_a_small_point_fixes_nothing():
+    # P = 2z^4 - 3z under U at n = 4: P|U = z^4 P(-1/z) = 2 + 3z^3 and
+    # (-det U)^2 = 1, so P|U and P agree at z = 2 (both 26), but P is not
+    # fixed; the point must exceed the bound on the coefficients
+    P = Poly((0, -3, 0, 0, 2))
+    assert pullback_at(P, 4, U, 2) == (P(2), 0) == (26, 0)
+    assert not is_fixed_by(P, U, 4)
 
 
 def test_is_fixed_by_refuses_a_non_involution_and_odd_n():
@@ -192,6 +244,9 @@ def test_is_fixed_by_refuses_a_non_involution_and_odd_n():
         is_fixed_by(p, ((1, 0), (1, 0), (0, 0), (1, 0)), 4)  # z -> z + 1
     with pytest.raises(ExactDomainError):
         is_fixed_by(p, T, 5)
+    # the coefficient bound of the one-point proof needs integer coefficients
+    with pytest.raises(ExactDomainError):
+        is_fixed_by(Poly((Fraction(1, 2), 0, 1)), U, 2)
 
 
 def test_verify_T_invariance():
