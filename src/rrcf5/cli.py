@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: pipeline, verify-tables, identities, g60, curve, examples,
-eval-r, classpoly.  Exit codes: 0 success, 1 verification mismatch, 2 bad
-input, 3 precision exhaustion.  A handler returns 0 or 1 and raises on any
-other failure; `main` alone maps a raised failure to its exit code and its
-one line of stderr.
+eval-r, classpoly.  Exit codes: 0 success, 1 verification mismatch or failed
+certified check, 2 bad input, 3 precision exhaustion.  A handler returns 0
+or 1 and raises on any other failure; `main` alone maps a raised failure to
+its exit code and its one line of stderr.
 """
 
 from __future__ import annotations
@@ -346,10 +346,9 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return 3
-    except (InputError, ClassDataError, PipelineIntegrityError,
-            cache.CacheError) as exc:
+    except (InputError, ClassDataError, PipelineIntegrityError, cache.CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, PipelineIntegrityError) else 2
 
 
 if __name__ == "__main__":

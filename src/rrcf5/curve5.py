@@ -196,19 +196,19 @@ def torsion_A_coeffs():
     return A4, A3, A2, A1, A0
 
 
-def master_torsion_polys(perturb_A1: int = 0):
-    """(P_0, ..., P_4) with P_t(u) = bden^33 psi_5(X(zeta_5^t u), b(u)) over
-    Q(zeta_5), where b = (eps^5 u^5 + epsbar^5)/(u^5 + 1) and X is the
-    explicit degree-4 expression in u.  perturb_A1 is a negative-control
-    knob that must break the identity when nonzero.
+def master_torsion_poly(perturb_A1: int = 0):
+    """P_0(u) = bden^33 psi_5(X(u), b(u)) over Q(zeta_5), where
+    b = (eps^5 u^5 + epsbar^5)/(u^5 + 1) and X is the explicit degree-4
+    expression in u.  perturb_A1 is a negative-control knob that must break
+    the identity when nonzero.
 
     b depends on u only through v = u^5, where it is linear, so each
     coefficient in b is cleared of 1 + v in v and then spread to u by
     v -> u^5.  With X = lam XA / bden^2, P_0 = sum_j C_j (lam XA)^j
     (bden^2)^(12-j) is one composition whose coefficients C_j are
     polynomials in u.  Every C_j, bden and every coefficient of XA in u^k
-    is a polynomial in u^5, so P_t(u) = P_0(zeta^t u): coefficient k of
-    P_t is zeta^(tk) times coefficient k of P_0."""
+    is a polynomial in u^5, so the twist P_t (X(zeta_5^t u) for X(u)) is
+    P_0(zeta^t u): coefficient k of P_t is zeta^(tk) times that of P_0."""
     a = CycloElem.sqrt5()
     bnum_v = Poly((golden_unit_conj()**5, golden_unit()**5))
     bden_v = Poly((1, 1))
@@ -229,16 +229,14 @@ def master_torsion_polys(perturb_A1: int = 0):
     Cs = Poly([clear_b(cj, 9) if cj else Poly() for cj in psi5.coeffs])
     lam = (5 - a) * Fraction(1, 100)
     bden = bden_v.subst_x_pow(5)
-    P0 = poly_compose_rational(Cs, XA * lam, bden * bden, 12)
-    zetas = [CycloElem.zeta() ** j for j in range(5)]
-    return tuple(Poly([c * zetas[t * k % 5] for k, c in enumerate(P0.coeffs)])
-                 for t in range(5))
+    return poly_compose_rational(Cs, XA * lam, bden * bden, 12)
 
 
 def master_torsion_identity(perturb_A1: int = 0):
-    """psi_5(X(zeta_5^t u), b(u)) = 0 identically in u, for t = 0..4: entry t
-    is whether master_torsion_polys(perturb_A1)[t] is zero."""
-    return tuple(P.is_zero() for P in master_torsion_polys(perturb_A1))
+    """psi_5(X(zeta_5^t u), b(u)) = 0 identically in u, for t = 0..4: the
+    twist P_t scales coefficient k of P_0 (master_torsion_poly) by the unit
+    zeta^(tk), so each entry is whether P_0 is zero."""
+    return (master_torsion_poly(perturb_A1).is_zero(),) * 5
 
 
 # ---------------------------------------------------------------------------

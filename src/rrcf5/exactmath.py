@@ -12,11 +12,58 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _igcd, lcm as _ilcm
-from operator import add as _add, sub as _sub
+from operator import add as _add, mul as _mul, sub as _sub
 
 
 class ExactDomainError(ValueError):
     """Raised when an operation is applied outside its exact-arithmetic domain."""
+
+
+# ---------------------------------------------------------------------------
+# powers and binary forms over any ring
+# ---------------------------------------------------------------------------
+
+
+def powers(x, mul):
+    """e -> x^e for e >= 1, squaring top-down with the powers taken kept:
+    x^e alone costs floor(log2 e) + popcount(e) - 1 calls of mul, and later
+    calls reuse the squares of earlier ones."""
+    table = _Powers({1: x})
+    table.x, table.mul = x, mul
+    return table.__getitem__
+
+
+class _Powers(dict):
+    """x^e by e for powers, a missing one made from x^(e >> 1); a recursive
+    closure would be a reference cycle holding every power until a GC pass."""
+
+    __slots__ = ("x", "mul")
+
+    def __missing__(self, e):
+        half = self[e >> 1]
+        square = self.mul(half, half)
+        value = self[e] = self.mul(square, self.x) if e & 1 else square
+        return value
+
+
+def binary_form(cs, N, D, mul):
+    """sum_k cs[k] N^k D^(n-k), n = len(cs) - 1 >= 0, on ring elements given
+    as coordinate tuples that add coordinatewise and multiply by mul, taken
+    by halves: cs splits at mid into lo and hi, and the sum is
+    lo(N, D) D^(n+1-mid) + hi(N, D) N^mid, down to single coefficients.
+    The halves at one depth have lengths that differ by at most 1, so each
+    power of N and D is squared once (powers), and the products are
+    balanced, where big-integer multiplication is fastest."""
+    return _halves(cs, 0, len(cs), powers(N, mul), powers(D, mul), mul)
+
+
+def _halves(cs, lo, hi, N_pow, D_pow, mul):
+    """sum_{lo <= k < hi} cs[k] N^(k - lo) D^(hi - 1 - k), for binary_form."""
+    if hi - lo == 1:
+        return cs[lo]
+    mid = (lo + hi) // 2
+    return tuple(map(_add, mul(_halves(cs, lo, mid, N_pow, D_pow, mul), D_pow(hi - mid)),
+                     mul(_halves(cs, mid, hi, N_pow, D_pow, mul), N_pow(mid - lo))))
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +196,7 @@ class CycloElem:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = CycloElem.from_rational(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return powers(self, _mul)(n) if n else CycloElem.from_rational(1)
 
     # -- structure queries --------------------------------------------------
 
@@ -330,8 +370,8 @@ def _norm(cols):
 
 def _compose_packed(parts, num, den, h):
     """poly_compose_rational over Q(zeta_5), with parts[k] the coefficients
-    of H_k in the variable of num and den, by homogeneous Horner on packed
-    values (see _pack), unpacked once.
+    of H_k in the variable of num and den, as binary_form on packed values
+    (see _pack), unpacked once.
 
     With d the common denominator of num and den, N = d num and E = d den
     are integral and den^h H(num/den) = sum_k H_k N^k E^(h-k) / d^h.  Since
@@ -355,16 +395,9 @@ def _compose_packed(parts, num, den, h):
     kb = _stride(max(bound, nN, nE, *norms))
     N, E = _pack(N_cols, kb), _pack(E_cols, kb)
     n = len(parts) - 1
-    E_pows = [(1, 0, 0, 0)]
-    for _ in range(max(n, h - n)):
-        E_pows.append(_mul4(E_pows[-1], E))
-    acc = _pack(H_cols[n], kb)
-    for k in range(n - 1, -1, -1):
-        acc = _mul4(acc, N)
-        if norms[k]:
-            acc = tuple(map(_add, acc, _mul4(E_pows[n - k], _pack(H_cols[k], kb))))
+    acc = binary_form([_pack(c, kb) for c in H_cols], N, E, _mul4)
     if h > n:
-        acc = _mul4(acc, E_pows[h - n])
+        acc = _mul4(acc, powers(E, _mul4)(h - n))
     count = max(map(len, parts)) + h * (max(len(num.coeffs), len(den.coeffs)) - 1)
     return Poly(_unpack(acc, kb, count, dH * d**h))
 
@@ -473,14 +506,7 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ExactDomainError("negative power of a polynomial")
-        result = Poly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return powers(self, _mul)(n) if n else Poly((1,))
 
     def __divmod__(self, other):
         if other.is_zero():
@@ -654,9 +680,9 @@ def poly_compose_rational(H, num, den, h):
     num and den (a bivariate H); they multiply into the sum rather than
     nest.  Over Q(zeta_5) (the test Poly.__mul__ makes, on the coefficients
     of num, den and H, those of a bivariate H flattened) the sum is
-    _compose_packed's: homogeneous Horner on packed big integers, each
-    coefficient unpacked once as a CycloElem in lowest terms.  Otherwise it
-    is homogeneous Horner on Poly, n = deg H: acc = H_n, then
+    _compose_packed's: binary_form on packed big integers, each coefficient
+    unpacked once as a CycloElem in lowest terms.  Otherwise it is
+    homogeneous Horner on Poly, n = deg H: acc = H_n, then
     acc = acc * num + H_k * den^(n-k) for k = n-1..0, and finally
     acc * den^(h-n).
     """
@@ -667,6 +693,8 @@ def poly_compose_rational(H, num, den, h):
     parts = [c.coeffs if isinstance(c, Poly) else (c,) for c in H.coeffs]
     if _over_cyclo([c for part in parts for c in part] + [*num.coeffs, *den.coeffs]):
         return _compose_packed(parts, num, den, h)
+    # Horner, not binary_form: on schoolbook products the halves cost more
+    # than Horner's products by the short num (z_plane_checks runs here)
     n = H.degree
     den_pows = [Poly((1,))]
     for _ in range(max(n, h - n)):

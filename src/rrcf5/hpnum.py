@@ -166,7 +166,8 @@ def fixed_div(x, y, bits: int):
 
 
 def fixed_pow(x, n: int, bits: int):
-    """x^n, n >= 1, for a fixed-point pair x at bits, by binary powering."""
+    """x^n, n >= 1, for a fixed-point pair x at bits, by binary powering (not
+    exactmath.powers: hpnum imports nothing from the package)."""
     r = x
     for bit in bin(n)[3:]:
         r = fixed_mul(r, r, bits)

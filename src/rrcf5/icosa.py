@@ -117,6 +117,8 @@ def unwitnessed(elements, p: Poly) -> list:
             continue
         a, b, c, d = (sum(map(mul, e.nums, powers)) * pow(e.den, -1, ELL)
                       for e in m.entries())
+        # pow sums, not binary_form: three-argument pow keeps every product
+        # below ELL^2, and binary_form on 1-tuples mod ELL took twice as long
         m3, m7 = (sum(pk * pow(a * x + b, k, ELL) * pow(c * x + d, n - k, ELL)
                       for k, pk in enumerate(p.coeffs)) for x in (3, 7))
         if not (m3 * p7 - m7 * p3) % ELL:

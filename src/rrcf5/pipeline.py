@@ -16,8 +16,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .classdata import check_discriminant, choose_v, n_system, reduced_forms
-from .exactmath import ExactDomainError, Poly, poly_compose_rational, poly_discriminant
+from .classdata import ClassDataError, check_discriminant, choose_v, n_system, reduced_forms
+from .exactmath import (ExactDomainError, Poly, binary_form, poly_compose_rational,
+                        poly_discriminant, powers)
 from .hpnum import (
     PrecisionError,
     PrecisionPolicy,
@@ -163,44 +164,17 @@ def _times_sqrt5(a, b):
     return a[0] * b[0] + 5 * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def _power(x, e: int, memo: dict):
-    """x^e on pairs by squaring; memo maps exponents to powers of x already
-    taken and starts as {0: (1, 0)}."""
-    if e not in memo:
-        half = _power(x, e >> 1, memo)
-        square = _times_sqrt5(half, half)
-        memo[e] = _times_sqrt5(square, x) if e & 1 else square
-    return memo[e]
-
-
 def pullback_at(P: Poly, n: int, m, z: int):
     """(cz+d)^n P((az+b)/(cz+d)) at one integer z, for m = (a, b, c, d) with
     entries in Z[sqrt5] as pairs (x, y) = x + y sqrt5: the value of the
-    pullback P|m of P, read as a form of degree n >= deg P, as a pair.
-
-    With N = az + b and D = cz + d it is sum_k p_k N^k D^(n-k), taken by
-    halves: p_0..p_n split at mid into lo and hi, and the sum is
-    lo(N, D) D^(n+1-mid) + hi(N, D) N^mid, down to single coefficients.
-    The halves at one depth have lengths that differ by at most 1, so each
-    power of N and D is squared once, and the products are balanced, where
-    big-integer multiplication is fastest."""
+    pullback P|m of P, read as a form of degree n >= deg P, as a pair.  It is
+    sum_k p_k N^k D^(n-k) with N = az + b and D = cz + d (binary_form)."""
     if P.degree > n:
         raise ExactDomainError(f"degree {P.degree} exceeds the form degree {n}")
     (a0, a1), (b0, b1), (c0, c1), (d0, d1) = m
     N, D = (a0 * z + b0, a1 * z + b1), (c0 * z + d0, c1 * z + d1)
-    N_pows, D_pows = {0: (1, 0)}, {0: (1, 0)}
-    cs = P.coeffs + (0,) * (n - P.degree)
-
-    def form(lo, hi):
-        # sum_{lo <= k < hi} p_k N^(k - lo) D^(hi - 1 - k)
-        if hi - lo == 1:
-            return cs[lo], 0
-        mid = (lo + hi) // 2
-        x, y = _times_sqrt5(form(lo, mid), _power(D, hi - mid, D_pows))
-        u, v = _times_sqrt5(form(mid, hi), _power(N, mid - lo, N_pows))
-        return x + u, y + v
-
-    return form(0, n + 1)
+    cs = [(p, 0) for p in P.coeffs] + [(0, 0)] * (n - P.degree)
+    return binary_form(cs, N, D, _times_sqrt5)
 
 
 def is_fixed_by(P: Poly, m, n: int) -> bool:
@@ -233,7 +207,7 @@ def is_fixed_by(P: Poly, m, n: int) -> bool:
     if n % 2:
         raise ExactDomainError(f"the form degree {n} is odd")
     (x0, x1), (y0, y1) = _times_sqrt5(a, a), _times_sqrt5(b, c)
-    lam = _power((x0 + y0, x1 + y1), n // 2, {0: (1, 0)})
+    lam = powers((x0 + y0, x1 + y1), _times_sqrt5)(n // 2) if n else (1, 0)
     cs = P.int_coeffs()
 
     def nu(x):
@@ -285,9 +259,8 @@ def disc_conjecture_check(S: Poly, d: int) -> DiscReport:
     So disc(p) = disc(S)^2 * prod (s_k^2 + 4) = disc(S)^2 * |S(2i)|^2, for
     any leading coefficient of S.
     """
-    re, im = 0, 0  # S(2i) by Horner over the Gaussian integers
-    for c in reversed(S.coeffs):
-        re, im = c - 2 * im, 2 * re
+    # S(x) = E(x^2) + x O(x^2), so S(2i) = E(-4) + 2i O(-4)
+    re, im = Poly(S.coeffs[0::2])(-4), 2 * Poly(S.coeffs[1::2])(-4)
     disc = poly_discriminant(S) ** 2 * (re * re + im * im)
     if isinstance(disc, Fraction):
         assert disc.denominator == 1
@@ -367,11 +340,9 @@ class PipelineResult:
 
 def check_pipeline_d(d: int) -> None:
     """Refuse, before any work, d = 4 and the d that reduced_forms refuses
-    (check_discriminant)."""
+    (check_discriminant), as bad input (ClassDataError)."""
     if d == 4:
-        raise PipelineIntegrityError(
-            "d = 4 produces square factors; use the cyclotomic corpus instead"
-        )
+        raise ClassDataError("d = 4 produces square factors; use the cyclotomic corpus instead")
     check_discriminant(d)
 
 

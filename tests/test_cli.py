@@ -358,3 +358,14 @@ def test_a_cache_path_beneath_a_file_is_refused_before_the_run(tmp_path, monkeyp
     assert main(["pipeline", "-d", "19", "--cache", str(blocker / "x")]) == 2
     assert capsys.readouterr() == (
         "", f"error: cache directory {str(blocker / 'x')!r}: Not a directory\n")
+
+
+@pytest.mark.parametrize("argv", (["pipeline", "-d", "11"],
+                                  ["verify-tables", "--range", "11..11"]))
+def test_a_failed_certified_check_exits_1_not_as_bad_input(cachedir, monkeypatch,
+                                                            capsys, argv):
+    # exit 2 is bad input; a certified check that fails on valid input is a
+    # verification failure, with its one error line
+    monkeypatch.setattr(pipeline, "_antipalindromic", lambda p: False)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: anti-palindromic symmetry violated\n")

@@ -14,6 +14,7 @@ from rrcf5.exactmath import (
     MoebiusMap,
     Poly,
     RatFunc,
+    binary_form,
     golden_unit,
     golden_unit_conj,
     lift_to_cyclo,
@@ -21,7 +22,9 @@ from rrcf5.exactmath import (
     poly_compose_rational,
     poly_discriminant,
     poly_resultant,
+    powers,
 )
+from rrcf5.pipeline import _times_sqrt5
 
 rng = random.Random(20260823)
 
@@ -469,6 +472,82 @@ def test_compose_rational_unpacks_coefficients_at_the_stride_edge(bits):
         # h = 1: c x at x = u - 1 is -c + c u, 3 bits below the bound, with
         # a value of each sign below the top coefficient
         assert poly_compose_rational(Poly((0, c)), Poly((-1, 1)), one, 1).coeffs == (-c, c)
+
+
+# ------------------------------------------------ powers and binary forms
+
+
+def products_of_binary_powering(e):
+    """floor(log2 e) + popcount(e) - 1: squarings plus multiplications by x."""
+    return e.bit_length() - 1 + bin(e).count("1") - 1
+
+
+def counting(mul, counter):
+    def wrapped(a, b):
+        counter[0] += 1
+        return mul(a, b)
+    return wrapped
+
+
+def test_powers_match_repeated_products_with_binary_powering_cost():
+    x = CycloElem((2, -1, 0, 3)) * Fraction(1, 3)
+    expected = x
+    for e in range(1, 71):
+        calls = [0]
+        assert powers(x, counting(lambda a, b: a * b, calls))(e) == expected
+        assert calls[0] == products_of_binary_powering(e), e
+        expected = expected * x
+
+
+@pytest.mark.parametrize("base", (Poly((1, 2, 3)), CycloElem((1, 2, 0, -1))),
+                         ids=("Poly", "CycloElem"))
+def test_pow_makes_the_binary_powering_products_through_mul(monkeypatch, base):
+    # ** looks __mul__ up on the class at call time, so a counter installed
+    # there (as the benchmark tracer does) sees every product; the
+    # right-to-left loop made two more (1 * x and a discarded last square)
+    cls = type(base)
+    calls = [0]
+    monkeypatch.setattr(cls, "__mul__", counting(cls.__mul__, calls))
+    expected = base
+    for e in range(1, 41):
+        calls[0] = 0
+        got = base**e
+        assert calls[0] == products_of_binary_powering(e), e
+        assert got == expected
+        expected = cls.__mul__(expected, base)
+
+
+def times_int(a, b):
+    return (a[0] * b[0],)
+
+
+def times_sqrt5_schoolbook(a, b):
+    return a[0] * b[0] + 5 * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+ints = st.integers(-10**30, 10**30)
+pairs = st.tuples(ints, ints)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("Z"), st.lists(ints.map(lambda c: (c,)), min_size=1, max_size=40),
+              ints.map(lambda c: (c,)), ints.map(lambda c: (c,))),
+    st.tuples(st.just("Z[sqrt5]"), st.lists(pairs, min_size=1, max_size=40), pairs, pairs)))
+def test_binary_form_matches_the_naive_sum(case):
+    # sum_k c_k N^k D^(n-k) term by term, on ints as 1-tuples and on
+    # x + y sqrt5 as pairs
+    ring, cs, N, D = case
+    mul, fast = (times_int, times_int) if ring == "Z" else (times_sqrt5_schoolbook, _times_sqrt5)
+    got = binary_form(cs, N, D, fast)
+    n = len(cs) - 1
+    total = (0,) * len(N)
+    for k, c in enumerate(cs):
+        term = c
+        for factor in [N] * k + [D] * (n - k):
+            term = mul(term, factor)
+        total = tuple(x + y for x, y in zip(total, term))
+    assert got == total
 
 
 # ------------------------------------------------------------------ RatFunc

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from rrcf5 import icosa, tables
-from rrcf5.classdata import choose_v, n_system, reduced_forms
+from rrcf5.classdata import ClassDataError, choose_v, n_system, reduced_forms
 from rrcf5.exactmath import (
     CycloElem,
     ExactDomainError,
@@ -154,8 +154,8 @@ MAPS = {"T": T, "T2": conjugate(T), "COR42": COR42, "U": U}
 @given(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=12),
        st.integers(0, 3), st.sampled_from(["T", "T2", "COR42", "U"]))
 def test_pullback_at_matches_the_exact_pullback(cs, extra, name):
-    # (cz+d)^n P((az+b)/(cz+d)) over Q(zeta_5), by poly_compose_rational,
-    # read at z = 0..n
+    # (cz+d)^n P((az+b)/(cz+d)) over Q(zeta_5), by exact_pullback, read at
+    # z = 0..n
     m = MAPS[name]
     P = Poly(cs)
     n = max(P.degree, 0) + extra
@@ -167,10 +167,17 @@ def test_pullback_at_matches_the_exact_pullback(cs, extra, name):
 
 
 def exact_pullback(P, n, m):
-    """P|m over Q(zeta_5), by poly_compose_rational."""
+    """P|m over Q(zeta_5) as sum_k p_k N^k D^(n-k), N = ax + b, D = cx + d,
+    from tables of powers made by repeated products: a reference that shares
+    no code with binary_form, which pullback_at and poly_compose_rational
+    both run."""
     s5 = CycloElem.sqrt5()
     a, b, c, d = (x + y * s5 for x, y in m)
-    return poly_compose_rational(lift_to_cyclo(P), Poly((b, a)), Poly((d, c)), n)
+    N_pows, D_pows = [Poly((1,))], [Poly((1,))]
+    for _ in range(n):
+        N_pows.append(N_pows[-1] * Poly((b, a)))
+        D_pows.append(D_pows[-1] * Poly((d, c)))
+    return sum((N_pows[k] * D_pows[n - k] * p for k, p in enumerate(P.coeffs)), Poly())
 
 
 def fixed_forms(name):
@@ -371,7 +378,8 @@ def test_run_pipeline_exact_power_fails_but_smooth_holds(d, h, powers):
 
 
 def test_run_pipeline_rejects_d4():
-    with pytest.raises(PipelineIntegrityError):
+    # d = 4 is bad input, refused like a non-discriminant
+    with pytest.raises(ClassDataError):
         run_pipeline(4)
 
 
