@@ -8,8 +8,10 @@ atomic (write to a temp file in the same directory, then rename).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import sys
 import tempfile
 from contextlib import contextmanager
 
@@ -70,6 +72,24 @@ def _poly_in(strings) -> Poly:
     return Poly([int(s) for s in strings])
 
 
+def _any_digits(convert):
+    """convert with Python's 4,300-digit limit on int <-> str, a guard for
+    parsing untrusted text, lifted: disc(p_d) passes it from d = 1151 on."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python before 3.10.7
+        return convert
+
+    @functools.wraps(convert)
+    def wrapped(arg):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return convert(arg)
+        finally:
+            sys.set_int_max_str_digits(limit)
+    return wrapped
+
+
+@_any_digits
 def result_to_entry(res: PipelineResult) -> dict:
     entry = {
         "schema_version": SCHEMA_VERSION,
@@ -95,6 +115,7 @@ def result_to_entry(res: PipelineResult) -> dict:
     return entry
 
 
+@_any_digits
 def entry_to_result(entry: dict) -> PipelineResult:
     if entry.get("schema_version") != SCHEMA_VERSION:
         raise CacheError(f"unsupported schema version {entry.get('schema_version')!r}")

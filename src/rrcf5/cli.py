@@ -2,9 +2,9 @@
 
 Subcommands: pipeline, verify-tables, identities, g60, curve, examples,
 eval-r, classpoly.  Exit codes: 0 success, 1 verification mismatch or failed
-certified check, 2 bad input, 3 precision exhaustion.  A handler returns 0
-or 1 and raises on any other failure; `main` alone maps a raised failure to
-its exit code and its one line of stderr.
+certified check or exact computation, 2 bad input, 3 precision exhaustion.
+A handler returns 0 or 1 and raises on any other failure; `main` alone maps
+a raised failure to its exit code and its one line of stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from mpmath import mp, mpc, mpf
 
 from . import cache, tables
 from .classdata import ClassDataError, class_poly, is_admissible, reduced_forms
-from .exactmath import Poly
+from .exactmath import ExactDomainError, Poly
 from .hpnum import PrecisionError, PrecisionPolicy, r_transformation_laws
 from .pipeline import (PipelineIntegrityError, build_F_G, check_pipeline_d,
                        run_pipeline, verify_cor42, verify_T_invariance)
@@ -346,9 +346,12 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return 3
-    except (InputError, ClassDataError, PipelineIntegrityError, cache.CacheError) as exc:
+    except (InputError, ClassDataError, cache.CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, PipelineIntegrityError) else 2
+        return 2
+    except (PipelineIntegrityError, ExactDomainError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -15,15 +15,16 @@ from mpmath import mp, mpc, mpf
 
 from . import tables
 from .classdata import choose_v, reduced_forms
-from .exactmath import (CycloElem, Poly, RatFunc, golden_unit, golden_unit_conj,
-                        lift_to_cyclo, poly_compose_rational, poly_resultant)
+from .exactmath import (CycloElem, ExactDomainError, Poly, RatFunc, golden_unit,
+                        golden_unit_conj, lift_to_cyclo, poly_compose_rational,
+                        poly_resultant)
 from .hpnum import eta, r_transformation_laws, rr_r
 from .pipeline import J5_DEN, J5_NUM, J55_DEN, J55_NUM
 from .pipeline import J5Z_DEN, J5Z_NUM, J55Z_DEN, J55Z_NUM
 
 
-class CurveError(ValueError):
-    pass
+class CurveError(ExactDomainError):
+    """A failed exact computation here: an ExactDomainError, so cli.main exits 1."""
 
 
 # ---------------------------------------------------------------------------

@@ -10,23 +10,22 @@ from them, the check of j through r(tau) and the root products all stay on
 such pairs.  A ladder's first step is sized without them, from
 log2(1 + |j|) at the Heegner arguments in double precision, each argument
 first moved into the fundamental domain (log2_one_plus_abs_j).  At a step of
-prec bits the values handed to reconstruct_int_poly (c, z, s and j) are
-pairs at scale 2^(prec + 64); the inputs they are combined from are first
-cut to prec significant bits in each part (eta_parts), the rounding
-mpc(...) at workprec(prec) makes, so a step is no more precise than its
-prec bits.
+prec bits the values handed to reconstruct_int_poly (z, s and j) are pairs
+at scale 2^(prec + 64); the inputs they are combined from are first cut to
+prec significant bits in each part (jacobi_parts), the rounding mpc(...) at
+workprec(prec) makes, so a step is no more precise than its prec bits.
 check_j_by_r tests its bound multiplied through by the denominator, on
 squared norms in ints.  mpmath computes only the one exp per argument, the
 Heegner arguments themselves, and the values eta, rr_r and
 r_transformation_laws return.
 
 Each q-series evaluation takes one exp, of a root x of q (x = e^(pi i tau/12)
-for eta, e^(2 pi i tau/5) for r, e^(2 pi i w/25) for the Heegner values),
-and makes every q it sums at as a fixed-point power of x; the same x is the
-prefactor, so in a quotient of eta values the prefactors cancel to an
-integer power of x.  Only a cancellation retry takes the exp again, at wider
-bits.  Every public function sets its own working precision and restores the
-caller's on exit.
+for eta, e^(2 pi i tau/5) for r, e^(2 pi i w/25) for r(w/5) at a Heegner
+argument w), and makes every q it sums at as a fixed-point power of x; the
+same x is the prefactor, so in a quotient of eta values the prefactors
+cancel to an integer power of x.  Only a cancellation retry takes the exp
+again, at wider bits.  Every public function sets its own working precision
+and restores the caller's on exit.
 """
 
 from __future__ import annotations
@@ -259,27 +258,30 @@ def _jacobi_f(q_at, im_tau: float, pairs, prec: int):
         extra = lost
 
 
-def eta_parts(tau, k: int, ns, prec: int):
-    """(bits, x, [P_n for n in ns]) for x = e^(2 pi i tau / k) and the Euler
-    products
-
-        P_n = prod_{m>=1} (1 - q^m) = f(-q, -q^2),   q = x^n,
-
-    each P_n to relative 2^-prec, from one exp: every q is a fixed-point
-    power of x.  Since eta(n tau / k) = x^(n/24) P_n, a quotient of eta
-    values is a quotient of the P_n times an integer power of x when the
-    prefactors cancel that far.  With ns ascending, the first sum has the
+def jacobi_parts(tau, k: int, ns, pairs, prec: int):
+    """(bits, x, sums) for x = e^(2 pi i tau / k) and the triple products
+    f(-q^a, -q^b) of _jacobi_f, for each n in ns (q = x^n) and each (a, b)
+    in pairs, in that order, each to relative 2^-prec, from one exp: every
+    q is a fixed-point power of x.  With ns ascending, the first sum has the
     smallest Im and the most terms, so it sets the bits the exp is taken at.
-    x and the P_n come back as pairs at one scale 2^bits, the widest bits of
-    the sums plus the bits of 1/|x|, each cut to prec significant bits in
+    x and the sums come back as pairs at one scale 2^bits, the widest bits
+    of the sums plus the bits of 1/|x|, each cut to prec significant bits in
     each part (_cut), the precision callers combine them at.
     """
     x = _QRoot(tau, k)
     im = float(tau.imag)
-    parts = [_jacobi_f(x.power(n), im * n / k, ((1, 2),), prec) for n in ns]
+    parts = [_jacobi_f(x.power(n), im * n / k, pairs, prec) for n in ns]
     bits = x.bits + int(2 * pi * im / (k * log(2)))
     return bits, _cut(_fixed(x.value, bits), prec), [
-        _cut((sr << (bits - b), si << (bits - b)), prec) for b, ((sr, si),) in parts]
+        _cut((sr << (bits - b), si << (bits - b)), prec) for b, sums in parts for sr, si in sums]
+
+
+def eta_parts(tau, k: int, ns, prec: int):
+    """jacobi_parts for P_n = prod_{m>=1} (1 - q^m) = f(-q, -q^2), q = x^n.
+    Since eta(n tau / k) = x^(n/24) P_n, a quotient of eta values is a
+    quotient of the P_n times an integer power of x when the prefactors
+    cancel that far."""
+    return jacobi_parts(tau, k, ns, ((1, 2),), prec)
 
 
 def eta(tau, prec: int):
@@ -389,9 +391,8 @@ def j_from_tau(tau, prec: int):
 
         j = (c^2 + 10 c + 5)^3 / c,   c = (eta(tau/5)/eta(tau))^6 = (P_1/P_5)^6 / x,
 
-    with x = e^(2 pi i tau/5) and P_n = prod_{m>=1} (1 - x^(n m)) (eta_parts),
-    the quotient heegner_values takes c from.  check_j_by_r is the
-    independent route to check it by.
+    with x = e^(2 pi i tau/5) and P_n = prod_{m>=1} (1 - x^(n m)) (eta_parts).
+    check_j_by_r is the independent route to check it by.
     """
     w = prec + 64
     bits, x, (P1, P5) = eta_parts(tau, 5, (1, 5), w)

@@ -17,6 +17,7 @@ from mpmath import mp, mpc, mpf
 from . import tables
 from .exactmath import (
     CycloElem,
+    ExactDomainError,
     MoebiusMap,
     Poly,
     lift_to_cyclo,
@@ -28,8 +29,8 @@ from .hpnum import rr_r
 from .pipeline import J55_DEN, J55_NUM, T, build_F_G, is_fixed_by, lift_through_x_minus_inv
 
 
-class IcosaError(ValueError):
-    pass
+class IcosaError(ExactDomainError):
+    """A failed exact computation here: an ExactDomainError, so cli.main exits 1."""
 
 
 def S_map() -> MoebiusMap:

@@ -24,11 +24,11 @@ from .hpnum import (
     PrecisionPolicy,
     check_j_by_r,
     climb,
-    eta_parts,
     fixed_div,
     fixed_mul,
     fixed_pow,
     j_from_c,
+    jacobi_parts,
     reconstruct_int_poly,
 )
 
@@ -52,33 +52,43 @@ J55Z_NUM, J55Z_DEN = B**3, -Poly((11, 1)) ** 5
 
 
 def heegner_values(ws, prec: int):
-    """z, s and j at each Heegner argument w in ws, from one exp per w, as
-    pairs at scale 2^(prec + 64): t = e^(2 pi i w/25) gives q(w/25) = t,
-    q(w/5) = t^5 and q(w) = t^25, and F_k = prod_{m>=1} (1 - q(w/k)^m) at
-    each (eta_parts).  Since eta(w/k) = e^(2 pi i w/(24 k)) F_k, the eta
-    prefactors cancel to powers of t:
+    """z, s and j at each Heegner argument w in ws, as pairs at scale
+    2^(prec + 64), from r = r(w/5) = t f(-q, -q^4) / f(-q^2, -q^3), with
+    t = e^(2 pi i w/25) the one exp per w and q = t^5 (jacobi_parts, t and
+    the sums cut to prec significant bits).  With b = r^5 (Duke, Bull. AMS
+    42 (2005)):
 
-        c = (eta(w/5)/eta(w))^6 = F5^6 / (F1^6 t^5),   z = -11 - c,
-        s = -1 - eta(w/25)/eta(w) = -1 - F25 / (t F1),
+        s = -1 - eta(w/25)/eta(w) = r - 1/r,
+        c = (eta(w/5)/eta(w))^6 = (1 - 11 b - b^2) / b,   z = -11 - c,
         j = (c^2 + 10 c + 5)^3 / c   (j_from_c).
 
-    t and the F_k come cut to prec significant bits in each part, before
-    they are combined.  The products run at the scale eta_parts returns, over
-    prec + 64 bits; one of modulus 2^-k keeps k bits fewer, and at d <= 2000
-    k stays below 42 (F5^6 and t^5).  Returns (zs, ss, js); zs and ss
-    also carry the complex conjugates, the other h roots of R and S.
+    At the scale jacobi_parts returns, over prec + 64 bits, b keeps more than
+    prec + 20 bits: |b| > 2^-41 at d <= 2000.  The numerator cancels where b
+    nears eps^5, eps = (sqrt5 - 1)/2, and j, near 125/c there, keeps only the
+    bits it keeps; one below 2^-16 would leave j fewer than prec - 16, so w
+    is taken again, once, with as many more bits as it lost (a second exp).
+    Returns (zs, ss, js); zs and ss also carry the complex conjugates, the
+    other h roots of R and S.
     """
     w_bits = prec + 64
-    one = 1 << w_bits
     zs, ss, js = [], [], []
     for w in ws:
-        bits, t, (F25, F5, F1) = eta_parts(w, 25, (1, 5, 25), prec)
-        c, j = j_from_c(fixed_pow(F5, 6, bits),
-                        fixed_mul(fixed_pow(F1, 6, bits), fixed_pow(t, 5, bits), bits),
-                        w_bits)
-        qr, qi = fixed_div(F25, fixed_mul(t, F1, bits), w_bits)
-        zs.append((-11 * one - c[0], -c[1]))
-        ss.append((-one - qr, -qi))
+        extra = 0
+        while True:
+            bits, t, (f14, f23) = jacobi_parts(w, 25, (5,), ((1, 4), (2, 3)), prec + extra)
+            one = 1 << bits
+            r = fixed_div(fixed_mul(t, f14, bits), f23, bits)
+            b = fixed_pow(r, 5, bits)
+            br, bi = fixed_mul(b, (b[0] + 11 * one, b[1]), bits)
+            num = (one - br, -bi)  # 1 - 11 b - b^2
+            lost = bits - max(map(abs, num)).bit_length()
+            if extra or lost <= 16:
+                break
+            extra = lost
+        c, j = j_from_c(num, b, w_bits)
+        rr, ri = fixed_mul(r, r, bits)
+        zs.append((-11 * (1 << w_bits) - c[0], -c[1]))
+        ss.append(fixed_div((rr - one, ri), r, w_bits))
         js.append(j)
     return (zs + [(re, -im) for re, im in zs], ss + [(re, -im) for re, im in ss], js)
 
@@ -89,12 +99,12 @@ def _heegner_ws(args, prec: int):
 
 
 def compute_z_values(args, prec: int):
-    """z(w) = -11 - (eta(w/5)/eta(w))^6 at each argument, plus conjugates."""
+    """z(w) = -11 - (eta(w/5)/eta(w))^6 = b - 1/b, b = r(w/5)^5, plus conjugates."""
     return heegner_values(_heegner_ws(args, prec), prec)[0]
 
 
 def compute_s_values(args, prec: int):
-    """s(w) = -1 - eta(w/25)/eta(w) at each argument, plus conjugates.  Their
+    """s(w) = -1 - eta(w/25)/eta(w) = r - 1/r, r = r(w/5), plus conjugates.  Their
     link z = phi(s) = s^5 + 5 s^3 + 5 s is proven by p | Q(x^5), as
     x^5 - x^-5 = phi(x - 1/x)."""
     return heegner_values(_heegner_ws(args, prec), prec)[1]

@@ -2,12 +2,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from rrcf5 import cache, cli, pipeline, tables
+from rrcf5 import cache, cli, curve5, icosa, pipeline, tables
 from rrcf5.cli import build_parser, main, parse_tau
+from rrcf5.curve5 import CurveError
+from rrcf5.exactmath import ExactDomainError
+from rrcf5.icosa import IcosaError
 from rrcf5.pipeline import run_pipeline
 
 
@@ -369,3 +374,31 @@ def test_a_failed_certified_check_exits_1_not_as_bad_input(cachedir, monkeypatch
     monkeypatch.setattr(pipeline, "_antipalindromic", lambda p: False)
     assert main(argv) == 1
     assert capsys.readouterr() == ("", "error: anti-palindromic symmetry violated\n")
+
+
+def test_a_disc_past_4300_digits_is_written_and_read_back(cachedir, monkeypatch, capsys):
+    # disc(p_d) passes Python's 4,300-digit limit on int <-> str from
+    # d = 1151 on (11,274 digits at d = 1991); the cache writes and reads it
+    # back whole, and leaves the limit as it found it
+    res = run_pipeline(11)
+    disc = 3 ** 10_000 * res.disc_report.disc
+    big = replace(res, disc_report=replace(res.disc_report, disc=disc))
+    monkeypatch.setattr(cli, "run_pipeline", lambda d, policy: big)
+    limit = sys.get_int_max_str_digits()
+    assert main(["pipeline", "-d", "11", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["p"] == list(tables.P_TABLE[11])
+    assert cache.load(str(cachedir), 11) == big
+    assert sys.get_int_max_str_digits() == limit
+
+
+# each error of a failed exact computation, raised where its command runs it
+@pytest.mark.parametrize("argv, owner, name, error", (
+    (["g60"], icosa, "generate_g60", IcosaError),
+    (["curve"], curve5, "master_torsion_identity", CurveError),
+    (["identities"], cli, "verify_T_invariance", ExactDomainError),
+), ids=("IcosaError", "CurveError", "ExactDomainError"))
+def test_an_exact_failure_is_one_error_line_and_exit_1(monkeypatch, capsys, argv,
+                                                       owner, name, error):
+    monkeypatch.setattr(owner, name, mock.Mock(side_effect=error("the exact step failed")))
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: the exact step failed\n")

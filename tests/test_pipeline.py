@@ -439,12 +439,19 @@ def rel_close(a, b, bits):
 
 
 # d = 84 has the argument with the smallest Im(w/25) among the tabulated d.
-@pytest.mark.parametrize("d", (11, 24, 71, 119, 144, 84))
+# At d = 1571's sized step of 605 bits, b = r(w/5)^5 at its fifth argument
+# nears eps^5, and 1 - 11 b - b^2 is 2^-32: heegner_values takes that
+# argument again with 32 more bits.
+_ETA_CASES = {d: (128, slice(None)) for d in (11, 24, 71, 119, 144, 84)}
+_ETA_CASES[1571] = (605, slice(4, 5))
+
+
+@pytest.mark.parametrize("d", _ETA_CASES)
 def test_heegner_values_match_the_eta_quotients(d):
-    # The eta prefactors cancel to powers of t = e^(2 pi i w/25); the values
-    # must equal the quotients of eta values taken one by one.
-    prec = 128
-    ws = _heegner_ws(_heegner_args(d)[3], prec)
+    # The values from r(w/5) must equal the quotients of eta values taken
+    # one by one, and j must pass the check through r.
+    prec, picked = _ETA_CASES[d]
+    ws = _heegner_ws(_heegner_args(d)[3], prec)[picked]
     zs, ss, js = heegner_values(ws, prec)
     for w, z, s, j in zip(ws, zs, ss, js):
         with mp.workprec(prec + 64):
@@ -453,6 +460,7 @@ def test_heegner_values_match_the_eta_quotients(d):
             for got, want in ((z, -11 - c), (s, -1 - e25 / e1),
                               (j, (c**2 + 10 * c + 5) ** 3 / c)):
                 assert rel_close(_to_mpc(got, prec + 64), want, prec - 16)
+        check_j_by_r(j, w, prec)
     # the other h roots of R and S are the complex conjugates
     h = len(ws)
     assert zs[h:] == [(re, -im) for re, im in zs[:h]]
