@@ -3,7 +3,8 @@
 One JSON document per discriminant, `d<dddd>.json`, schema version 1.  All
 polynomial coefficients are stored as exact decimal strings, lowest degree
 first, so entries are diff-friendly and round-trip losslessly.  Writes are
-atomic (write to a temp file in the same directory, then rename).
+atomic (write to a temp file in the same directory, then rename), and an
+entry gets the mode open(path, "w") would give it: 0o666 less the umask.
 """
 
 from __future__ import annotations
@@ -149,8 +150,13 @@ def save(cache_dir: str, res: PipelineResult) -> str:
     payload = json.dumps(result_to_entry(res), indent=1, sort_keys=True)
     fd, tmp = tempfile.mkstemp(prefix=f"d{res.d:04d}.", suffix=".tmp",
                                dir=cache_dir)
+    # mkstemp makes the file 0600; give it the mode open(path, "w") would.
+    # The umask is read by setting it, to the stricter 0o077 meanwhile.
+    umask = os.umask(0o077)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
+            os.chmod(tmp, 0o666 & ~umask)
             fh.write(payload + "\n")
         os.replace(tmp, path)
     except BaseException:

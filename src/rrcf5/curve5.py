@@ -1,6 +1,7 @@
 """The Tate normal form E5(b) with a rational point of order 5, its
 5-division polynomial and an exact proof by doubling that its roots are
-5-torsion, the explicit order-5 X-coordinate formulas over Q(sqrt5)(u), the
+5-torsion, the explicit order-5 X-coordinate formulas over Q(sqrt5)(u) and
+the proof that they annihilate psi_5, at one point over Z[sqrt5], the
 tau/isogeny structure, and numeric verification of the quintic diophantine
 solutions and the continued-fraction transformation identities."""
 
@@ -15,9 +16,9 @@ from mpmath import mp, mpc, mpf
 
 from . import tables
 from .classdata import choose_v, reduced_forms
-from .exactmath import (CycloElem, ExactDomainError, Poly, RatFunc, golden_unit,
+from .exactmath import (CycloElem, ExactDomainError, Poly, RatFunc, binary_form, golden_unit,
                         golden_unit_conj, lift_to_cyclo, poly_compose_rational,
-                        poly_resultant)
+                        poly_resultant, powers, sqrt5_size, times_sqrt5)
 from .hpnum import eta, r_transformation_laws, rr_r
 from .pipeline import J5_DEN, J5_NUM, J55_DEN, J55_NUM
 from .pipeline import J5Z_DEN, J5Z_NUM, J55Z_DEN, J55Z_NUM
@@ -185,59 +186,92 @@ def five_torsion_by_doubling(b) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# A_4..A_0, each as its coefficients of 1, b, b^2, each a pair (x, y) = x + y sqrt5
+_A_TABLE = (
+    ((-18, 8), (-12, 6), (-2, 0)),
+    ((-7, 3), (12, -4), (2, 0)),
+    ((-3, 1), (-7, 7), (-2, 0)),
+    ((-2, 0), (22, 0), (2, 0)),
+    ((-3, -1), (-7, 3), (-2, 0)),
+)
+
+
 def torsion_A_coeffs():
     """The five polynomials A_4..A_0 in b (lowest-degree-first coefficient
     tuples over Q(sqrt5)) from the solved quintic."""
-    a = CycloElem.sqrt5()
-    A4 = Poly((8 * a - 18, 6 * a - 12, -2))
-    A3 = Poly((3 * a - 7, -4 * a + 12, 2))
-    A2 = Poly((a - 3, 7 * a - 7, -2))
-    A1 = Poly((-2, 22, 2))
-    A0 = Poly((-3 - a, 3 * a - 7, -2))
-    return A4, A3, A2, A1, A0
+    # x + y sqrt5 = (x - y) - 2y zeta^2 - 2y zeta^3 in the power basis
+    return tuple(Poly([CycloElem((x - y, 0, -2 * y, -2 * y)) if y else x for x, y in Ak])
+                 for Ak in _A_TABLE)
 
 
-def master_torsion_poly(perturb_A1: int = 0):
-    """P_0(u) = bden^33 psi_5(X(u), b(u)) over Q(zeta_5), where
-    b = (eps^5 u^5 + epsbar^5)/(u^5 + 1) and X is the explicit degree-4
-    expression in u.  perturb_A1 is a negative-control knob that must break
-    the identity when nonzero.
+def _master_at_point(perturb_A1: int = 0):
+    """(s, P(2^s)) for P = D^12 bden^9 psi_5(N/D, bnum/bden) in Z[sqrt5][u],
+    the value a pair (x, y) = x + y sqrt5; perturb_A1 adds to A_1.
 
-    b depends on u only through v = u^5, where it is linear, so each
-    coefficient in b is cleared of 1 + v in v and then spread to u by
-    v -> u^5.  With X = lam XA / bden^2, P_0 = sum_j C_j (lam XA)^j
-    (bden^2)^(12-j) is one composition whose coefficients C_j are
-    polynomials in u.  Every C_j, bden and every coefficient of XA in u^k
-    is a polynomial in u^5, so the twist P_t (X(zeta_5^t u) for X(u)) is
-    P_0(zeta^t u): coefficient k of P_t is zeta^(tk) times that of P_0."""
-    a = CycloElem.sqrt5()
-    bnum_v = Poly((golden_unit_conj()**5, golden_unit()**5))
-    bden_v = Poly((1, 1))
+    b = (eps^5 u^5 + epsbar^5)/(u^5 + 1) = bnum/bden with bnum =
+    (-11 - 5 sqrt5) + (-11 + 5 sqrt5) u^5 and bden = 2 + 2 u^5 (2 eps^5 =
+    -11 + 5 sqrt5), and X = lam sum_k A_k(b) u^k with lam = (5 - sqrt5)/100
+    = 1/(25 + 5 sqrt5) is N/D, N = sum_k u^k bden^2 A_k(bnum/bden) and D =
+    (25 + 5 sqrt5) bden^2.  With psi_5 = sum_j psi_j(b) X^j, deg psi_j <= 9,
+    P = sum_j C_j N^j D^(12-j), C_j = sum_i psi_ji bnum^i bden^(9-i), and
+    P = 2^33 (25 + 5 sqrt5)^12 P_0 for P_0 = (u^5 + 1)^33 psi_5(X(u), b(u)).
 
-    def clear_b(poly_in_b, h):
-        return poly_compose_rational(poly_in_b, bnum_v, bden_v, h).subst_x_pow(5)
+    Why one point is enough: nu(x + y sqrt5) = |x| + 3|y| bounds both
+    coordinates and is submultiplicative, and so is its sum over the
+    coefficients of a polynomial in u.  nu(bnum) = 52, nu(bden) = 4 and
+    nu(25 + 5 sqrt5) = 40, so nu(C_j) <= c_j = sum_i |psi_ji| 52^i 4^(9-i),
+    nu(N) <= n = sum_k sum_i nu(A_ki) 52^i 4^(2-i), nu(D) <= 640, and every
+    coordinate of every coefficient of P is at most
+    B = sum_j c_j n^j 640^(12-j).  Take s with 2^s > B.  Each coordinate of
+    P(u0), u0 = 2^s, is an integer polynomial in u0 with coefficients of
+    modulus below u0; if it is not zero, its value is u0^k (f_k + u0 g(u0))
+    for its lowest nonzero coefficient f_k, and u0 cannot divide f_k, so the
+    value is not zero.  Hence P(u0) = (0, 0) exactly when P = 0, that is
+    when P_0 = 0."""
+    psi = [[(c, 0) for c in cj.coeffs] for cj in division_poly_5(TateCurve5(Poly.x())).coeffs]
+    As = [list(Ak) for Ak in reversed(_A_TABLE)]  # A_0..A_4
+    x, y = As[1][0]
+    As[1][0] = (x + perturb_A1, y)
+    nu = sqrt5_size
+    n = sum(nu(c) * 52**i * 4**(2 - i) for Ak in As for i, c in enumerate(Ak))
+    B = sum(sum(nu(c) * 52**i * 4**(9 - i) for i, c in enumerate(cj)) * n**j * 640**(12 - j)
+            for j, cj in enumerate(psi))
+    s = B.bit_length()
+    v0 = 1 << (5 * s)
+    bnum, bden = (-11 - 11 * v0, 5 * v0 - 5), 2 + 2 * v0
+    bnum_pows = [(1, 0)] + [*map(powers(bnum, times_sqrt5), range(1, 10))]
 
-    A4, A3, A2, A1, A0 = torsion_A_coeffs()
-    if perturb_A1:
-        A1 = A1 + perturb_A1
-    # clear b out of each A_k (deg_b <= 2) and attach u^k
-    XA = Poly()
-    for k, Ak in enumerate((A0, A1, A2, A3, A4)):
-        XA = XA + clear_b(Ak, 2) * Poly((0,) * k + (1,))
+    def monomials(m):
+        """bnum^i bden^(m-i) for i = 0..m; bden is an integer."""
+        return [(x * bden**(m - i), y * bden**(m - i))
+                for i, (x, y) in enumerate(bnum_pows[:m + 1])]
 
-    # psi_5 over Z[b] (coefficients of degree <= 9 in b), b cleared in v
-    psi5 = division_poly_5(TateCurve5(Poly.x()))
-    Cs = Poly([clear_b(cj, 9) if cj else Poly() for cj in psi5.coeffs])
-    lam = (5 - a) * Fraction(1, 100)
-    bden = bden_v.subst_x_pow(5)
-    return poly_compose_rational(Cs, XA * lam, bden * bden, 12)
+    def dot(cs, ms):
+        x = y = 0
+        for c, m in zip(cs, ms):
+            p, q = times_sqrt5(c, m)
+            x, y = x + p, y + q
+        return x, y
+
+    m9, m2 = monomials(9), monomials(2)
+    Cs = [dot(cj, m9) for cj in psi]
+    N = (0, 0)
+    for k, Ak in enumerate(As):
+        x, y = dot(Ak, m2)
+        N = N[0] + (x << (k * s)), N[1] + (y << (k * s))
+    D = times_sqrt5((25, 5), (bden * bden, 0))
+    return s, binary_form(Cs, N, D, times_sqrt5)
 
 
 def master_torsion_identity(perturb_A1: int = 0):
-    """psi_5(X(zeta_5^t u), b(u)) = 0 identically in u, for t = 0..4: the
-    twist P_t scales coefficient k of P_0 (master_torsion_poly) by the unit
-    zeta^(tk), so each entry is whether P_0 is zero."""
-    return (master_torsion_poly(perturb_A1).is_zero(),) * 5
+    """psi_5(X(zeta_5^t u), b(u)) = 0 identically in u, for t = 0..4, proven
+    at one point (_master_at_point).  perturb_A1 is a negative-control knob
+    that must break the identity when nonzero.  Every C_j, bden and every
+    coefficient of N in u^k is a polynomial in u^5, so the twist P_t
+    (X(zeta^t u) for X(u)) is P_0(zeta^t u): coefficient k of P_t is the unit
+    zeta^(tk) times that of P_0, and each entry is whether P_0 is zero."""
+    _, value = _master_at_point(perturb_A1)
+    return (value == (0, 0),) * 5
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,22 @@ def _halves(cs, lo, hi, N_pow, D_pow, mul):
                      mul(_halves(cs, mid, hi, N_pow, D_pow, mul), N_pow(mid - lo))))
 
 
+def times_sqrt5(a, b):
+    """(a0 + a1 sqrt5)(b0 + b1 sqrt5) on coordinate pairs, in three products
+    when both a1 and b1 are nonzero; products by 0 are free.  The package's
+    one product on Z[sqrt5]."""
+    if a[1] and b[1]:
+        x, y = a[0] * b[0], a[1] * b[1]
+        return x + 5 * y, (a[0] + a[1]) * (b[0] + b[1]) - x - y
+    return a[0] * b[0] + 5 * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def sqrt5_size(a):
+    """nu(a0 + a1 sqrt5) = |a0| + 3|a1| on a coordinate pair: it bounds both
+    coordinates, and nu(ab) <= nu(a) nu(b) (5 |a1 b1| <= 9 |a1 b1|)."""
+    return abs(a[0]) + 3 * abs(a[1])
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic field elements
 # ---------------------------------------------------------------------------

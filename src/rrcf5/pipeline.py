@@ -18,7 +18,7 @@ from math import isqrt
 
 from .classdata import ClassDataError, check_discriminant, choose_v, n_system, reduced_forms
 from .exactmath import (ExactDomainError, Poly, binary_form, poly_compose_rational,
-                        poly_discriminant, powers)
+                        poly_discriminant, powers, sqrt5_size, times_sqrt5)
 from .hpnum import (
     PrecisionError,
     PrecisionPolicy,
@@ -165,15 +165,6 @@ T = ((-1, -1), (2, 0), (2, 0), (1, 1))
 COR42 = ((-11, 0), (4, 0), (1, 0), (11, 0))
 
 
-def _times_sqrt5(a, b):
-    """(a0 + a1 sqrt5)(b0 + b1 sqrt5) on coordinate pairs, in three products
-    when both a1 and b1 are nonzero; products by 0 are free."""
-    if a[1] and b[1]:
-        x, y = a[0] * b[0], a[1] * b[1]
-        return x + 5 * y, (a[0] + a[1]) * (b[0] + b[1]) - x - y
-    return a[0] * b[0] + 5 * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
 def pullback_at(P: Poly, n: int, m, z: int):
     """(cz+d)^n P((az+b)/(cz+d)) at one integer z, for m = (a, b, c, d) with
     entries in Z[sqrt5] as pairs (x, y) = x + y sqrt5: the value of the
@@ -184,7 +175,7 @@ def pullback_at(P: Poly, n: int, m, z: int):
     (a0, a1), (b0, b1), (c0, c1), (d0, d1) = m
     N, D = (a0 * z + b0, a1 * z + b1), (c0 * z + d0, c1 * z + d1)
     cs = [(p, 0) for p in P.coeffs] + [(0, 0)] * (n - P.degree)
-    return binary_form(cs, N, D, _times_sqrt5)
+    return binary_form(cs, N, D, times_sqrt5)
 
 
 def is_fixed_by(P: Poly, m, n: int) -> bool:
@@ -216,13 +207,10 @@ def is_fixed_by(P: Poly, m, n: int) -> bool:
         raise ExactDomainError(f"{m} is not an involution: a + d != 0")
     if n % 2:
         raise ExactDomainError(f"the form degree {n} is odd")
-    (x0, x1), (y0, y1) = _times_sqrt5(a, a), _times_sqrt5(b, c)
-    lam = powers((x0 + y0, x1 + y1), _times_sqrt5)(n // 2) if n else (1, 0)
+    (x0, x1), (y0, y1) = times_sqrt5(a, a), times_sqrt5(b, c)
+    lam = powers((x0 + y0, x1 + y1), times_sqrt5)(n // 2) if n else (1, 0)
     cs = P.int_coeffs()
-
-    def nu(x):
-        return abs(x[0]) + 3 * abs(x[1])
-
+    nu = sqrt5_size
     M = max(nu(a) + nu(b), nu(c) + nu(d))
     s = (sum(map(abs, cs)) * (M**n + nu(lam))).bit_length()
     x, y = pullback_at(P, n, m, 1 << s)

@@ -137,6 +137,18 @@ def test_cache_roundtrip_and_atomicity(cachedir):
     assert all(not name.endswith(".tmp") for name in os.listdir(cachedir))
 
 
+def test_a_saved_entry_has_the_mode_the_umask_gives(cachedir):
+    # as open(path, "w") would make it, not mkstemp's 0600
+    res = run_pipeline(11)
+    old = os.umask(0o022)
+    try:
+        path = cache.save(str(cachedir), res)
+    finally:
+        os.umask(old)
+    assert os.stat(path).st_mode & 0o777 == 0o644
+    assert cache.load(str(cachedir), 11) == res
+
+
 def test_cache_rejects_unknown_schema(cachedir):
     res = run_pipeline(11)
     entry = cache.result_to_entry(res)

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -5,10 +6,12 @@ import mpmath
 import pytest
 import sympy
 
+from rrcf5 import curve5, exactmath
 from rrcf5.curve5 import (
     C5Report,
     CurveError,
     TateCurve5,
+    _master_at_point,
     _psi2sq_psi3,
     delta_identity_symbolic,
     det_D_identity,
@@ -18,7 +21,6 @@ from rrcf5.curve5 import (
     five_torsion_by_doubling,
     g2g3_delta_rewrite,
     master_torsion_identity,
-    master_torsion_poly,
     tau_and_isogeny_checks,
     torsion_A_coeffs,
     verify_C5_solution,
@@ -154,9 +156,9 @@ def composed_master_poly(twist, perturb_A1):
 def test_twisted_master_polys_match_the_per_twist_composition(perturb):
     # each twist P_t has coefficient k equal to zeta^(tk) times that of P_0,
     # which is why master_torsion_identity reads all five verdicts off P_0
-    P0 = master_torsion_poly(perturb)
+    P0 = composed_master_poly(0, perturb)
     zeta = CycloElem.zeta()
-    for t in range(5):
+    for t in range(1, 5):
         twisted = Poly([c * zeta ** (t * k) for k, c in enumerate(P0.coeffs)])
         assert twisted.coeffs == composed_master_poly(t, perturb).coeffs
     if perturb:
@@ -164,6 +166,68 @@ def test_twisted_master_polys_match_the_per_twist_composition(perturb):
         # 5, so every zeta^(tk) factor is compared with the reference
         live = {k % 5 for k, c in enumerate(P0.coeffs) if c}
         assert live == set(range(5))
+
+
+def sqrt5_pair(c):
+    """c = x + y sqrt5 in Q(zeta_5) as the integer pair (x, y)."""
+    c0, c1, c2, c3 = c.coords  # x - y, 0, -2y, -2y
+    assert c1 == 0 and c2 == c3
+    x, y = c0 - c2 / 2, -c2 / 2
+    assert x.denominator == y.denominator == 1
+    return int(x), int(y)
+
+
+PERTURBATIONS = range(-3, 4)
+
+
+@functools.lru_cache(maxsize=None)
+def scaled_reference(perturb):
+    """The coefficients of P = 2^33 (25 + 5 sqrt5)^12 P_0, P_0 from
+    composed_master_poly, as integer pairs: the multiple of P_0 that
+    _master_at_point evaluates."""
+    scale = 2**33 * (25 + 5 * CycloElem.sqrt5()) ** 12
+    return [sqrt5_pair(c * scale) for c in composed_master_poly(0, perturb).coeffs]
+
+
+@pytest.mark.parametrize("perturb", PERTURBATIONS)
+def test_the_one_point_verdict_is_whether_the_reference_is_zero(perturb):
+    P = scaled_reference(perturb)
+    assert master_torsion_identity(perturb) == (not P,) * 5
+    assert bool(P) == bool(perturb)
+    # and the value at 2^s is the reference's
+    s, value = _master_at_point(perturb)
+    u0 = 1 << s
+    assert value == (sum(x * u0**k for k, (x, _) in enumerate(P)),
+                     sum(y * u0**k for k, (_, y) in enumerate(P)))
+
+
+@pytest.mark.parametrize("perturb", PERTURBATIONS)
+def test_the_point_clears_every_coordinate_of_the_reference(perturb):
+    # the bound in _master_at_point's docstring, with a bit to spare
+    s, _ = _master_at_point(perturb)
+    bound = 2 ** (s - 1)
+    assert all(abs(x) < bound and abs(y) < bound for x, y in scaled_reference(perturb))
+
+
+def test_master_identity_is_one_evaluation_on_pairs(monkeypatch):
+    # no composition and no product over Q(zeta_5): one binary_form on
+    # Z[sqrt5] pairs per call, for the identity and the negative control
+    calls = []
+
+    def record(name, f):
+        return lambda *args: calls.append(name) or f(*args)
+
+    for module in (curve5, exactmath):
+        monkeypatch.setattr(module, "poly_compose_rational",
+                            record("compose", module.poly_compose_rational))
+    monkeypatch.setattr(exactmath, "_mul4", record("Q(zeta_5)", exactmath._mul4))
+    monkeypatch.setattr(CycloElem, "__mul__", record("CycloElem", CycloElem.__mul__))
+    monkeypatch.setattr(CycloElem, "__rmul__", record("CycloElem", CycloElem.__rmul__))
+    monkeypatch.setattr(curve5, "binary_form", record("binary_form", curve5.binary_form))
+    for perturb in (0, 1):
+        calls.clear()
+        master_torsion_identity(perturb)
+        assert calls == ["binary_form"]
 
 
 def test_det_D_closed_form():

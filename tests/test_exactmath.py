@@ -23,8 +23,9 @@ from rrcf5.exactmath import (
     poly_discriminant,
     poly_resultant,
     powers,
+    sqrt5_size,
+    times_sqrt5,
 )
-from rrcf5.pipeline import _times_sqrt5
 
 rng = random.Random(20260823)
 
@@ -538,7 +539,7 @@ def test_binary_form_matches_the_naive_sum(case):
     # sum_k c_k N^k D^(n-k) term by term, on ints as 1-tuples and on
     # x + y sqrt5 as pairs
     ring, cs, N, D = case
-    mul, fast = (times_int, times_int) if ring == "Z" else (times_sqrt5_schoolbook, _times_sqrt5)
+    mul, fast = (times_int, times_int) if ring == "Z" else (times_sqrt5_schoolbook, times_sqrt5)
     got = binary_form(cs, N, D, fast)
     n = len(cs) - 1
     total = (0,) * len(N)
@@ -548,6 +549,15 @@ def test_binary_form_matches_the_naive_sum(case):
             term = mul(term, factor)
         total = tuple(x + y for x, y in zip(total, term))
     assert got == total
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs, pairs)
+def test_sqrt5_size_bounds_the_coordinates_and_is_submultiplicative(a, b):
+    # the lemma behind is_fixed_by's and the psi_5 master identity's bounds
+    product = times_sqrt5(a, b)
+    assert product == times_sqrt5_schoolbook(a, b)
+    assert max(map(abs, product)) <= sqrt5_size(product) <= sqrt5_size(a) * sqrt5_size(b)
 
 
 # ------------------------------------------------------------------ RatFunc
