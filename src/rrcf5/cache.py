@@ -73,24 +73,27 @@ def _poly_in(strings) -> Poly:
     return Poly([int(s) for s in strings])
 
 
-def _any_digits(convert):
+def any_digits(convert):
     """convert with Python's 4,300-digit limit on int <-> str, a guard for
-    parsing untrusted text, lifted: disc(p_d) passes it from d = 1151 on."""
+    parsing untrusted text, lifted and the caller's limit restored after:
+    disc(p_d) passes it from d = 1151 on, and the coefficients of H_{-d}
+    pass it at large enough d.  The package converts only integers it
+    computed and reads back only its own cache entries."""
     if not hasattr(sys, "set_int_max_str_digits"):  # Python before 3.10.7
         return convert
 
     @functools.wraps(convert)
-    def wrapped(arg):
+    def wrapped(*args):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            return convert(arg)
+            return convert(*args)
         finally:
             sys.set_int_max_str_digits(limit)
     return wrapped
 
 
-@_any_digits
+@any_digits
 def result_to_entry(res: PipelineResult) -> dict:
     entry = {
         "schema_version": SCHEMA_VERSION,
@@ -116,7 +119,7 @@ def result_to_entry(res: PipelineResult) -> dict:
     return entry
 
 
-@_any_digits
+@any_digits
 def entry_to_result(entry: dict) -> PipelineResult:
     if entry.get("schema_version") != SCHEMA_VERSION:
         raise CacheError(f"unsupported schema version {entry.get('schema_version')!r}")

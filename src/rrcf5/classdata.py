@@ -4,11 +4,12 @@ Heegner parameter v, level-25 argument systems, and class polynomials."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, sqrt
 
 from mpmath import mp, mpc, mpf
 
-from .hpnum import PrecisionPolicy, check_j_by_r, climb, j_from_tau, reconstruct_int_poly
+from .hpnum import (PrecisionPolicy, QRoot, check_j_by_r, climb, j_from_tau,
+                    reconstruct_int_poly)
 
 
 class ClassDataError(ValueError):
@@ -62,6 +63,13 @@ class HeegnerArg:
         two_a = 2 * self.form.a
         with mp.workprec(prec):
             return mpc(mpf(-self.b_adj) / two_a, mp.sqrt(self.d) / two_a)
+
+    @property
+    def w_double(self) -> complex:
+        """w in double precision, rounded as w(53) rounds it; it sizes a
+        ladder's first step."""
+        two_a = 2 * self.form.a
+        return complex(-self.b_adj / two_a, sqrt(self.d) / two_a)
 
 
 @dataclass(frozen=True)
@@ -197,11 +205,13 @@ def class_poly(cd: ClassData, policy: PrecisionPolicy | None = None):
     args = n_system(cd, v)
 
     def step(bits):
-        ws = [arg.w(bits + 64) for arg in args]
-        js = [j_from_tau(w, bits) for w in ws]
-        for w, j in zip(ws, js):
-            check_j_by_r(j, w, bits)
+        xs = [QRoot(arg.w(bits + 64), 5) for arg in args]
+        # j_from_tau's sums are the widest, so they take the one exp per
+        # argument that the check's sums then reuse
+        js = [j_from_tau(x, bits) for x in xs]
+        for x, j in zip(xs, js):
+            check_j_by_r(x, bits)(j)
         return reconstruct_int_poly(js, bits)
 
-    return climb(policy, step, [arg.w(53) for arg in args],
+    return climb(policy, step, [arg.w_double for arg in args],
                  f"class polynomial for d={cd.d}")

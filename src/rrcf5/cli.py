@@ -35,6 +35,7 @@ def _poly_list(p: Poly):
     return [int(c) for c in p.coeffs]
 
 
+@cache.any_digits
 def _print_report(args, report: dict, title: str):
     if args.json:
         print(json.dumps(report, sort_keys=True, default=str))

@@ -384,9 +384,8 @@ def _norm(cols):
     return sum(sum(map(abs, c)) for c in cols)
 
 
-def _compose_packed(parts, num, den, h):
-    """poly_compose_rational over Q(zeta_5), with parts[k] the coefficients
-    of H_k in the variable of num and den, as binary_form on packed values
+def _compose_packed(H, num, den, h):
+    """poly_compose_rational over Q(zeta_5), as binary_form on packed values
     (see _pack), unpacked once.
 
     With d the common denominator of num and den, N = d num and E = d den
@@ -394,27 +393,25 @@ def _compose_packed(parts, num, den, h):
     ||ab|| <= 4 ||a|| ||b|| (the fold adds the zeta^4 numerators into all
     four coordinates), every numerator of the sum is at most
     4^h sum_k ||H_k|| ||N||^k ||E||^(h-k).  That bound on the result sets the
-    stride, and intermediate values are never unpacked.
+    stride, and intermediate values are never unpacked.  A constant H_k packs
+    to its own four numerators.
     """
-    cols, dH = _numerators([c for part in parts for c in part])
-    H_cols, start = [], 0
-    for part in parts:
-        H_cols.append([c[start:start + len(part)] for c in cols])
-        start += len(part)
+    cols, dH = _numerators(H.coeffs)
+    H_rows = list(zip(*cols))
     cols, d = _numerators(num.coeffs + den.coeffs)
     split = len(num.coeffs)
     N_cols, E_cols = [c[:split] for c in cols], [c[split:] for c in cols]
     nN, nE = _norm(N_cols), _norm(E_cols)
-    norms = list(map(_norm, H_cols))
+    norms = [sum(map(abs, row)) for row in H_rows]
     bound = 4**h * sum(c * nN**k * nE ** (h - k) for k, c in enumerate(norms))
     # the inputs must fit the stride too
     kb = _stride(max(bound, nN, nE, *norms))
     N, E = _pack(N_cols, kb), _pack(E_cols, kb)
-    n = len(parts) - 1
-    acc = binary_form([_pack(c, kb) for c in H_cols], N, E, _mul4)
+    n = H.degree
+    acc = binary_form(H_rows, N, E, _mul4)
     if h > n:
         acc = _mul4(acc, powers(E, _mul4)(h - n))
-    count = max(map(len, parts)) + h * (max(len(num.coeffs), len(den.coeffs)) - 1)
+    count = 1 + h * (max(len(num.coeffs), len(den.coeffs)) - 1)
     return Poly(_unpack(acc, kb, count, dH * d**h))
 
 
@@ -692,13 +689,10 @@ def poly_compose_rational(H, num, den, h):
 
     Returns sum_k H_k * num^k * den^(h-k); integral whenever H, num and den
     are.  Every homogenised composition in the package goes through here.
-    The coefficients H_k may themselves be polynomials in the variable of
-    num and den (a bivariate H); they multiply into the sum rather than
-    nest.  Over Q(zeta_5) (the test Poly.__mul__ makes, on the coefficients
-    of num, den and H, those of a bivariate H flattened) the sum is
-    _compose_packed's: binary_form on packed big integers, each coefficient
-    unpacked once as a CycloElem in lowest terms.  Otherwise it is
-    homogeneous Horner on Poly, n = deg H: acc = H_n, then
+    Over Q(zeta_5) (the test Poly.__mul__ makes, on the coefficients of H,
+    num and den) the sum is _compose_packed's: binary_form on packed big
+    integers, each coefficient unpacked once as a CycloElem in lowest terms.
+    Otherwise it is homogeneous Horner on Poly, n = deg H: acc = H_n, then
     acc = acc * num + H_k * den^(n-k) for k = n-1..0, and finally
     acc * den^(h-n).
     """
@@ -706,9 +700,8 @@ def poly_compose_rational(H, num, den, h):
         raise ExactDomainError("h must be at least deg H")
     if H.is_zero():
         return Poly()
-    parts = [c.coeffs if isinstance(c, Poly) else (c,) for c in H.coeffs]
-    if _over_cyclo([c for part in parts for c in part] + [*num.coeffs, *den.coeffs]):
-        return _compose_packed(parts, num, den, h)
+    if _over_cyclo([*H.coeffs, *num.coeffs, *den.coeffs]):
+        return _compose_packed(H, num, den, h)
     # Horner, not binary_form: on schoolbook products the halves cost more
     # than Horner's products by the short num (z_plane_checks runs here)
     n = H.degree

@@ -19,13 +19,19 @@ squared norms in ints.  mpmath computes only the one exp per argument, the
 Heegner arguments themselves, and the values eta, rr_r and
 r_transformation_laws return.
 
-Each q-series evaluation takes one exp, of a root x of q (x = e^(pi i tau/12)
-for eta, e^(2 pi i tau/5) for r, e^(2 pi i w/25) for r(w/5) at a Heegner
-argument w), and makes every q it sums at as a fixed-point power of x; the
-same x is the prefactor, so in a quotient of eta values the prefactors
-cancel to an integer power of x.  Only a cancellation retry takes the exp
-again, at wider bits.  Every public function sets its own working precision
-and restores the caller's on exit.
+Each q-series is summed at a fixed-point power of one root x of q, a QRoot
+(x = e^(pi i tau/12) for eta, e^(2 pi i tau/5) for r and for j_from_tau,
+e^(2 pi i w/25) for r(w/5) at a Heegner argument w); the same x is the
+prefactor, so in a quotient of eta values the prefactors cancel to an
+integer power of x.  A QRoot takes its one exp at the widest bits asked of
+it so far, and the caller that shares it between sums sets those bits by
+the order it sums in: a ladder step makes one root per Heegner argument and
+sums the widest series at it first, so both routes to j read the one exp
+(run_pipeline: check_j_by_r at q(w) = x^25 before heegner_values at
+q(w/5) = x^5; class_poly: j_from_tau before check_j_by_r).  Only a sum
+asking for wider bits than the root's, a cancellation retry mostly, takes
+the exp again.  Every public function sets its own working precision and
+restores the caller's on exit.
 """
 
 from __future__ import annotations
@@ -180,9 +186,11 @@ def _bit_length(x) -> int:
     return max(abs(x[0]), abs(x[1])).bit_length()
 
 
-class _QRoot:
-    """x = e^(2 pi i tau / k), a k-th root of q = e^(2 pi i tau).  The one exp
-    is taken at the widest bits asked for so far and reused below them."""
+class QRoot:
+    """x = e^(2 pi i tau / k), a k-th root of q = e^(2 pi i tau), for one
+    argument tau.  The one exp is taken at the widest bits asked for so far
+    and reused below them, so the q-series that share a root take it once
+    when the widest of them is summed first."""
 
     def __init__(self, tau, k: int):
         self.tau, self.k = tau, k
@@ -219,7 +227,8 @@ def _jacobi_f(q_at, im_tau: float, pairs, prec: int):
     costs a few of the 64 guard bits.  A sum
     below 2^-(extra + 32) has lost more bits to cancellation than the guard
     allows for, and every sum is taken again with that many more, from a q
-    made again at the wider bits.
+    made again at the wider bits (q_at's root takes its exp again only if
+    it was not already taken that wide).
 
     Returns (bits, sums): the sums as pairs at scale 2^bits.
     """
@@ -258,30 +267,32 @@ def _jacobi_f(q_at, im_tau: float, pairs, prec: int):
         extra = lost
 
 
-def jacobi_parts(tau, k: int, ns, pairs, prec: int):
-    """(bits, x, sums) for x = e^(2 pi i tau / k) and the triple products
-    f(-q^a, -q^b) of _jacobi_f, for each n in ns (q = x^n) and each (a, b)
-    in pairs, in that order, each to relative 2^-prec, from one exp: every
-    q is a fixed-point power of x.  With ns ascending, the first sum has the
-    smallest Im and the most terms, so it sets the bits the exp is taken at.
-    x and the sums come back as pairs at one scale 2^bits, the widest bits
-    of the sums plus the bits of 1/|x|, each cut to prec significant bits in
-    each part (_cut), the precision callers combine them at.
+def jacobi_parts(x: QRoot, ns, pairs, prec: int):
+    """(bits, x, sums) for the root x = e^(2 pi i tau / k) and the triple
+    products f(-q^a, -q^b) of _jacobi_f, for each n in ns (q = x^n) and each
+    (a, b) in pairs, in that order, each to relative 2^-prec.  Every q is a
+    fixed-point power of x, so the sums take no exp of their own: x takes
+    its one exp at the widest bits any of its sums asked for so far.  With
+    ns ascending, the first sum here has the smallest Im and the most terms,
+    so it asks for the most bits; a caller that shares x between this and
+    other sums takes the widest of them first.  x and the sums come back as
+    pairs at one scale 2^bits, the widest bits of these sums plus the bits
+    of 1/|x|, each cut to prec significant bits in each part (_cut), the
+    precision callers combine them at.
     """
-    x = _QRoot(tau, k)
-    im = float(tau.imag)
-    parts = [_jacobi_f(x.power(n), im * n / k, pairs, prec) for n in ns]
-    bits = x.bits + int(2 * pi * im / (k * log(2)))
+    im = float(x.tau.imag)
+    parts = [_jacobi_f(x.power(n), im * n / x.k, pairs, prec) for n in ns]
+    bits = max(b for b, _ in parts) + int(2 * pi * im / (x.k * log(2)))
     return bits, _cut(_fixed(x.value, bits), prec), [
         _cut((sr << (bits - b), si << (bits - b)), prec) for b, sums in parts for sr, si in sums]
 
 
-def eta_parts(tau, k: int, ns, prec: int):
+def eta_parts(x: QRoot, ns, prec: int):
     """jacobi_parts for P_n = prod_{m>=1} (1 - q^m) = f(-q, -q^2), q = x^n.
     Since eta(n tau / k) = x^(n/24) P_n, a quotient of eta values is a
     quotient of the P_n times an integer power of x when the prefactors
     cancel that far."""
-    return jacobi_parts(tau, k, ns, ((1, 2),), prec)
+    return jacobi_parts(x, ns, ((1, 2),), prec)
 
 
 def eta(tau, prec: int):
@@ -290,7 +301,7 @@ def eta(tau, prec: int):
     from one exp and q = u^24."""
     with mp.workprec(prec + 64):
         tau = mpc(tau)
-        u = _QRoot(tau, 24)
+        u = QRoot(tau, 24)
         bits, (f,) = _jacobi_f(u.power(24), float(tau.imag), ((1, 2),), prec)
         result = u.value * _to_mpc(f, bits)
     with mp.workprec(prec):
@@ -305,7 +316,7 @@ def rr_r(tau, prec: int):
     """
     with mp.workprec(prec + 64):
         tau = mpc(tau)
-        v = _QRoot(tau, 5)
+        v = QRoot(tau, 5)
         bits, (num, den) = _jacobi_f(v.power(5), float(tau.imag), ((1, 4), (2, 3)), prec)
         result = v.value * _to_mpc(num, bits) / _to_mpc(den, bits)
     with mp.workprec(prec):
@@ -342,34 +353,35 @@ def j_from_c(num, den, bits: int):
     return (c[0] >> K, c[1] >> K), fixed_div(cube, c, bits)
 
 
-def check_j_by_r(j, tau, prec: int):
-    """The independent route: j, a pair at scale 2^B with B = prec + 64,
-    must agree with the j that r = r(tau) gives,
+def check_j_by_r(x: QRoot, prec: int):
+    """The independent route to j at tau, for the root x = e^(2 pi i tau/k):
+    check(j) for a j that is a pair at scale 2^B, B = prec + 64, and must
+    agree with the j that r = r(tau) gives,
 
         j = N / D,  N = (r^20 - 228 r^15 + 494 r^10 + 228 r^5 + 1)^3,
                     D = r^5 (1 - 11 r^5 - r^10)^5,
 
-    to relative 2^(32-prec): |j - N/D| <= 2^(32-prec) max(|j|, 1).  r is
-    summed here from its own exp v = e^(2 pi i tau/5), with q = v^5 and
-    r^5 = q rho, rho = (f(-q, -q^4) / f(-q^2, -q^3))^5.  Multiplied through
-    by |D| = |q| |D/q|, the bound reads
+    to relative 2^(32-prec): |j - N/D| <= 2^(32-prec) max(|j|, 1).  check
+    raises PrecisionError if it fails.  r is read from x, with q = x^k and
+    r^5 = q rho, rho = (f(-q, -q^4) / f(-q^2, -q^3))^5; those sums need no j,
+    so they are taken here, before check is made: at B bits they are
+    usually the widest sums at x, and the other sums of a step then reuse
+    x's exp.  Multiplied through by |D| = |q| |D/q|, the bound reads
 
         |(j q)(D/q) - N| <= 2^(32-prec) max(|j q|, |q|) |D/q|,
 
     and D/q = rho (1 - 11 r^5 - r^10)^5 needs no division by q.  q is taken
     at scale 2^(B + K), K the bits of 1/|q|, so that j q keeps B bits; every
     other value is a pair at 2^B, and the bound is tested on squared norms
-    in ints.  Raises PrecisionError if it fails.
+    in ints.
     """
     B = prec + 64
-    im = float(tau.imag)
+    im = float(x.tau.imag)
     K = int(2 * pi * im / log(2)) + 1
-    v = _QRoot(tau, 5)
-    _, (num, den) = _jacobi_f(v.power(5), im, ((1, 4), (2, 3)), B)
-    q = fixed_pow(_fixed(v.value, B + K), 5, B + K)
+    _, (num, den) = _jacobi_f(x.power(x.k), im, ((1, 4), (2, 3)), B)
+    q = fixed_pow(_fixed(x.value, B + K), x.k, B + K)
     rho = fixed_pow(fixed_div(num, den, B), 5, B)
     r5 = fixed_mul(q, rho, B + K)
-    jq = fixed_mul(j, q, B + K)
     one = 1 << B
     poly = (one, 0)  # r^20 - 228 r^15 + 494 r^10 + 228 r^5 + 1 by Horner in r^5
     for coeff in (-228, 494, 228, 1):
@@ -378,25 +390,34 @@ def check_j_by_r(j, tau, prec: int):
     N = fixed_pow(poly, 3, B)
     r10 = fixed_mul(r5, r5, B)
     D_q = fixed_mul(rho, fixed_pow((one - 11 * r5[0] - r10[0], -11 * r5[1] - r10[1]), 5, B), B)
-    lr, li = fixed_mul(jq, D_q, B)
-    lr, li = lr - N[0], li - N[1]
-    norm_max = max(jq[0] ** 2 + jq[1] ** 2, (q[0] >> K) ** 2 + (q[1] >> K) ** 2)
-    if (lr * lr + li * li) << (2 * B + 2 * prec - 64) > norm_max * (D_q[0] ** 2 + D_q[1] ** 2):
-        raise PrecisionError("j-invariant routes disagree; raise the precision")
+    q_norm = (q[0] >> K) ** 2 + (q[1] >> K) ** 2
+    D_norm = D_q[0] ** 2 + D_q[1] ** 2
+
+    def check(j):
+        jq = fixed_mul(j, q, B + K)
+        lr, li = fixed_mul(jq, D_q, B)
+        lr, li = lr - N[0], li - N[1]
+        norm_max = max(jq[0] ** 2 + jq[1] ** 2, q_norm)
+        if (lr * lr + li * li) << (2 * B + 2 * prec - 64) > norm_max * D_norm:
+            raise PrecisionError("j-invariant routes disagree; raise the precision")
+
+    return check
 
 
-def j_from_tau(tau, prec: int):
-    """Modular j-invariant via the level-5 eta quotient, as a pair at scale
-    2^(prec + 64) cut to prec significant bits in each part:
+def j_from_tau(x: QRoot, prec: int):
+    """Modular j-invariant at tau via the level-5 eta quotient, for the root
+    x = e^(2 pi i tau/5), as a pair at scale 2^(prec + 64) cut to prec
+    significant bits in each part:
 
         j = (c^2 + 10 c + 5)^3 / c,   c = (eta(tau/5)/eta(tau))^6 = (P_1/P_5)^6 / x,
 
-    with x = e^(2 pi i tau/5) and P_n = prod_{m>=1} (1 - x^(n m)) (eta_parts).
-    check_j_by_r is the independent route to check it by.
+    with P_n = prod_{m>=1} (1 - x^(n m)) (eta_parts).  check_j_by_r(x, prec)
+    is the independent route to check it by; its sums are narrower than
+    these, so taken after them they reuse x's exp.
     """
     w = prec + 64
-    bits, x, (P1, P5) = eta_parts(tau, 5, (1, 5), w)
-    _, j = j_from_c(fixed_pow(P1, 6, bits), fixed_mul(fixed_pow(P5, 6, bits), x, bits), w)
+    bits, xv, (P1, P5) = eta_parts(x, (1, 5), w)
+    _, j = j_from_c(fixed_pow(P1, 6, bits), fixed_mul(fixed_pow(P5, 6, bits), xv, bits), w)
     return _cut(j, prec)
 
 

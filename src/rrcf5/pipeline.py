@@ -22,6 +22,7 @@ from .exactmath import (ExactDomainError, Poly, binary_form, poly_compose_ration
 from .hpnum import (
     PrecisionError,
     PrecisionPolicy,
+    QRoot,
     check_j_by_r,
     climb,
     fixed_div,
@@ -51,12 +52,13 @@ J5Z_NUM, J5Z_DEN = A**3, -Poly((11, 1))
 J55Z_NUM, J55Z_DEN = B**3, -Poly((11, 1)) ** 5
 
 
-def heegner_values(ws, prec: int):
-    """z, s and j at each Heegner argument w in ws, as pairs at scale
-    2^(prec + 64), from r = r(w/5) = t f(-q, -q^4) / f(-q^2, -q^3), with
-    t = e^(2 pi i w/25) the one exp per w and q = t^5 (jacobi_parts, t and
-    the sums cut to prec significant bits).  With b = r^5 (Duke, Bull. AMS
-    42 (2005)):
+def heegner_values(xs, prec: int):
+    """z, s and j at each Heegner argument w, as pairs at scale 2^(prec + 64),
+    from r = r(w/5) = t f(-q, -q^4) / f(-q^2, -q^3), with t = e^(2 pi i w/25)
+    the QRoot in xs for w and q = t^5 (jacobi_parts, t and the sums cut to
+    prec significant bits).  The sums read t's one exp, which a step takes
+    first for the wider sums at q(w) = t^25 of check_j_by_r.  With b = r^5
+    (Duke, Bull. AMS 42 (2005)):
 
         s = -1 - eta(w/25)/eta(w) = r - 1/r,
         c = (eta(w/5)/eta(w))^6 = (1 - 11 b - b^2) / b,   z = -11 - c,
@@ -66,16 +68,17 @@ def heegner_values(ws, prec: int):
     prec + 20 bits: |b| > 2^-41 at d <= 2000.  The numerator cancels where b
     nears eps^5, eps = (sqrt5 - 1)/2, and j, near 125/c there, keeps only the
     bits it keeps; one below 2^-16 would leave j fewer than prec - 16, so w
-    is taken again, once, with as many more bits as it lost (a second exp).
+    is taken again, once, with as many more bits as it lost, from the same
+    t: no second exp while those bits stay under the ones t was taken at.
     Returns (zs, ss, js); zs and ss also carry the complex conjugates, the
     other h roots of R and S.
     """
     w_bits = prec + 64
     zs, ss, js = [], [], []
-    for w in ws:
+    for x in xs:
         extra = 0
         while True:
-            bits, t, (f14, f23) = jacobi_parts(w, 25, (5,), ((1, 4), (2, 3)), prec + extra)
+            bits, t, (f14, f23) = jacobi_parts(x, (5,), ((1, 4), (2, 3)), prec + extra)
             one = 1 << bits
             r = fixed_div(fixed_mul(t, f14, bits), f23, bits)
             b = fixed_pow(r, 5, bits)
@@ -93,21 +96,22 @@ def heegner_values(ws, prec: int):
     return (zs + [(re, -im) for re, im in zs], ss + [(re, -im) for re, im in ss], js)
 
 
-def _heegner_ws(args, prec: int):
-    """The Heegner argument w of each HeegnerArg, to prec + 64 bits."""
-    return [arg.w(prec + 64) for arg in args]
+def _heegner_roots(args, prec: int):
+    """t = e^(2 pi i w/25) for the Heegner argument w of each HeegnerArg, w
+    to prec + 64 bits; no exp is taken until a sum asks for one."""
+    return [QRoot(arg.w(prec + 64), 25) for arg in args]
 
 
 def compute_z_values(args, prec: int):
     """z(w) = -11 - (eta(w/5)/eta(w))^6 = b - 1/b, b = r(w/5)^5, plus conjugates."""
-    return heegner_values(_heegner_ws(args, prec), prec)[0]
+    return heegner_values(_heegner_roots(args, prec), prec)[0]
 
 
 def compute_s_values(args, prec: int):
     """s(w) = -1 - eta(w/25)/eta(w) = r - 1/r, r = r(w/5), plus conjugates.  Their
     link z = phi(s) = s^5 + 5 s^3 + 5 s is proven by p | Q(x^5), as
     x^5 - x^-5 = phi(x - 1/x)."""
-    return heegner_values(_heegner_ws(args, prec), prec)[1]
+    return heegner_values(_heegner_roots(args, prec), prec)[1]
 
 
 def _heegner_args(d: int):
@@ -354,10 +358,13 @@ def run_pipeline(d: int, policy: PrecisionPolicy | None = None) -> PipelineResul
     h = cd.h
 
     def step(bits):
-        ws = _heegner_ws(args, bits)
-        zs, ss, js = heegner_values(ws, bits)
-        for w, j in zip(ws, js):
-            check_j_by_r(j, w, bits)
+        xs = _heegner_roots(args, bits)
+        # the check's sums at q(w) = t^25 are the widest, so they take the
+        # one exp per argument that heegner_values' sums then reuse
+        checks = [check_j_by_r(x, bits) for x in xs]
+        zs, ss, js = heegner_values(xs, bits)
+        for check, j in zip(checks, js):
+            check(j)
         H, R, S = (Poly(reconstruct_int_poly(roots, bits)) for roots in (js, zs, ss))
         try:
             Q = build_Q(R)
@@ -366,7 +373,7 @@ def run_pipeline(d: int, policy: PrecisionPolicy | None = None) -> PipelineResul
             raise PrecisionError(str(exc)) from exc
         return bits, H, R, S, Q, p, q
 
-    used, H, R, S, Q, p, q = climb(policy, step, [arg.w(53) for arg in args],
+    used, H, R, S, Q, p, q = climb(policy, step, [arg.w_double for arg in args],
                                    f"pipeline for d={d}")
 
     if p.degree != 4 * h or q.degree != 16 * h:

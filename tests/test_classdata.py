@@ -158,3 +158,17 @@ def test_heegner_w_is_the_complex_root_expression_bit_for_bit(prec):
             with mp.workprec(prec):
                 old = mpc(-arg.b_adj, 0) / (2 * a) + mpc(0, 1) * mp.sqrt(mpc(d)) / (2 * a)
             assert arg.w(prec)._mpc_ == old._mpc_, (d, arg)
+
+
+def test_w_double_is_w_at_53_bits_at_every_argument_up_to_500():
+    # the ladders size their first step from w_double, so it must be the
+    # double w(53) rounds to: then the step, and precision_used, stay put
+    count = 0
+    for d in range(3, 501):
+        if not is_admissible(d) or (-d) % 4 not in (0, 1):
+            continue
+        cd = reduced_forms(d)
+        for arg in n_system(cd, choose_v(d, cd.f)[0]):
+            assert arg.w_double == complex(arg.w(53)), (d, arg)
+            count += 1
+    assert count == 720

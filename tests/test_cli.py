@@ -403,6 +403,27 @@ def test_a_disc_past_4300_digits_is_written_and_read_back(cachedir, monkeypatch,
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize("json_flag", (["--json"], []), ids=("json", "text"))
+def test_classpoly_prints_a_coefficient_past_4300_digits(monkeypatch, capsys, json_flag):
+    # a coefficient of H_{-d} can pass Python's 4,300-digit limit on
+    # int <-> str; classpoly prints it whole under the lift the cache uses,
+    # and leaves the caller's limit as it found it
+    big = 7 ** 5_917  # 5,001 digits
+    monkeypatch.setattr(cli, "class_poly", lambda cd, policy: (big, -big, 1))
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["classpoly", "-d", "24", *json_flag]) == 0
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
+    out = capsys.readouterr().out
+    if json_flag:
+        assert cache.any_digits(json.loads)(out)["H_coeffs_low_first"] == [big, -big, 1]
+    else:
+        assert f"H_coeffs_low_first: [{cache.any_digits(str)(big)}, -" in out
+
+
 # each error of a failed exact computation, raised where its command runs it
 @pytest.mark.parametrize("argv, owner, name, error", (
     (["g60"], icosa, "generate_g60", IcosaError),

@@ -411,7 +411,7 @@ compose_scalars = {
 def compose_case(ring):
     """(H, num, den, h) over a coefficient ring; a ring "R[x]" gives H
     coefficients that are polynomials over R in the variable of num and den
-    (a bivariate H)."""
+    (a bivariate H, which composes on the Horner path as products of Polys)."""
     scalar = compose_scalars[ring.removesuffix("[x]")]
     coeff = st.lists(scalar, max_size=3).map(Poly) if ring.endswith("[x]") else scalar
     inner = st.lists(scalar, min_size=1, max_size=4).map(Poly)
@@ -468,8 +468,8 @@ def test_compose_rational_unpacks_coefficients_at_the_stride_edge(bits):
     top, one = 2**bits - 1, Poly((1,))
     for sign in (1, -1):
         c = CycloElem((0, 0, sign * top, 0))
-        # h = 0: the result is H_0 = c u, and its numerator +-top is the bound
-        assert poly_compose_rational(Poly((Poly((0, c)),)), one, one, 0).coeffs == (0, c)
+        # h = 0: the result is H_0 = c, and its numerator +-top is the bound
+        assert poly_compose_rational(Poly((c,)), one, one, 0).coeffs == (c,)
         # h = 1: c x at x = u - 1 is -c + c u, 3 bits below the bound, with
         # a value of each sign below the top coefficient
         assert poly_compose_rational(Poly((0, c)), Poly((-1, 1)), one, 1).coeffs == (-c, c)

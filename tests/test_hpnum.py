@@ -11,6 +11,7 @@ from rrcf5.hpnum import (
     GUARD_BITS,
     PrecisionError,
     PrecisionPolicy,
+    QRoot,
     _fixed,
     _to_mpc,
     check_j_by_r,
@@ -23,7 +24,7 @@ from rrcf5.hpnum import (
     reconstruct_int_poly,
     rr_r,
 )
-from rrcf5.pipeline import _heegner_args, _heegner_ws, heegner_values
+from rrcf5.pipeline import _heegner_args, _heegner_roots, heegner_values
 
 PREC = 256
 
@@ -152,28 +153,33 @@ def test_eta_inversion_needs_the_cancellation_retry():
 
 
 def test_one_exp_per_evaluation(monkeypatch):
-    # Every q of an evaluation is a fixed-point power of one exp: eta, rr_r
-    # and j_from_tau take one each, check_j_by_r one of its own and
-    # heegner_values one per Heegner argument.  At Im(tau) = 0.8 and at
-    # d = 71's arguments no sum needs the cancellation retry, which would
+    # Every q of an evaluation is a fixed-point power of one exp: eta and
+    # rr_r take one each, j_from_tau one, and check_j_by_r none of its own
+    # when its narrower sums follow j_from_tau's at the same root; at d = 71
+    # the check's sums at q(w) = t^25 take one per Heegner argument, and
+    # heegner_values' sums at q(w/5) = t^5 reuse it.  At Im(tau) = 0.8 and
+    # at d = 71's arguments no sum needs the cancellation retry, which would
     # take the exp again at wider bits.
     calls = []
     exp = mpmath.exp
     monkeypatch.setattr(mpmath, "exp", lambda z: calls.append(z) or exp(z))
     tau = mpc(0.3, 0.8)
-    for f in (eta, rr_r, j_from_tau):
+    for f in (eta, rr_r):
         calls.clear()
         f(tau, PREC)
         assert len(calls) == 1, f.__name__
-    j = j_from_tau(tau, PREC)
+    x = QRoot(tau, 5)
     calls.clear()
-    check_j_by_r(j, tau, PREC)
+    j = j_from_tau(x, PREC)
+    check_j_by_r(x, PREC)(j)
     assert len(calls) == 1
     args = _heegner_args(71)[3]
-    ws = _heegner_ws(args, PREC)
+    xs = _heegner_roots(args, PREC)
     calls.clear()
-    heegner_values(ws, PREC)
+    checks = [check_j_by_r(x, PREC) for x in xs]
     assert len(calls) == len(args) == 7
+    heegner_values(xs, PREC)
+    assert len(calls) == 7 and len(checks) == 7
 
 
 def test_r_at_i_closed_form():
@@ -204,15 +210,15 @@ def test_r_satisfies_eta_quotient_identity():
 
 
 def _j(tau, prec):
-    """j_from_tau(tau, prec) as an mpc."""
-    return _to_mpc(j_from_tau(tau, prec), prec + 64)
+    """j_from_tau at tau, to prec bits, as an mpc."""
+    return _to_mpc(j_from_tau(QRoot(tau, 5), prec), prec + 64)
 
 
 def test_c_from_r():
     # c = (eta(tau/5)/eta(tau))^6 = (P_1/P_5)^6 / x = 1/r(tau/5)^5 - 11 - r(tau/5)^5,
     # the quotient j_from_tau takes j = (c^2 + 10 c + 5)^3 / c from
     tau = mpc(0.11, 1.4)
-    bits, *parts = eta_parts(tau, 5, (1, 5), PREC + 32)
+    bits, *parts = eta_parts(QRoot(tau, 5), (1, 5), PREC + 32)
     x, P1, P5 = (_to_mpc(v, bits) for v in (parts[0], *parts[1]))
     with mp.workprec(PREC + 32):
         c = (P1 / P5) ** 6 / x
@@ -309,7 +315,7 @@ def test_climb_sizes_the_first_step_and_names_it_on_exhaustion():
 
 
 def _heegner_points(d):
-    return [arg.w(53) for arg in _heegner_args(d)[3]]
+    return [arg.w_double for arg in _heegner_args(d)[3]]
 
 
 @pytest.mark.parametrize("d", sorted(tables.P_TABLE) + [1991])
@@ -319,7 +325,7 @@ def test_j_size_matches_mpmath_at_every_heegner_argument(d):
         for arg in _heegner_args(d)[3]:
             w = arg.w(128)
             ref = mpmath.log(1 + abs(1728 * mpmath.kleinj(w)), 2)
-            assert abs(log2_one_plus_abs_j(arg.w(53)) - ref) < 1e-9, (d, w)
+            assert abs(log2_one_plus_abs_j(arg.w_double) - ref) < 1e-9, (d, w)
 
 
 def test_j_size_is_invariant_under_T_and_S():

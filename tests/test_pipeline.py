@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from rrcf5 import icosa, tables
-from rrcf5.classdata import ClassDataError, choose_v, n_system, reduced_forms
+from rrcf5 import classdata, icosa, pipeline, tables
+from rrcf5.classdata import ClassDataError, choose_v, class_poly, n_system, reduced_forms
 from rrcf5.exactmath import (
     CycloElem,
     ExactDomainError,
@@ -21,6 +21,7 @@ from rrcf5.exactmath import (
 from rrcf5.hpnum import (
     PrecisionError,
     PrecisionPolicy,
+    QRoot,
     _to_mpc,
     check_j_by_r,
     eta,
@@ -38,7 +39,7 @@ from rrcf5.pipeline import (
     T,
     PipelineIntegrityError,
     _heegner_args,
-    _heegner_ws,
+    _heegner_roots,
     _primes_up_to,
     build_F_G,
     build_p_q,
@@ -449,20 +450,23 @@ _ETA_CASES[1571] = (605, slice(4, 5))
 @pytest.mark.parametrize("d", _ETA_CASES)
 def test_heegner_values_match_the_eta_quotients(d):
     # The values from r(w/5) must equal the quotients of eta values taken
-    # one by one, and j must pass the check through r.
+    # one by one, and j must pass the check through r, both read from one
+    # root per argument in the order a step takes them.
     prec, picked = _ETA_CASES[d]
-    ws = _heegner_ws(_heegner_args(d)[3], prec)[picked]
-    zs, ss, js = heegner_values(ws, prec)
-    for w, z, s, j in zip(ws, zs, ss, js):
+    xs = _heegner_roots(_heegner_args(d)[3], prec)[picked]
+    checks = [check_j_by_r(x, prec) for x in xs]
+    zs, ss, js = heegner_values(xs, prec)
+    for x, check, z, s, j in zip(xs, checks, zs, ss, js):
+        w = x.tau
         with mp.workprec(prec + 64):
             e1, e5, e25 = (eta(w / k, prec + 32) for k in (1, 5, 25))
             c = (e5 / e1) ** 6
             for got, want in ((z, -11 - c), (s, -1 - e25 / e1),
                               (j, (c**2 + 10 * c + 5) ** 3 / c)):
                 assert rel_close(_to_mpc(got, prec + 64), want, prec - 16)
-        check_j_by_r(j, w, prec)
+        check(j)
     # the other h roots of R and S are the complex conjugates
-    h = len(ws)
+    h = len(xs)
     assert zs[h:] == [(re, -im) for re, im in zs[:h]]
     assert ss[h:] == [(re, -im) for re, im in ss[:h]]
 
@@ -477,12 +481,13 @@ def test_j_check_rejects_j_off_by_2_to_33_minus_prec(d, prec):
     # At each step's own bits the check lets a j through that is off by
     # relative 2^(31 - prec) and stops one off by 2^(33 - prec), on either
     # side of its 2^(32 - prec) bound.
-    ws = _heegner_ws(_heegner_args(d)[3], prec)
-    for w, j in zip(ws, heegner_values(ws, prec)[2]):
-        check_j_by_r(j, w, prec)
-        check_j_by_r(_scaled(j, 31 - prec), w, prec)
+    xs = _heegner_roots(_heegner_args(d)[3], prec)
+    checks = [check_j_by_r(x, prec) for x in xs]
+    for check, j in zip(checks, heegner_values(xs, prec)[2]):
+        check(j)
+        check(_scaled(j, 31 - prec))
         with pytest.raises(PrecisionError, match="routes disagree"):
-            check_j_by_r(_scaled(j, 33 - prec), w, prec)
+            check(_scaled(j, 33 - prec))
 
 
 def test_j_check_rejects_class_poly_j_off_by_2_to_33_minus_prec():
@@ -490,12 +495,38 @@ def test_j_check_rejects_class_poly_j_off_by_2_to_33_minus_prec():
     prec = 98
     cd = reduced_forms(24)
     for arg in n_system(cd, choose_v(24, cd.f)[0]):
-        w = arg.w(prec + 64)
-        j = j_from_tau(w, prec)
-        check_j_by_r(j, w, prec)
-        check_j_by_r(_scaled(j, 31 - prec), w, prec)
+        x = QRoot(arg.w(prec + 64), 5)
+        j = j_from_tau(x, prec)
+        check = check_j_by_r(x, prec)
+        check(j)
+        check(_scaled(j, 31 - prec))
         with pytest.raises(PrecisionError, match="routes disagree"):
-            check_j_by_r(_scaled(j, 33 - prec), w, prec)
+            check(_scaled(j, 33 - prec))
+
+
+def _ladder_with_scaled_j(monkeypatch, ladder, log2_rel):
+    """run_pipeline(24) or class_poly at d = 24, at the one step of 98 bits
+    its sizing gives, with every j of the step times 1 + 2^(log2_rel - prec)
+    before the check sees it."""
+    policy = PrecisionPolicy(max_bits=98)
+    if ladder == "run_pipeline":
+        def values(xs, prec):
+            zs, ss, js = heegner_values(xs, prec)
+            return zs, ss, [_scaled(j, log2_rel - prec) for j in js]
+        monkeypatch.setattr(pipeline, "heegner_values", values)
+        return run_pipeline(24, policy).H.coeffs
+    monkeypatch.setattr(classdata, "j_from_tau",
+                        lambda x, prec: _scaled(j_from_tau(x, prec), log2_rel - prec))
+    return class_poly(reduced_forms(24), policy)
+
+
+@pytest.mark.parametrize("ladder", ("run_pipeline", "class_poly"))
+def test_each_ladder_checks_its_j_at_the_bound(monkeypatch, ladder):
+    # on the path each ladder runs, j off by relative 2^(31 - prec) gives
+    # H_24, and j off by 2^(33 - prec) stops the step
+    assert _ladder_with_scaled_j(monkeypatch, ladder, 31) == tables.H_TABLE[24]
+    with pytest.raises(PrecisionError, match="routes disagree"):
+        _ladder_with_scaled_j(monkeypatch, ladder, 33)
 
 
 def test_run_pipeline_calls_no_mpmath_log(monkeypatch):
@@ -509,14 +540,27 @@ def test_run_pipeline_calls_no_mpmath_log(monkeypatch):
     assert r.precision_used == 184 and r.all_ok
 
 
-def test_run_pipeline_24_takes_two_exps_per_argument(monkeypatch):
-    # at its one step, heegner_values and check_j_by_r take one exp each per
-    # argument; sizing the step takes none
+def _counting_exps(monkeypatch):
     calls = []
     exp = mpmath.exp
     monkeypatch.setattr(mpmath, "exp", lambda z: calls.append(z) or exp(z))
+    return calls
+
+
+def test_run_pipeline_24_takes_one_exp_per_argument(monkeypatch):
+    # at its one step, the check's sums at q(w) = t^25 take one exp per
+    # argument and heegner_values' sums at q(w/5) = t^5 reuse it; sizing the
+    # step takes none
+    calls = _counting_exps(monkeypatch)
     r = run_pipeline(24)
-    assert (r.h, r.precision_used, len(calls)) == (2, 98, 4)
+    assert (r.h, r.precision_used, len(calls)) == (2, 98, 2)
+
+
+def test_class_poly_24_takes_one_exp_per_argument(monkeypatch):
+    # j_from_tau's sums take one exp per argument and the check's reuse it
+    calls = _counting_exps(monkeypatch)
+    assert class_poly(reduced_forms(24)) == tables.H_TABLE[24]
+    assert len(calls) == 2
 
 
 def test_the_disc_primes_are_sieved_once():
