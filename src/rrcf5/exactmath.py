@@ -285,14 +285,26 @@ def golden_unit_conj():
 # ---------------------------------------------------------------------------
 
 
+def _terms(cs):
+    """The nonzero (index, coefficient) pairs of cs."""
+    return [(i, c) for i, c in enumerate(cs) if c]
+
+
+def _times(a, terms, size):
+    """The coefficient list a times the nonzero terms (i, c), in size slots."""
+    out = [0] * size
+    for j, x in enumerate(a):
+        if x:
+            for i, c in terms:
+                out[i + j] += x * c
+    return out
+
+
 def _inv_coeff(c):
     if isinstance(c, int):
-        # a unit of Z inverts to itself, so division by a monic (or -monic)
-        # integer polynomial never leaves Z
+        # a unit of Z inverts to itself: division by +-monic stays in Z
         return c if c in (1, -1) else Fraction(1, c)
     if isinstance(c, Poly):
-        # nested coefficients: only division by a monic-in-the-unit sense
-        # leading coefficient of 1 is exact
         if c == 1:
             return c
         raise ExactDomainError("leading coefficient is not a unit")
@@ -463,9 +475,7 @@ class Poly:
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(tuple(Fraction(c) if isinstance(c, int) else c for c in self.coeffs))
@@ -486,11 +496,9 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CycloElem)):
-            other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, (int, Fraction, CycloElem, Poly)):
+            return self + -other
+        return NotImplemented
 
     def __rsub__(self, other):
         return -(self - other)
@@ -506,13 +514,8 @@ class Poly:
             return Poly()
         if _over_cyclo(self.coeffs + other.coeffs):
             return Poly(_kronecker_mul(self.coeffs, other.coeffs))
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return Poly(out)
+        return Poly(_times(self.coeffs, _terms(other.coeffs),
+                           len(self.coeffs) + len(other.coeffs) - 1))
 
     __rmul__ = __mul__
 
@@ -522,19 +525,21 @@ class Poly:
         return powers(self, _mul)(n) if n else Poly((1,))
 
     def __divmod__(self, other):
+        """Long division on coefficient lists, skipping zero top coefficients
+        and the zero terms of other; an int inv (a unit of Z) divides by sign."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db, inv = other.degree, _inv_coeff(other.lc)
-        if len(rem) < len(other.coeffs):
+        rem, db = list(self.coeffs), other.degree
+        if len(rem) <= db:
             return Poly(), self
+        inv, terms = _inv_coeff(other.lc), _terms(other.coeffs[:db])
         q = [0] * (len(rem) - db)
         for k in range(len(rem) - db - 1, -1, -1):
-            coef = rem[k + db] * inv
-            q[k] = coef
+            coef = rem[k + db]
             if coef:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - coef * b
+                coef = q[k] = coef * inv if type(inv) is not int else coef if inv > 0 else -coef
+                for j, b in terms:
+                    rem[k + j] -= coef * b
         return Poly(q), Poly(rem[:db])
 
     def __floordiv__(self, other):
@@ -557,11 +562,8 @@ class Poly:
 
     def subst_x_pow(self, k):
         """Substitute x -> x^k by spreading coefficients."""
-        if self.is_zero():
-            return self
         out = [0] * (self.degree * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
+        out[::k] = self.coeffs
         return Poly(out)
 
     def derivative(self):
@@ -586,13 +588,8 @@ class Poly:
         return tuple(int(c) for c in self.coeffs)
 
     def __repr__(self):
-        if self.is_zero():
-            return "Poly(0)"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                parts.append(f"({c})*x^{i}" if i else f"({c})")
-        return "Poly(" + " + ".join(parts) + ")"
+        parts = [f"({c})*x^{i}" if i else f"({c})" for i, c in enumerate(self.coeffs) if c]
+        return "Poly(" + (" + ".join(parts) or "0") + ")"
 
 
 def lift_to_cyclo(p):
@@ -607,11 +604,9 @@ def lift_to_cyclo(p):
 
 def _clear_denominators(p):
     """Return (integer coefficient list, clearing factor c) with c*p integral."""
-    den = 1
-    for c in p.coeffs:
-        d = Fraction(c).denominator
-        den = den * d // _igcd(den, d)
-    return [int(Fraction(c) * den) for c in p.coeffs], den
+    # ints carry numerator/denominator too
+    den = _ilcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
 
 
 def _resultant_int(A, B):
@@ -666,8 +661,6 @@ def poly_resultant(p, q):
         raise ExactDomainError("resultant of two zero polynomials")
     if p.is_zero() or q.is_zero():
         return Fraction(0)
-    if p.degree == 0 and q.degree == 0:
-        return Fraction(1)
     A, ca = _clear_denominators(p)
     B, cb = _clear_denominators(q)
     r = _resultant_int(A, B)
@@ -689,31 +682,33 @@ def poly_compose_rational(H, num, den, h):
 
     Returns sum_k H_k * num^k * den^(h-k); integral whenever H, num and den
     are.  Every homogenised composition in the package goes through here.
-    Over Q(zeta_5) (the test Poly.__mul__ makes, on the coefficients of H,
-    num and den) the sum is _compose_packed's: binary_form on packed big
-    integers, each coefficient unpacked once as a CycloElem in lowest terms.
-    Otherwise it is homogeneous Horner on Poly, n = deg H: acc = H_n, then
-    acc = acc * num + H_k * den^(n-k) for k = n-1..0, and finally
-    acc * den^(h-n).
+    H has scalar coefficients (a bivariate H is refused).  Over Q(zeta_5)
+    (the test Poly.__mul__ makes) it is _compose_packed.  Otherwise it is
+    Horner on coefficient lists: acc = acc * num + H_k den^(n-k), n = deg H.
     """
     if h < H.degree:
         raise ExactDomainError("h must be at least deg H")
+    if any(isinstance(c, Poly) for c in H.coeffs):
+        raise ExactDomainError("H must have scalar coefficients")
     if H.is_zero():
         return Poly()
     if _over_cyclo([*H.coeffs, *num.coeffs, *den.coeffs]):
         return _compose_packed(H, num, den, h)
     # Horner, not binary_form: on schoolbook products the halves cost more
     # than Horner's products by the short num (z_plane_checks runs here)
-    n = H.degree
-    den_pows = [Poly((1,))]
-    for _ in range(max(n, h - n)):
-        den_pows.append(den_pows[-1] * den)
-    acc = den_pows[0] * H.coeffs[n]
+    hs, n, dd = H.coeffs, H.degree, den.degree
+    num_terms, den_terms, width = _terms(num.coeffs), _terms(den.coeffs), max(num.degree, dd)
+    dense = [[1]]
+    for j in range(max(n, h - n)):
+        dense.append(_times(dense[-1], den_terms, (j + 1) * dd + 1))
+    den_pows = list(map(_terms, dense))
+    acc = [hs[n]]
     for k in range(n - 1, -1, -1):
-        acc = acc * num
-        if H.coeffs[k]:
-            acc = acc + den_pows[n - k] * H.coeffs[k]
-    return acc * den_pows[h - n] if h > n else acc
+        acc = _times(acc, num_terms, (n - k) * width + 1)
+        if hs[k]:
+            for i, e in den_pows[n - k]:
+                acc[i] += e * hs[k]
+    return Poly(_times(acc, den_pows[h - n], len(acc) + (h - n) * dd) if h > n else acc)
 
 
 # ---------------------------------------------------------------------------
@@ -754,9 +749,7 @@ class RatFunc:
         return RatFunc(-self.num, self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc(other)
-        return self + (-other)
+        return self + -other
 
     def __mul__(self, other):
         if not isinstance(other, RatFunc):

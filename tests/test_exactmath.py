@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -266,6 +266,78 @@ def test_divmod_by_monic_int_poly_matches_sympy(a_cs, b_cs, lc):
         assert mine == Poly([int(c) for c in reversed(ref.all_coeffs())])
 
 
+def naive_divmod(a, b, div):
+    """Textbook long division: while deg r >= deg b, subtract
+    div(lc r, lc b) x^(deg r - deg b) b from r, every coefficient of b
+    included."""
+    r, bs = list(a.coeffs), b.coeffs
+    q = [0] * max(len(r) - len(bs) + 1, 0)
+    while len(r) >= len(bs):
+        shift, t = len(r) - len(bs), div(r[-1], bs[-1])
+        q[shift] = t
+        for j, c in enumerate(bs):
+            r[shift + j] = r[shift + j] - t * c
+        assert not r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return Poly(q), Poly(r)
+
+
+sparse_ints = st.integers(-10**20, 10**20) | st.just(0)
+small_fractions = st.fractions(-10**6, 10**6, max_denominator=10**4)
+small_polys = st.lists(st.integers(-9, 9), max_size=4).map(Poly)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.one_of(
+    # over Z, a divisor with interior zeros and a leading coefficient of +-1
+    st.tuples(st.just("Z"), st.lists(sparse_ints, max_size=25),
+              st.builds(lambda cs, lc: cs + [lc], st.lists(sparse_ints, max_size=8),
+                        st.sampled_from([1, -1]))),
+    # over Q, a leading coefficient that is not a unit of Z
+    st.tuples(st.just("Q"), st.lists(small_fractions, max_size=20),
+              st.builds(lambda cs, lc: cs + [lc], st.lists(small_fractions | st.just(0),
+                                                           max_size=8),
+                        small_fractions.filter(lambda c: c not in (0, 1, -1)))),
+    # coefficients in Z[b] and a divisor X + c(b) with leading coefficient 1,
+    # as curve5 divides psi_5 by X + b
+    st.tuples(st.just("Z[b]"), st.lists(small_polys, max_size=12),
+              small_polys.map(lambda c: [c, Poly((1,))]))))
+def test_divmod_matches_naive_long_division(case):
+    ring, a_cs, b_cs = case
+    a, b = Poly(a_cs), Poly(b_cs)
+    # over Z[b] the leading coefficient is 1, its own inverse
+    div = {"Z": Fraction, "Q": lambda x, y: Fraction(x) / y, "Z[b]": lambda x, y: x * y}[ring]
+    q, r = divmod(a, b)
+    assert (q, r) == naive_divmod(a, b, div)
+    assert q * b + r == a and r.degree < b.degree
+    if ring == "Z":
+        assert all(type(c) is int for c in q.coeffs + r.coeffs)
+    with pytest.raises(ZeroDivisionError):
+        divmod(a, Poly())
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=3, max_size=10).filter(lambda cs: cs[-1]),
+       st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8),
+       st.lists(st.integers(1, 12), min_size=10, max_size=10))
+def test_resultant_and_discriminant_agree_over_Z_and_Q(p_cs, q_cs, dens):
+    # the same polynomials with int and with Fraction coefficients; then p
+    # over unlike denominators, p = P/L with P integral: Res(P/L, q) =
+    # L^-deg(q) Res(P, q) and disc(P/L) = L^-(2n-2) disc(P), n = deg P
+    p, q = Poly(p_cs), Poly(q_cs)
+    pf, qf = p.map_coeffs(Fraction), q.map_coeffs(Fraction)
+    for value, other in ((poly_resultant(p, q), poly_resultant(pf, qf)),
+                         (poly_discriminant(p), poly_discriminant(pf))):
+        assert type(value) is Fraction and type(other) is Fraction
+        assert value == other
+    pd = Poly([Fraction(c, m) for c, m in zip(p_cs, dens)])
+    L = lcm(*dens)
+    P, n = pd.map_coeffs(lambda c: int(c * L)), pd.degree
+    assert poly_resultant(pd, q) == poly_resultant(P, q) / Fraction(L) ** max(q.degree, 0)
+    assert poly_discriminant(pd) == poly_discriminant(P) / Fraction(L) ** (2 * n - 2)
+
+
 def test_reversed_and_subst_pow():
     p = Poly((1, 2, 3))
     assert p.subst_x_pow(3) == Poly((1, 0, 0, 2, 0, 0, 3))
@@ -409,13 +481,10 @@ compose_scalars = {
 
 
 def compose_case(ring):
-    """(H, num, den, h) over a coefficient ring; a ring "R[x]" gives H
-    coefficients that are polynomials over R in the variable of num and den
-    (a bivariate H, which composes on the Horner path as products of Polys)."""
-    scalar = compose_scalars[ring.removesuffix("[x]")]
-    coeff = st.lists(scalar, max_size=3).map(Poly) if ring.endswith("[x]") else scalar
+    """(H, num, den, h) over a coefficient ring, h from deg H to deg H + 3."""
+    scalar = compose_scalars[ring]
     inner = st.lists(scalar, min_size=1, max_size=4).map(Poly)
-    return st.tuples(st.lists(coeff, max_size=6).map(Poly), inner,
+    return st.tuples(st.lists(scalar, max_size=6).map(Poly), inner,
                      inner.filter(bool), st.integers(0, 3)).map(
         lambda t: (t[0], t[1], t[2], max(t[0].degree, 0) + t[3]))
 
@@ -430,12 +499,10 @@ def schoolbook(a, b):
 
 
 def naive_compose(H, num, den, h):
-    """sum_k H_k num^k den^(h-k), each term a schoolbook product; a
-    coefficient H_k that is a Poly is a polynomial in the variable of num
-    and den."""
+    """sum_k H_k num^k den^(h-k), each term a schoolbook product."""
     total = []
     for k, c in enumerate(H.coeffs):
-        term = list(c.coeffs) if isinstance(c, Poly) else [c]
+        term = [c]
         for factor in [num.coeffs] * k + [den.coeffs] * (h - k):
             term = schoolbook(term, factor)
         total = [x + y for x, y in zip(total, term)] + total[len(term):] + term[len(total):]
@@ -443,7 +510,7 @@ def naive_compose(H, num, den, h):
 
 
 @diff_settings
-@given(st.sampled_from(["Z", "Q", "Q(zeta5)", "Z[x]", "Q(zeta5)[x]"]).flatmap(
+@given(st.sampled_from(["Z", "Q", "Q(zeta5)"]).flatmap(
     lambda ring: st.tuples(st.just(ring), compose_case(ring))))
 def test_compose_rational_matches_naive_sum(case):
     ring, (H, num, den, h) = case
@@ -451,13 +518,38 @@ def test_compose_rational_matches_naive_sum(case):
     assert got == naive_compose(H, num, den, h)
     if H.degree <= 0:  # zero H gives zero; constant H gives H_0 den^h
         assert got == (den**h * H.coeffs[0] if H else Poly())
-    if ring in ("Z", "Z[x]"):
+    if ring == "Z":
         assert all(type(c) is int for c in got.coeffs)
-    if ring.startswith("Q(zeta5)"):
+    if ring == "Q(zeta5)":
         assert all(type(c) is CycloElem for c in got.coeffs)
     if H.degree >= 1:
         with pytest.raises(ExactDomainError):
             poly_compose_rational(H, num, den, H.degree - 1)
+
+
+@pytest.mark.parametrize("inner", ("Z", "Q(zeta5)"))
+def test_compose_rational_refuses_a_bivariate_H(inner):
+    # an H whose coefficients are polynomials in the variable of num and den
+    c = Poly((1,)) if inner == "Z" else Poly((CycloElem.zeta(),))
+    num, den = Poly((1, 2)), Poly((3, 1))
+    for H in (Poly((c,)), Poly((2, Poly.x() + c)), Poly((0, 0, c))):
+        with pytest.raises(ExactDomainError, match="scalar"):
+            poly_compose_rational(H, num, den, max(H.degree, 2))
+
+
+@pytest.mark.parametrize("ring", ("Z", "Q"))
+def test_compose_rational_over_Z_and_Q_multiplies_no_Poly(monkeypatch, ring):
+    # the Horner runs on coefficient lists; the only Poly is the result
+    one = 1 if ring == "Z" else Fraction(1, 3)
+    H = Poly([one * c for c in (3, 0, -7, 1, 5)])
+    num, den = Poly((-1, 0, one)), Poly((0, 2, 1))
+    expected = naive_compose(H, num, den, 6)
+    calls = [0]
+    monkeypatch.setattr(Poly, "__mul__", counting(Poly.__mul__, calls))
+    monkeypatch.setattr(Poly, "__rmul__", counting(Poly.__rmul__, calls))
+    assert poly_compose_rational(H, num, den, 6) == expected
+    assert poly_compose_rational(H, num, den, 4) == naive_compose(H, num, den, 4)
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("bits", range(1, 42))
