@@ -302,9 +302,12 @@ def _times(a, terms, size):
 
 def _inv_coeff(c):
     if isinstance(c, int):
-        # a unit of Z inverts to itself: division by +-monic stays in Z
+        # a unit of Z inverts to itself, so division by a monic (or -monic)
+        # integer polynomial never leaves Z
         return c if c in (1, -1) else Fraction(1, c)
     if isinstance(c, Poly):
+        # nested coefficients: only division by a monic-in-the-unit sense
+        # leading coefficient of 1 is exact
         if c == 1:
             return c
         raise ExactDomainError("leading coefficient is not a unit")
@@ -475,7 +478,9 @@ class Poly:
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        if len(self.coeffs) != len(other.coeffs):
+            return False
+        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
     def __hash__(self):
         return hash(tuple(Fraction(c) if isinstance(c, int) else c for c in self.coeffs))
@@ -496,9 +501,11 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CycloElem, Poly)):
-            return self + -other
-        return NotImplemented
+        if isinstance(other, (int, Fraction, CycloElem)):
+            other = Poly.const(other)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -525,19 +532,21 @@ class Poly:
         return powers(self, _mul)(n) if n else Poly((1,))
 
     def __divmod__(self, other):
-        """Long division on coefficient lists, skipping zero top coefficients
-        and the zero terms of other; an int inv (a unit of Z) divides by sign."""
+        """Long division on coefficient lists.  A zero top coefficient is
+        skipped, and each step subtracts only the nonzero terms of other
+        below its lead: the top slot of rem is never read again."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem, db = list(self.coeffs), other.degree
-        if len(rem) <= db:
+        rem = list(self.coeffs)
+        db, inv = other.degree, _inv_coeff(other.lc)
+        if len(rem) < len(other.coeffs):
             return Poly(), self
-        inv, terms = _inv_coeff(other.lc), _terms(other.coeffs[:db])
+        terms = _terms(other.coeffs[:db])
         q = [0] * (len(rem) - db)
         for k in range(len(rem) - db - 1, -1, -1):
             coef = rem[k + db]
             if coef:
-                coef = q[k] = coef * inv if type(inv) is not int else coef if inv > 0 else -coef
+                coef = q[k] = coef * inv
                 for j, b in terms:
                     rem[k + j] -= coef * b
         return Poly(q), Poly(rem[:db])
@@ -562,8 +571,11 @@ class Poly:
 
     def subst_x_pow(self, k):
         """Substitute x -> x^k by spreading coefficients."""
+        if self.is_zero():
+            return self
         out = [0] * (self.degree * k + 1)
-        out[::k] = self.coeffs
+        for i, c in enumerate(self.coeffs):
+            out[i * k] = c
         return Poly(out)
 
     def derivative(self):
@@ -588,8 +600,13 @@ class Poly:
         return tuple(int(c) for c in self.coeffs)
 
     def __repr__(self):
-        parts = [f"({c})*x^{i}" if i else f"({c})" for i, c in enumerate(self.coeffs) if c]
-        return "Poly(" + (" + ".join(parts) or "0") + ")"
+        if self.is_zero():
+            return "Poly(0)"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c:
+                parts.append(f"({c})*x^{i}" if i else f"({c})")
+        return "Poly(" + " + ".join(parts) + ")"
 
 
 def lift_to_cyclo(p):
@@ -661,6 +678,8 @@ def poly_resultant(p, q):
         raise ExactDomainError("resultant of two zero polynomials")
     if p.is_zero() or q.is_zero():
         return Fraction(0)
+    if p.degree == 0 and q.degree == 0:
+        return Fraction(1)
     A, ca = _clear_denominators(p)
     B, cb = _clear_denominators(q)
     r = _resultant_int(A, B)
@@ -682,9 +701,14 @@ def poly_compose_rational(H, num, den, h):
 
     Returns sum_k H_k * num^k * den^(h-k); integral whenever H, num and den
     are.  Every homogenised composition in the package goes through here.
-    H has scalar coefficients (a bivariate H is refused).  Over Q(zeta_5)
-    (the test Poly.__mul__ makes) it is _compose_packed.  Otherwise it is
-    Horner on coefficient lists: acc = acc * num + H_k den^(n-k), n = deg H.
+    H has scalar coefficients; a bivariate H is refused.  Over Q(zeta_5)
+    (the test Poly.__mul__ makes, on the coefficients of H, num and den) the
+    sum is _compose_packed's: binary_form on packed big integers, each
+    coefficient unpacked once as a CycloElem in lowest terms.  Otherwise it
+    is homogeneous Horner on coefficient lists, n = deg H: acc = H_n, then
+    acc = acc * num + H_k * den^(n-k) for k = n-1..0, and finally
+    acc * den^(h-n).  The powers of den are made once, and no Poly is built
+    until the result.
     """
     if h < H.degree:
         raise ExactDomainError("h must be at least deg H")
@@ -697,18 +721,22 @@ def poly_compose_rational(H, num, den, h):
     # Horner, not binary_form: on schoolbook products the halves cost more
     # than Horner's products by the short num (z_plane_checks runs here)
     hs, n, dd = H.coeffs, H.degree, den.degree
-    num_terms, den_terms, width = _terms(num.coeffs), _terms(den.coeffs), max(num.degree, dd)
+    num_terms, den_terms = _terms(num.coeffs), _terms(den.coeffs)
+    # after the step for k, acc has degree at most (n - k) * width
+    width = max(num.degree, dd)
     dense = [[1]]
-    for j in range(max(n, h - n)):
-        dense.append(_times(dense[-1], den_terms, (j + 1) * dd + 1))
-    den_pows = list(map(_terms, dense))
+    for j in range(1, max(n, h - n) + 1):
+        dense.append(_times(dense[-1], den_terms, j * dd + 1))
+    den_pows = [_terms(p) for p in dense]
     acc = [hs[n]]
     for k in range(n - 1, -1, -1):
         acc = _times(acc, num_terms, (n - k) * width + 1)
         if hs[k]:
             for i, e in den_pows[n - k]:
                 acc[i] += e * hs[k]
-    return Poly(_times(acc, den_pows[h - n], len(acc) + (h - n) * dd) if h > n else acc)
+    if h > n:
+        acc = _times(acc, den_pows[h - n], len(acc) + (h - n) * dd)
+    return Poly(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +777,9 @@ class RatFunc:
         return RatFunc(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + -other
+        if not isinstance(other, RatFunc):
+            other = RatFunc(other)
+        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, RatFunc):

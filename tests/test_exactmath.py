@@ -251,7 +251,8 @@ def test_division_by_a_unit_leading_coefficient_stays_in_Z():
         assert all(type(c) is Fraction for c in poly.coeffs)
 
 
-int_coeffs = st.lists(st.integers(-10**30, 10**30), max_size=30)
+# zeros too, so that divisors have interior zeros
+int_coeffs = st.lists(st.integers(-10**30, 10**30) | st.just(0), max_size=30)
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -283,17 +284,12 @@ def naive_divmod(a, b, div):
     return Poly(q), Poly(r)
 
 
-sparse_ints = st.integers(-10**20, 10**20) | st.just(0)
 small_fractions = st.fractions(-10**6, 10**6, max_denominator=10**4)
 small_polys = st.lists(st.integers(-9, 9), max_size=4).map(Poly)
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(st.one_of(
-    # over Z, a divisor with interior zeros and a leading coefficient of +-1
-    st.tuples(st.just("Z"), st.lists(sparse_ints, max_size=25),
-              st.builds(lambda cs, lc: cs + [lc], st.lists(sparse_ints, max_size=8),
-                        st.sampled_from([1, -1]))),
     # over Q, a leading coefficient that is not a unit of Z
     st.tuples(st.just("Q"), st.lists(small_fractions, max_size=20),
               st.builds(lambda cs, lc: cs + [lc], st.lists(small_fractions | st.just(0),
@@ -307,12 +303,10 @@ def test_divmod_matches_naive_long_division(case):
     ring, a_cs, b_cs = case
     a, b = Poly(a_cs), Poly(b_cs)
     # over Z[b] the leading coefficient is 1, its own inverse
-    div = {"Z": Fraction, "Q": lambda x, y: Fraction(x) / y, "Z[b]": lambda x, y: x * y}[ring]
+    div = {"Q": lambda x, y: Fraction(x) / y, "Z[b]": lambda x, y: x * y}[ring]
     q, r = divmod(a, b)
     assert (q, r) == naive_divmod(a, b, div)
     assert q * b + r == a and r.degree < b.degree
-    if ring == "Z":
-        assert all(type(c) is int for c in q.coeffs + r.coeffs)
     with pytest.raises(ZeroDivisionError):
         divmod(a, Poly())
 
