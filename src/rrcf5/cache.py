@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-import tempfile
 from contextlib import contextmanager
 
 from .exactmath import Poly
@@ -151,15 +150,11 @@ def entry_to_result(entry: dict) -> PipelineResult:
 def save(cache_dir: str, res: PipelineResult) -> str:
     path = entry_path(cache_dir, res.d)
     payload = json.dumps(result_to_entry(res), indent=1, sort_keys=True)
-    fd, tmp = tempfile.mkstemp(prefix=f"d{res.d:04d}.", suffix=".tmp",
-                               dir=cache_dir)
-    # mkstemp makes the file 0600; give it the mode open(path, "w") would.
-    # The umask is read by setting it, to the stricter 0o077 meanwhile.
-    umask = os.umask(0o077)
-    os.umask(umask)
+    tmp = os.path.join(cache_dir, f"d{res.d:04d}.{os.urandom(8).hex()}.tmp")
+    # a new file made 0o666, which the kernel narrows by the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            os.chmod(tmp, 0o666 & ~umask)
             fh.write(payload + "\n")
         os.replace(tmp, path)
     except BaseException:

@@ -6,9 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt, sqrt
 
-from mpmath import mp, mpc, mpf
-
-from .hpnum import (PrecisionPolicy, QRoot, check_j_by_r, climb, j_from_tau,
+from .hpnum import (HeegnerRoot, PrecisionPolicy, check_j_by_r, climb, j_from_tau,
                     reconstruct_int_poly)
 
 
@@ -59,15 +57,14 @@ class HeegnerArg:
         assert (self.b_adj - self.form.b) % (2 * a) == 0
         assert (self.b_adj * self.b_adj + self.d) % (4 * a) == 0
 
-    def w(self, prec: int):
-        two_a = 2 * self.form.a
-        with mp.workprec(prec):
-            return mpc(mpf(-self.b_adj) / two_a, mp.sqrt(self.d) / two_a)
+    def root(self, k: int) -> HeegnerRoot:
+        """x = e^(2 pi i w / k), taken from the integers b_adj, d and 2a."""
+        return HeegnerRoot(-self.b_adj, self.d, 2 * self.form.a, k)
 
     @property
     def w_double(self) -> complex:
-        """w in double precision, rounded as w(53) rounds it; it sizes a
-        ladder's first step."""
+        """w in double precision, each part rounded as mpmath rounds it at
+        53 bits; it sizes a ladder's first step."""
         two_a = 2 * self.form.a
         return complex(-self.b_adj / two_a, sqrt(self.d) / two_a)
 
@@ -205,7 +202,7 @@ def class_poly(cd: ClassData, policy: PrecisionPolicy | None = None):
     args = n_system(cd, v)
 
     def step(bits):
-        xs = [QRoot(arg.w(bits + 64), 5) for arg in args]
+        xs = [arg.root(5) for arg in args]
         # j_from_tau's sums are the widest, so they take the one exp per
         # argument that the check's sums then reuse
         js = [j_from_tau(x, bits) for x in xs]

@@ -15,13 +15,15 @@ at scale 2^(prec + 64); the inputs they are combined from are first cut to
 prec significant bits in each part (jacobi_parts), the rounding mpc(...) at
 workprec(prec) makes, so a step is no more precise than its prec bits.
 check_j_by_r tests its bound multiplied through by the denominator, on
-squared norms in ints.  mpmath computes only the one exp per argument, the
-Heegner arguments themselves, and the values eta, rr_r and
-r_transformation_laws return.
+squared norms in ints, and reconstruct_int_poly expands its root products
+on them.  mpmath computes only the one exp per argument and the values
+eta, rr_r and r_transformation_laws return.
 
 Each q-series is summed at a fixed-point power of one root x of q, a QRoot
 (x = e^(pi i tau/12) for eta, e^(2 pi i tau/5) for r and for j_from_tau,
-e^(2 pi i w/25) for r(w/5) at a Heegner argument w); the same x is the
+e^(2 pi i w/25) for r(w/5) at a Heegner argument w); at a Heegner argument
+w = (b + sqrt(-d))/den it is a HeegnerRoot, taken from those integers by
+mpmath.libmp's real exp and cos-sin, with no complex w.  The same x is the
 prefactor, so in a quotient of eta values the prefactors cancel to an
 integer power of x.  A QRoot takes its one exp at the widest bits asked of
 it so far, and the caller that shares it between sums sets those bits by
@@ -38,11 +40,12 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, replace
-from math import ceil, isqrt, log, log2, pi
+from math import ceil, isqrt, log, log2, pi, sqrt
 
 import mpmath
 from mpmath import mp, mpc
-from mpmath.libmp import from_man_exp, fzero, to_fixed
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_cos_sin, mpf_div,
+                          mpf_exp, mpf_mul, mpf_pi, mpf_shift, mpf_sqrt, to_fixed)
 
 
 class PrecisionError(ArithmeticError):
@@ -188,24 +191,51 @@ def _bit_length(x) -> int:
 
 class QRoot:
     """x = e^(2 pi i tau / k), a k-th root of q = e^(2 pi i tau), for one
-    argument tau.  The one exp is taken at the widest bits asked for so far
-    and reused below them, so the q-series that share a root take it once
-    when the widest of them is summed first."""
+    argument tau (an mpc or a complex), by mpmath.exp.  The one exp is taken
+    at the widest bits asked for so far and reused below them, so the
+    q-series that share a root take it once when the widest of them is
+    summed first.  im is Im(tau) as a float, the series' term budget."""
 
     def __init__(self, tau, k: int):
-        self.tau, self.k = tau, k
+        self.tau, self.k, self.im = tau, k, float(tau.imag)
         self.bits, self.value = 0, None
+
+    def exp(self, bits: int):
+        """x at bits, from mpmath.exp of the complex tau."""
+        with mp.workprec(bits):
+            return mpmath.exp(2j * mp.pi * self.tau / self.k)
 
     def at(self, bits: int):
         if bits > self.bits:
-            with mp.workprec(bits):
-                self.value = mpmath.exp(2j * mp.pi * self.tau / self.k)
-            self.bits = bits
+            self.value, self.bits = self.exp(bits), bits
         return self.value
 
     def power(self, n: int):
         """bits -> x^n as a fixed-point pair at bits (the q_at of _jacobi_f)."""
         return lambda bits: fixed_pow(_fixed(self.at(bits), bits), n, bits)
+
+
+class HeegnerRoot(QRoot):
+    """The QRoot at tau = (b + sqrt(-d)) / den, taken from those integers:
+    x = e^-y (cos + i sin)(theta) with y = 2 pi sqrt(d) / (den k) and
+    theta = 2 pi (b mod den k) / (den k), from one mpf_exp and one
+    mpf_cos_sin at wp = bits + 16 bits.  y is off by a few units of y 2^-wp,
+    which moves x by |x| y as many, and y e^-y < 1/2; theta, below 2 pi, is
+    off by a few units of 2^-(wp - 3).  So x is within about 2^-(bits + 11)
+    of e^(2 pi i tau / k), closer than an mpmath.exp at bits bits."""
+
+    def __init__(self, b: int, d: int, den: int, k: int):
+        self.b, self.d, self.den, self.k, self.im = b, d, den, k, sqrt(d) / den
+        self.bits, self.value = 0, None
+
+    def exp(self, bits: int):
+        wp, m = bits + 16, self.den * self.k
+        two_pi = mpf_shift(mpf_pi(wp), 1)
+        size = mpf_exp(mpf_div(mpf_mul(two_pi, mpf_sqrt(from_int(self.d), wp), wp),
+                               from_int(-m), wp), wp)
+        cos, sin = mpf_cos_sin(mpf_div(mpf_mul(two_pi, from_int(self.b % m), wp),
+                                       from_int(m), wp), wp)
+        return mp.make_mpc((mpf_mul(size, cos, wp), mpf_mul(size, sin, wp)))
 
 
 def _jacobi_f(q_at, im_tau: float, pairs, prec: int):
@@ -226,9 +256,11 @@ def _jacobi_f(q_at, im_tau: float, pairs, prec: int):
     made as x^n from a root x is off by O(n) ulps itself, which for n <= 25
     costs a few of the 64 guard bits.  A sum
     below 2^-(extra + 32) has lost more bits to cancellation than the guard
-    allows for, and every sum is taken again with that many more, from a q
-    made again at the wider bits (q_at's root takes its exp again only if
-    it was not already taken that wide).
+    allows for, and every sum is taken again with that many more (twice
+    that many when the sum lies within 8 bits of the rounding noise, whose
+    size bounds the loss only from below), from a q made again at the wider
+    bits (q_at's root takes its exp again only if it was not already taken
+    that wide).
 
     Returns (bits, sums): the sums as pairs at scale 2^bits.
     """
@@ -264,7 +296,8 @@ def _jacobi_f(q_at, im_tau: float, pairs, prec: int):
         lost = max(bits - _bit_length(s) for s in sums)
         if lost <= extra + 32:
             return bits, sums
-        extra = lost
+        # a sum within 8 bits of the rounding noise reads the noise floor
+        extra = lost if lost < prec + 56 + extra else 2 * lost
 
 
 def jacobi_parts(x: QRoot, ns, pairs, prec: int):
@@ -280,7 +313,7 @@ def jacobi_parts(x: QRoot, ns, pairs, prec: int):
     of 1/|x|, each cut to prec significant bits in each part (_cut), the
     precision callers combine them at.
     """
-    im = float(x.tau.imag)
+    im = x.im
     parts = [_jacobi_f(x.power(n), im * n / x.k, pairs, prec) for n in ns]
     bits = max(b for b, _ in parts) + int(2 * pi * im / (x.k * log(2)))
     return bits, _cut(_fixed(x.value, bits), prec), [
@@ -376,7 +409,7 @@ def check_j_by_r(x: QRoot, prec: int):
     in ints.
     """
     B = prec + 64
-    im = float(x.tau.imag)
+    im = x.im
     K = int(2 * pi * im / log(2)) + 1
     _, (num, den) = _jacobi_f(x.power(x.k), im, ((1, 4), (2, 3)), B)
     q = fixed_pow(_fixed(x.value, B + K), x.k, B + K)
@@ -421,9 +454,12 @@ def j_from_tau(x: QRoot, prec: int):
     return _cut(j, prec)
 
 
-def reconstruct_int_poly(roots, prec: int):
+def reconstruct_int_poly(roots, prec: int, conjugates: bool = False):
     """Expand prod (x - root) on Gaussian integers scaled by 2^(prec + 64),
     the scale of the root pairs given, and round to the nearest integers.
+    With conjugates, each root stands for itself and its complex conjugate:
+    the product is that of the real quadratics x^2 - 2 Re(root) x + |root|^2,
+    closed under conjugation by construction.
 
     Raises PrecisionError when any coefficient sits farther than
     2^-ROUND_TOL_BITS from an integer, or when the imaginary parts do not
@@ -431,12 +467,22 @@ def reconstruct_int_poly(roots, prec: int):
     """
     w = prec + 64
     re, im = [1 << w], [0]  # coefficients, lowest degree first
-    for rr, ri in roots:
-        new_re, new_im = [0] + re, [0] + im  # x p(x) - root p(x)
-        for i, (cr, ci) in enumerate(zip(re, im)):
-            new_re[i] -= (rr * cr - ri * ci) >> w
-            new_im[i] -= (rr * ci + ri * cr) >> w
-        re, im = new_re, new_im
+    if conjugates:
+        for rr, ri in roots:
+            s, n = 2 * rr, (rr * rr + ri * ri) >> w
+            new_re = [0, 0] + re  # x^2 p(x) - s x p(x) + n p(x)
+            for i, c in enumerate(re):
+                new_re[i] += (n * c) >> w
+                new_re[i + 1] -= (s * c) >> w
+            re = new_re
+        im = [0] * len(re)
+    else:
+        for rr, ri in roots:
+            new_re, new_im = [0] + re, [0] + im  # x p(x) - root p(x)
+            for i, (cr, ci) in enumerate(zip(re, im)):
+                new_re[i] -= (rr * cr - ri * ci) >> w
+                new_im[i] -= (rr * ci + ri * cr) >> w
+            re, im = new_re, new_im
     tol = 1 << (w - ROUND_TOL_BITS)
     out = []
     for c, ci in zip(re, im):

@@ -22,7 +22,6 @@ from .exactmath import (ExactDomainError, Poly, binary_form, poly_compose_ration
 from .hpnum import (
     PrecisionError,
     PrecisionPolicy,
-    QRoot,
     check_j_by_r,
     climb,
     fixed_div,
@@ -70,8 +69,9 @@ def heegner_values(xs, prec: int):
     bits it keeps; one below 2^-16 would leave j fewer than prec - 16, so w
     is taken again, once, with as many more bits as it lost, from the same
     t: no second exp while those bits stay under the ones t was taken at.
-    Returns (zs, ss, js); zs and ss also carry the complex conjugates, the
-    other h roots of R and S.
+    Returns (zs, ss, js), one value each per argument: the complex
+    conjugates of zs and ss are the other h roots of R and S
+    (reconstruct_int_poly with conjugates=True).
     """
     w_bits = prec + 64
     zs, ss, js = [], [], []
@@ -93,25 +93,25 @@ def heegner_values(xs, prec: int):
         zs.append((-11 * (1 << w_bits) - c[0], -c[1]))
         ss.append(fixed_div((rr - one, ri), r, w_bits))
         js.append(j)
-    return (zs + [(re, -im) for re, im in zs], ss + [(re, -im) for re, im in ss], js)
+    return zs, ss, js
 
 
-def _heegner_roots(args, prec: int):
-    """t = e^(2 pi i w/25) for the Heegner argument w of each HeegnerArg, w
-    to prec + 64 bits; no exp is taken until a sum asks for one."""
-    return [QRoot(arg.w(prec + 64), 25) for arg in args]
+def _heegner_roots(args):
+    """t = e^(2 pi i w/25) for the Heegner argument w of each HeegnerArg,
+    taken from the form's integers; no exp is taken until a sum asks for one."""
+    return [arg.root(25) for arg in args]
 
 
 def compute_z_values(args, prec: int):
-    """z(w) = -11 - (eta(w/5)/eta(w))^6 = b - 1/b, b = r(w/5)^5, plus conjugates."""
-    return heegner_values(_heegner_roots(args, prec), prec)[0]
+    """z(w) = -11 - (eta(w/5)/eta(w))^6 = b - 1/b, b = r(w/5)^5."""
+    return heegner_values(_heegner_roots(args), prec)[0]
 
 
 def compute_s_values(args, prec: int):
-    """s(w) = -1 - eta(w/25)/eta(w) = r - 1/r, r = r(w/5), plus conjugates.  Their
+    """s(w) = -1 - eta(w/25)/eta(w) = r - 1/r, r = r(w/5).  Their
     link z = phi(s) = s^5 + 5 s^3 + 5 s is proven by p | Q(x^5), as
     x^5 - x^-5 = phi(x - 1/x)."""
-    return heegner_values(_heegner_roots(args, prec), prec)[1]
+    return heegner_values(_heegner_roots(args), prec)[1]
 
 
 def _heegner_args(d: int):
@@ -358,14 +358,15 @@ def run_pipeline(d: int, policy: PrecisionPolicy | None = None) -> PipelineResul
     h = cd.h
 
     def step(bits):
-        xs = _heegner_roots(args, bits)
+        xs = _heegner_roots(args)
         # the check's sums at q(w) = t^25 are the widest, so they take the
         # one exp per argument that heegner_values' sums then reuse
         checks = [check_j_by_r(x, bits) for x in xs]
         zs, ss, js = heegner_values(xs, bits)
         for check, j in zip(checks, js):
             check(j)
-        H, R, S = (Poly(reconstruct_int_poly(roots, bits)) for roots in (js, zs, ss))
+        H = Poly(reconstruct_int_poly(js, bits))
+        R, S = (Poly(reconstruct_int_poly(roots, bits, conjugates=True)) for roots in (zs, ss))
         try:
             Q = build_Q(R)
             p, q = build_p_q(S, Q)

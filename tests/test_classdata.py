@@ -1,8 +1,10 @@
 from math import gcd
 
+import mpmath
 import pytest
-from mpmath import mp, mpc
+from mpmath import mp, mpc, mpf
 
+from rrcf5 import hpnum
 from rrcf5.classdata import (
     ClassDataError,
     QuadForm,
@@ -117,7 +119,7 @@ def test_n_system_invariants():
             assert a % 5 != 0
             assert (arg.b_adj + v) % 50 == 0
             assert (arg.b_adj * arg.b_adj + d) % (4 * a) == 0
-            assert arg.w(64).imag > 0
+            assert arg.w_double.imag > 0
 
 
 def test_n_system_level_refinement():
@@ -148,27 +150,66 @@ def test_class_poly_larger():
     assert got == (-56171326053810176, 37616060956672, 1)
 
 
+def _w(arg, prec):
+    """The Heegner argument w = (-b_adj + sqrt(-d)) / (2a) as an mpc at prec
+    bits, from the complex root expression."""
+    a = arg.form.a
+    with mp.workprec(prec):
+        return mpc(-arg.b_adj, 0) / (2 * a) + mpc(0, 1) * mp.sqrt(mpc(arg.d)) / (2 * a)
+
+
+def _every_argument_up_to_500():
+    for d in range(3, 501):
+        if is_admissible(d) and (-d) % 4 in (0, 1):
+            cd = reduced_forms(d)
+            yield from n_system(cd, choose_v(d, cd.f)[0])
+
+
+def _root_is_exp(arg, k, bits):
+    """arg.root(k) at bits is within 2^-(bits - 2) of mpmath.exp(2 pi i w/k)
+    taken at twice the bits."""
+    x = arg.root(k).at(bits)
+    with mp.workprec(2 * bits):
+        return abs(x - mpmath.exp(2j * mp.pi * _w(arg, 2 * bits) / k)) < mpf(2) ** (2 - bits)
+
+
 @pytest.mark.parametrize("prec", (53, 117, 128, 192, 512))
-def test_heegner_w_is_the_complex_root_expression_bit_for_bit(prec):
-    # w takes the real sqrt(d); mpmath's complex sqrt of (d, 0) is (sqrt(d), 0)
+def test_heegner_root_is_exp_of_the_complex_root_expression(prec):
+    # the root taken from the form's integers, as exp(-2 pi sqrt(d)/(2ak))
+    # times cos + i sin of -2 pi b_adj/(2ak), is e^(2 pi i w/k)
     for d in (11, 24, 71, 119, 1991):
         cd = reduced_forms(d)
         for arg in n_system(cd, choose_v(d, cd.f)[0]):
-            a = arg.form.a
-            with mp.workprec(prec):
-                old = mpc(-arg.b_adj, 0) / (2 * a) + mpc(0, 1) * mp.sqrt(mpc(d)) / (2 * a)
-            assert arg.w(prec)._mpc_ == old._mpc_, (d, arg)
+            for k in (5, 25):
+                assert _root_is_exp(arg, k, prec), (d, arg, k)
+
+
+def test_heegner_root_is_exp_at_every_argument_up_to_500():
+    count = 0
+    for arg in _every_argument_up_to_500():
+        for k in (5, 25):
+            assert _root_is_exp(arg, k, 256), (arg, k)
+        count += 1
+    assert count == 720
+
+
+def test_heegner_root_takes_one_exp_at_the_widest_bits(monkeypatch):
+    calls = []
+    exp = hpnum.mpf_exp
+    monkeypatch.setattr(hpnum, "mpf_exp", lambda *a: calls.append(a) or exp(*a))
+    x = n_system(reduced_forms(24), choose_v(24, 1)[0])[0].root(25)
+    wide = x.at(300)
+    assert x.at(200) is wide and x.at(300) is wide and len(calls) == 1
+    assert x.at(301) is not wide and len(calls) == 2
 
 
 def test_w_double_is_w_at_53_bits_at_every_argument_up_to_500():
     # the ladders size their first step from w_double, so it must be the
-    # double w(53) rounds to: then the step, and precision_used, stay put
+    # double w at 53 bits rounds to: then the step, and precision_used, stay
+    # put; the series' term budgets read the same Im(w)
     count = 0
-    for d in range(3, 501):
-        if not is_admissible(d) or (-d) % 4 not in (0, 1):
-            continue
-        cd = reduced_forms(d)
-        for arg in n_system(cd, choose_v(d, cd.f)[0]):
-            assert arg.w_double == complex(arg.w(53)), (d, arg)
-            count += 1
+    for arg in _every_argument_up_to_500():
+        assert arg.w_double == complex(_w(arg, 53)), arg
+        assert arg.root(25).im == arg.w_double.imag
+        count += 1
     assert count == 720

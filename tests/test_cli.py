@@ -149,6 +149,34 @@ def test_a_saved_entry_has_the_mode_the_umask_gives(cachedir):
     assert cache.load(str(cachedir), 11) == res
 
 
+def test_save_never_sets_the_umask(cachedir, monkeypatch):
+    # the umask is process-wide: setting it, even to read it, would give a
+    # file another thread makes meanwhile the wrong mode
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    res = run_pipeline(11)
+    old = os.umask(0o027)
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(os, "umask", umask)
+            path = cache.save(str(cachedir), res)
+    finally:
+        os.umask(old)
+    assert os.stat(path).st_mode & 0o777 == 0o640
+    assert os.listdir(cachedir) == ["d0011.json"]
+
+
+def test_a_failed_save_leaves_no_temp_file(cachedir, monkeypatch):
+    def replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="disk full"):
+        cache.save(str(cachedir), run_pipeline(11))
+    assert os.listdir(cachedir) == []
+
+
 def test_cache_rejects_unknown_schema(cachedir):
     res = run_pipeline(11)
     entry = cache.result_to_entry(res)

@@ -1,4 +1,4 @@
-from math import isfinite, log, pi, sqrt
+from math import isfinite, isqrt, log, pi, sqrt
 
 import mpmath
 import pytest
@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from rrcf5 import tables
+from rrcf5 import hpnum, tables
+from rrcf5.classdata import class_poly, reduced_forms
 from rrcf5.hpnum import (
     GUARD_BITS,
     PrecisionError,
@@ -152,17 +153,37 @@ def test_eta_inversion_needs_the_cancellation_retry():
     assert _rel_close(eta(tau, PREC), rhs, PREC - 16)
 
 
+@pytest.mark.parametrize("im, exps", ((0.001, 2), (0.0001, 4)))
+def test_a_sum_at_its_noise_floor_is_retried_at_twice_the_loss(monkeypatch, im, exps):
+    # eta's first sum at i/1000 reads its own rounding noise, so the loss it
+    # measures (about 320 bits) only bounds the true one (about 380) below:
+    # the retry takes twice the measured loss and is the last pass, two exps
+    # in all.  At i/10000 (a loss near 3,800 bits) the retries double, four
+    # passes.
+    calls = []
+    exp = mpmath.exp
+    monkeypatch.setattr(mpmath, "exp", lambda z: calls.append(z) or exp(z))
+    tau = mpc(0, im)
+    got = eta(tau, PREC)
+    assert len(calls) == exps
+    with mp.workprec(PREC + 32):
+        rhs = eta(-1 / tau, PREC) / mpmath.sqrt(-1j * tau)
+    assert _rel_close(got, rhs, PREC - 16)
+
+
 def test_one_exp_per_evaluation(monkeypatch):
     # Every q of an evaluation is a fixed-point power of one exp: eta and
     # rr_r take one each, j_from_tau one, and check_j_by_r none of its own
     # when its narrower sums follow j_from_tau's at the same root; at d = 71
     # the check's sums at q(w) = t^25 take one per Heegner argument, and
-    # heegner_values' sums at q(w/5) = t^5 reuse it.  At Im(tau) = 0.8 and
-    # at d = 71's arguments no sum needs the cancellation retry, which would
-    # take the exp again at wider bits.
+    # heegner_values' sums at q(w/5) = t^5 reuse it; a Heegner root takes
+    # its exp as hpnum.mpf_exp from the form's integers.  At Im(tau) = 0.8
+    # and at d = 71's arguments no sum needs the cancellation retry, which
+    # would take the exp again at wider bits.
     calls = []
-    exp = mpmath.exp
+    exp, mpf_exp = mpmath.exp, hpnum.mpf_exp
     monkeypatch.setattr(mpmath, "exp", lambda z: calls.append(z) or exp(z))
+    monkeypatch.setattr(hpnum, "mpf_exp", lambda *a: calls.append(a) or mpf_exp(*a))
     tau = mpc(0.3, 0.8)
     for f in (eta, rr_r):
         calls.clear()
@@ -174,7 +195,7 @@ def test_one_exp_per_evaluation(monkeypatch):
     check_j_by_r(x, PREC)(j)
     assert len(calls) == 1
     args = _heegner_args(71)[3]
-    xs = _heegner_roots(args, PREC)
+    xs = _heegner_roots(args)
     calls.clear()
     checks = [check_j_by_r(x, PREC) for x in xs]
     assert len(calls) == len(args) == 7
@@ -292,6 +313,74 @@ def test_reconstruct_reads_roots_at_their_own_precision():
     assert reconstruct_int_poly([_fixed(r, 98 + 64) for r in roots], 98) == tuple(H24)
 
 
+def _pair_roots(quadratics, w, nudge=0):
+    """For each integer x^2 - s x + n with s^2 <= 4n, its root
+    s/2 + i sqrt(n - s^2/4) as a pair at scale 2^w, the first one's real
+    part moved by nudge units."""
+    roots = [(s << (w - 1), isqrt((4 * n - s * s) << (2 * w - 2))) for s, n in quadratics]
+    roots[0] = (roots[0][0] + nudge, roots[0][1])
+    return roots
+
+
+def _outcome(roots, conjugates):
+    try:
+        return reconstruct_int_poly(roots, PREC, conjugates=conjugates)
+    except PrecisionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(0, 10**6)), min_size=1, max_size=8),
+       st.booleans())
+def test_conjugate_pair_reconstruction_matches_the_complex_one(quads, moved):
+    # roots s/2 + i sqrt(n - s^2/4) of integer quadratics, the first one
+    # moved by 2^-20 or not: the product of the real quadratics over the
+    # roots equals the complex product over the roots and their conjugates,
+    # the integer product or the same PrecisionError
+    quads = [(s, (s * s + 3) // 4 + t) for s, t in quads]
+    roots = _pair_roots(quads, PREC + 64, moved << (PREC + 64 - 20))
+    conj = _outcome(roots, True)
+    assert conj == _outcome(roots + [(re, -im) for re, im in roots], False)
+    if moved:
+        assert conj == "coefficient too far from an integer"
+    else:
+        want = [1]
+        for s, n in quads:  # times x^2 - s x + n
+            want = [a - s * b + n * c for a, b, c in zip([0, 0] + want, [0] + want + [0],
+                                                         want + [0, 0])]
+        assert conj == tuple(want)
+
+
+def test_conjugate_reconstruction_tolerates_a_root_moved_2_to_minus_80_not_2_to_minus_28():
+    # R_84 from its 4 z-values, one of them moved in either part
+    zs = heegner_values(_heegner_roots(_heegner_args(84)[3]), PREC)[0]
+    R = reconstruct_int_poly(zs, PREC, conjugates=True)
+    assert R == tuple(tables.R_TABLE[84])
+    w = PREC + 64
+    for part in (0, 1):
+        for shift, ok in ((80, True), (28, False)):
+            moved = list(zs)
+            moved[2] = tuple(c + (1 << (w - shift)) * (i == part) for i, c in enumerate(zs[2]))
+            if ok:
+                assert reconstruct_int_poly(moved, PREC, conjugates=True) == R
+            else:
+                with pytest.raises(PrecisionError, match="too far from an integer"):
+                    reconstruct_int_poly(moved, PREC, conjugates=True)
+
+
+def test_a_j_list_not_closed_under_conjugation_fails_the_imaginary_test():
+    # H_71 from its 7 j-values; a non-real j replaced by its conjugate
+    # leaves that conjugate twice and imaginary parts in H's coefficients
+    js = heegner_values(_heegner_roots(_heegner_args(71)[3]), PREC)[2]
+    assert reconstruct_int_poly(js, PREC) == class_poly(reduced_forms(71))
+    tol = 1 << (PREC + 64 - 32)
+    k = next(i for i, (_, im) in enumerate(js) if abs(im) > tol)
+    bad = list(js)
+    bad[k] = (js[k][0], -js[k][1])
+    with pytest.raises(PrecisionError, match="imaginary parts"):
+        reconstruct_int_poly(bad, PREC)
+
+
 def test_precision_policy_ladder():
     pol = PrecisionPolicy(initial_bits=100, max_bits=500)
     assert list(pol.ladder()) == [100, 200, 400]
@@ -323,7 +412,7 @@ def test_j_size_matches_mpmath_at_every_heegner_argument(d):
     # against mpmath's own j = 1728 kleinj at 128 bits, at the unreduced w
     with mp.workprec(128):
         for arg in _heegner_args(d)[3]:
-            w = arg.w(128)
+            w = mpc(-arg.b_adj, mpmath.sqrt(arg.d)) / (2 * arg.form.a)
             ref = mpmath.log(1 + abs(1728 * mpmath.kleinj(w)), 2)
             assert abs(log2_one_plus_abs_j(arg.w_double) - ref) < 1e-9, (d, w)
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from hashlib import sha256
 from math import prod
 
 import mpmath
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from rrcf5 import classdata, icosa, pipeline, tables
+from rrcf5 import classdata, hpnum, icosa, pipeline, tables
 from rrcf5.classdata import ClassDataError, choose_v, class_poly, n_system, reduced_forms
 from rrcf5.exactmath import (
     CycloElem,
@@ -21,7 +22,6 @@ from rrcf5.exactmath import (
 from rrcf5.hpnum import (
     PrecisionError,
     PrecisionPolicy,
-    QRoot,
     _to_mpc,
     check_j_by_r,
     eta,
@@ -453,22 +453,20 @@ def test_heegner_values_match_the_eta_quotients(d):
     # one by one, and j must pass the check through r, both read from one
     # root per argument in the order a step takes them.
     prec, picked = _ETA_CASES[d]
-    xs = _heegner_roots(_heegner_args(d)[3], prec)[picked]
+    args = _heegner_args(d)[3][picked]
+    xs = _heegner_roots(args)
     checks = [check_j_by_r(x, prec) for x in xs]
     zs, ss, js = heegner_values(xs, prec)
-    for x, check, z, s, j in zip(xs, checks, zs, ss, js):
-        w = x.tau
+    assert len(zs) == len(ss) == len(js) == len(args)
+    for arg, check, z, s, j in zip(args, checks, zs, ss, js):
         with mp.workprec(prec + 64):
+            w = mpc(-arg.b_adj, mp.sqrt(arg.d)) / (2 * arg.form.a)
             e1, e5, e25 = (eta(w / k, prec + 32) for k in (1, 5, 25))
             c = (e5 / e1) ** 6
             for got, want in ((z, -11 - c), (s, -1 - e25 / e1),
                               (j, (c**2 + 10 * c + 5) ** 3 / c)):
                 assert rel_close(_to_mpc(got, prec + 64), want, prec - 16)
         check(j)
-    # the other h roots of R and S are the complex conjugates
-    h = len(xs)
-    assert zs[h:] == [(re, -im) for re, im in zs[:h]]
-    assert ss[h:] == [(re, -im) for re, im in ss[:h]]
 
 
 def _scaled(j, log2_rel):
@@ -481,7 +479,7 @@ def test_j_check_rejects_j_off_by_2_to_33_minus_prec(d, prec):
     # At each step's own bits the check lets a j through that is off by
     # relative 2^(31 - prec) and stops one off by 2^(33 - prec), on either
     # side of its 2^(32 - prec) bound.
-    xs = _heegner_roots(_heegner_args(d)[3], prec)
+    xs = _heegner_roots(_heegner_args(d)[3])
     checks = [check_j_by_r(x, prec) for x in xs]
     for check, j in zip(checks, heegner_values(xs, prec)[2]):
         check(j)
@@ -495,7 +493,7 @@ def test_j_check_rejects_class_poly_j_off_by_2_to_33_minus_prec():
     prec = 98
     cd = reduced_forms(24)
     for arg in n_system(cd, choose_v(24, cd.f)[0]):
-        x = QRoot(arg.w(prec + 64), 5)
+        x = arg.root(5)
         j = j_from_tau(x, prec)
         check = check_j_by_r(x, prec)
         check(j)
@@ -541,9 +539,12 @@ def test_run_pipeline_calls_no_mpmath_log(monkeypatch):
 
 
 def _counting_exps(monkeypatch):
+    """The exps taken: a Heegner root's mpf_exp from the form's integers, and
+    mpmath.exp, which no ladder should call."""
     calls = []
-    exp = mpmath.exp
-    monkeypatch.setattr(mpmath, "exp", lambda z: calls.append(z) or exp(z))
+    exp, mpf_exp = mpmath.exp, hpnum.mpf_exp
+    monkeypatch.setattr(mpmath, "exp", lambda z: calls.append("mpmath.exp") or exp(z))
+    monkeypatch.setattr(hpnum, "mpf_exp", lambda *a: calls.append("mpf_exp") or mpf_exp(*a))
     return calls
 
 
@@ -553,14 +554,31 @@ def test_run_pipeline_24_takes_one_exp_per_argument(monkeypatch):
     # step takes none
     calls = _counting_exps(monkeypatch)
     r = run_pipeline(24)
-    assert (r.h, r.precision_used, len(calls)) == (2, 98, 2)
+    assert (r.h, r.precision_used, calls) == (2, 98, ["mpf_exp"] * 2)
 
 
 def test_class_poly_24_takes_one_exp_per_argument(monkeypatch):
     # j_from_tau's sums take one exp per argument and the check's reuse it
     calls = _counting_exps(monkeypatch)
     assert class_poly(reduced_forms(24)) == tables.H_TABLE[24]
-    assert len(calls) == 2
+    assert calls == ["mpf_exp"] * 2
+
+
+# sha256 of repr((H, R, S, Q, p, q) coefficient tuples + (precision_used,)):
+# a change to how the Heegner values are taken or reconstructed from must
+# leave the tower and the step that succeeds as they are
+_PINNED = {
+    239: "0cce7709325b336c4b6c45fe29c0b0fab5222058d6e880a37dcba89f96093dc5",
+    479: "5136cca66a7c237a878106cad17368241668dc2d686119a5b3a6035ba851e42c",
+    959: "a52671c673ec66ba4be5ba92f4251a627e5254b7b79efc1e22969112fd1f8e1b",
+}
+
+
+@pytest.mark.parametrize("d", _PINNED)
+def test_the_tower_and_its_precision_are_pinned(d):
+    r = run_pipeline(d)
+    key = tuple(tuple(getattr(r, n).coeffs) for n in ("H", "R", "S", "Q", "p", "q"))
+    assert sha256(repr(key + (r.precision_used,)).encode()).hexdigest() == _PINNED[d]
 
 
 def test_the_disc_primes_are_sieved_once():
