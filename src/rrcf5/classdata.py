@@ -57,9 +57,9 @@ class HeegnerArg:
         assert (self.b_adj - self.form.b) % (2 * a) == 0
         assert (self.b_adj * self.b_adj + self.d) % (4 * a) == 0
 
-    def root(self, k: int) -> HeegnerRoot:
-        """x = e^(2 pi i w / k), taken from the integers b_adj, d and 2a."""
-        return HeegnerRoot(-self.b_adj, self.d, 2 * self.form.a, k)
+    def root(self) -> HeegnerRoot:
+        """t = e^(2 pi i w / 25), taken from the integers b_adj, d and 2a."""
+        return HeegnerRoot(-self.b_adj, self.d, 2 * self.form.a, 25)
 
     @property
     def w_double(self) -> complex:
@@ -202,12 +202,13 @@ def class_poly(cd: ClassData, policy: PrecisionPolicy | None = None):
     args = n_system(cd, v)
 
     def step(bits):
-        xs = [arg.root(5) for arg in args]
-        # j_from_tau's sums are the widest, so they take the one exp per
-        # argument that the check's sums then reuse
+        xs = [arg.root() for arg in args]
+        # the check's sums at q(w) = t^25 are the widest, so they take the
+        # one exp per argument that j_from_tau's sums then reuse
+        checks = [check_j_by_r(x, bits) for x in xs]
         js = [j_from_tau(x, bits) for x in xs]
-        for x, j in zip(xs, js):
-            check_j_by_r(x, bits)(j)
+        for check, j in zip(checks, js):
+            check(j)
         return reconstruct_int_poly(js, bits)
 
     return climb(policy, step, [arg.w_double for arg in args],

@@ -12,7 +12,7 @@ log2(1 + |j|) at the Heegner arguments in double precision, each argument
 first moved into the fundamental domain (log2_one_plus_abs_j).  At a step of
 prec bits the values handed to reconstruct_int_poly (z, s and j) are pairs
 at scale 2^(prec + 64); the inputs they are combined from are first cut to
-prec significant bits in each part (jacobi_parts), the rounding mpc(...) at
+prec significant bits in each part (r_parts), the rounding mpc(...) at
 workprec(prec) makes, so a step is no more precise than its prec bits.
 check_j_by_r tests its bound multiplied through by the denominator, on
 squared norms in ints, and reconstruct_int_poly expands its root products
@@ -20,20 +20,20 @@ on them.  mpmath computes only the one exp per argument and the values
 eta, rr_r and r_transformation_laws return.
 
 Each q-series is summed at a fixed-point power of one root x of q, a QRoot
-(x = e^(pi i tau/12) for eta, e^(2 pi i tau/5) for r and for j_from_tau,
-e^(2 pi i w/25) for r(w/5) at a Heegner argument w); at a Heegner argument
-w = (b + sqrt(-d))/den it is a HeegnerRoot, taken from those integers by
-mpmath.libmp's real exp and cos-sin, with no complex w.  The same x is the
-prefactor, so in a quotient of eta values the prefactors cancel to an
-integer power of x.  A QRoot takes its one exp at the widest bits asked of
-it so far, and the caller that shares it between sums sets those bits by
-the order it sums in: a ladder step makes one root per Heegner argument and
-sums the widest series at it first, so both routes to j read the one exp
-(run_pipeline: check_j_by_r at q(w) = x^25 before heegner_values at
-q(w/5) = x^5; class_poly: j_from_tau before check_j_by_r).  Only a sum
-asking for wider bits than the root's, a cancellation retry mostly, takes
-the exp again.  Every public function sets its own working precision and
-restores the caller's on exit.
+(x = e^(pi i tau/12) for eta, e^(2 pi i tau/5) for r); at a Heegner
+argument w = (b + sqrt(-d))/den it is a HeegnerRoot t = e^(2 pi i w/25),
+taken from those integers by mpmath.libmp's real exp and cos-sin, with no
+complex w.  The same x is the prefactor, so in a quotient of eta values the
+prefactors cancel to an integer power of x.  A QRoot takes its one exp at
+the widest bits asked of it so far, and the caller that shares it between
+sums sets those bits by the order it sums in.  Both ladders, run_pipeline
+and class_poly, read j the one way, from r(w/5) at q(w/5) = t^5
+(r_parts), and make one root per Heegner argument at a step: the check of
+j through r(w) at q(w) = t^25 (check_j_by_r) sums the widest series and
+comes first, and r_parts reuses its exp.  Only a sum asking for wider bits
+than the root's, a cancellation retry mostly, takes the exp again.  Every
+public function sets its own working precision and restores the caller's
+on exit.
 """
 
 from __future__ import annotations
@@ -191,9 +191,10 @@ def _bit_length(x) -> int:
 
 class QRoot:
     """x = e^(2 pi i tau / k), a k-th root of q = e^(2 pi i tau), for one
-    argument tau (an mpc or a complex), by mpmath.exp.  The one exp is taken
-    at the widest bits asked for so far and reused below them, so the
-    q-series that share a root take it once when the widest of them is
+    argument tau (an mpc or a complex), by mpmath.exp: k = 24 for eta, 5
+    for rr_r, and 25 for the r(tau/5) of r_parts and its check.  The one exp
+    is taken at the widest bits asked for so far and reused below them, so
+    the q-series that share a root take it once when the widest of them is
     summed first.  im is Im(tau) as a float, the series' term budget."""
 
     def __init__(self, tau, k: int):
@@ -300,32 +301,37 @@ def _jacobi_f(q_at, im_tau: float, pairs, prec: int):
         extra = lost if lost < prec + 56 + extra else 2 * lost
 
 
-def jacobi_parts(x: QRoot, ns, pairs, prec: int):
-    """(bits, x, sums) for the root x = e^(2 pi i tau / k) and the triple
-    products f(-q^a, -q^b) of _jacobi_f, for each n in ns (q = x^n) and each
-    (a, b) in pairs, in that order, each to relative 2^-prec.  Every q is a
-    fixed-point power of x, so the sums take no exp of their own: x takes
-    its one exp at the widest bits any of its sums asked for so far.  With
-    ns ascending, the first sum here has the smallest Im and the most terms,
-    so it asks for the most bits; a caller that shares x between this and
-    other sums takes the widest of them first.  x and the sums come back as
-    pairs at one scale 2^bits, the widest bits of these sums plus the bits
-    of 1/|x|, each cut to prec significant bits in each part (_cut), the
-    precision callers combine them at.
+def r_parts(x: QRoot, prec: int):
+    """(bits, r, b, num) as pairs at scale 2^bits, for the root
+    x = t = e^(2 pi i w/25): r = r(w/5) = t f(-q, -q^4) / f(-q^2, -q^3) with
+    q = t^5, b = r^5 and num = 1 - 11 b - b^2, so that
+    c = (eta(w/5)/eta(w))^6 = num / b (Duke, Bull. AMS 42 (2005)).  The
+    sums (_jacobi_f, to relative 2^-prec) read q as a power of x's one exp;
+    bits is theirs plus the bits of 1/|t|, and t and the sums are cut to
+    prec significant bits in each part (_cut) before they are combined.
+    num cancels where b nears eps^5, eps = (sqrt5 - 1)/2, and j, near 125/c
+    there, keeps only the bits num keeps; when num falls below 2^-16 the
+    parts are taken again, once, with as many more bits as it lost, from
+    the same x: no second exp while those bits stay under the ones x was
+    taken at.
     """
-    im = x.im
-    parts = [_jacobi_f(x.power(n), im * n / x.k, pairs, prec) for n in ns]
-    bits = max(b for b, _ in parts) + int(2 * pi * im / (x.k * log(2)))
-    return bits, _cut(_fixed(x.value, bits), prec), [
-        _cut((sr << (bits - b), si << (bits - b)), prec) for b, sums in parts for sr, si in sums]
-
-
-def eta_parts(x: QRoot, ns, prec: int):
-    """jacobi_parts for P_n = prod_{m>=1} (1 - q^m) = f(-q, -q^2), q = x^n.
-    Since eta(n tau / k) = x^(n/24) P_n, a quotient of eta values is a
-    quotient of the P_n times an integer power of x when the prefactors
-    cancel that far."""
-    return jacobi_parts(x, ns, ((1, 2),), prec)
+    extra = 0
+    while True:
+        cut = prec + extra
+        fbits, (f14, f23) = _jacobi_f(x.power(5), x.im * 5 / x.k, ((1, 4), (2, 3)), cut)
+        bits = fbits + int(2 * pi * x.im / (x.k * log(2)))
+        t = _cut(_fixed(x.value, bits), cut)
+        f14, f23 = (_cut((fr << (bits - fbits), fi << (bits - fbits)), cut)
+                    for fr, fi in (f14, f23))
+        one = 1 << bits
+        r = fixed_div(fixed_mul(t, f14, bits), f23, bits)
+        b = fixed_pow(r, 5, bits)
+        br, bi = fixed_mul(b, (b[0] + 11 * one, b[1]), bits)
+        num = (one - br, -bi)  # 1 - 11 b - b^2
+        lost = bits - max(map(abs, num)).bit_length()
+        if extra or lost <= 16:
+            return bits, r, b, num
+        extra = lost
 
 
 def eta(tau, prec: int):
@@ -397,9 +403,10 @@ def check_j_by_r(x: QRoot, prec: int):
     to relative 2^(32-prec): |j - N/D| <= 2^(32-prec) max(|j|, 1).  check
     raises PrecisionError if it fails.  r is read from x, with q = x^k and
     r^5 = q rho, rho = (f(-q, -q^4) / f(-q^2, -q^3))^5; those sums need no j,
-    so they are taken here, before check is made: at B bits they are
-    usually the widest sums at x, and the other sums of a step then reuse
-    x's exp.  Multiplied through by |D| = |q| |D/q|, the bound reads
+    so they are taken here, before check is made: at B bits and q(tau) they
+    are wider than the sums at q(tau/5) = x^5 that r_parts takes j from, so
+    both ladders make the check first and r_parts reuses x's exp.
+    Multiplied through by |D| = |q| |D/q|, the bound reads
 
         |(j q)(D/q) - N| <= 2^(32-prec) max(|j q|, |q|) |D/q|,
 
@@ -438,20 +445,14 @@ def check_j_by_r(x: QRoot, prec: int):
 
 
 def j_from_tau(x: QRoot, prec: int):
-    """Modular j-invariant at tau via the level-5 eta quotient, for the root
-    x = e^(2 pi i tau/5), as a pair at scale 2^(prec + 64) cut to prec
-    significant bits in each part:
-
-        j = (c^2 + 10 c + 5)^3 / c,   c = (eta(tau/5)/eta(tau))^6 = (P_1/P_5)^6 / x,
-
-    with P_n = prod_{m>=1} (1 - x^(n m)) (eta_parts).  check_j_by_r(x, prec)
-    is the independent route to check it by; its sums are narrower than
-    these, so taken after them they reuse x's exp.
+    """Modular j-invariant at w for the root x = e^(2 pi i w/25), as a pair
+    at scale 2^(prec + 64): j = (c^2 + 10 c + 5)^3 / c (j_from_c), with
+    c = num / b from r = r(w/5) (r_parts), the j of heegner_values.
+    check_j_by_r(x, prec) is the independent route to check it by; its
+    sums are wider than these, so taken first they take x's one exp.
     """
-    w = prec + 64
-    bits, xv, (P1, P5) = eta_parts(x, (1, 5), w)
-    _, j = j_from_c(fixed_pow(P1, 6, bits), fixed_mul(fixed_pow(P5, 6, bits), xv, bits), w)
-    return _cut(j, prec)
+    _, _, b, num = r_parts(x, prec)
+    return j_from_c(num, b, prec + 64)[1]
 
 
 def reconstruct_int_poly(roots, prec: int, conjugates: bool = False):

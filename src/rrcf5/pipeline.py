@@ -26,9 +26,8 @@ from .hpnum import (
     climb,
     fixed_div,
     fixed_mul,
-    fixed_pow,
     j_from_c,
-    jacobi_parts,
+    r_parts,
     reconstruct_int_poly,
 )
 
@@ -53,22 +52,17 @@ J55Z_NUM, J55Z_DEN = B**3, -Poly((11, 1)) ** 5
 
 def heegner_values(xs, prec: int):
     """z, s and j at each Heegner argument w, as pairs at scale 2^(prec + 64),
-    from r = r(w/5) = t f(-q, -q^4) / f(-q^2, -q^3), with t = e^(2 pi i w/25)
-    the QRoot in xs for w and q = t^5 (jacobi_parts, t and the sums cut to
-    prec significant bits).  The sums read t's one exp, which a step takes
-    first for the wider sums at q(w) = t^25 of check_j_by_r.  With b = r^5
-    (Duke, Bull. AMS 42 (2005)):
+    from r = r(w/5) of r_parts at the QRoot t = e^(2 pi i w/25) in xs for w.
+    Its sums at q(w/5) = t^5 read t's one exp, which a step takes first for
+    the wider sums at q(w) = t^25 of check_j_by_r.  With b = r^5 (Duke,
+    Bull. AMS 42 (2005)):
 
         s = -1 - eta(w/25)/eta(w) = r - 1/r,
         c = (eta(w/5)/eta(w))^6 = (1 - 11 b - b^2) / b,   z = -11 - c,
-        j = (c^2 + 10 c + 5)^3 / c   (j_from_c).
+        j = (c^2 + 10 c + 5)^3 / c   (j_from_c, as j_from_tau takes it).
 
-    At the scale jacobi_parts returns, over prec + 64 bits, b keeps more than
-    prec + 20 bits: |b| > 2^-41 at d <= 2000.  The numerator cancels where b
-    nears eps^5, eps = (sqrt5 - 1)/2, and j, near 125/c there, keeps only the
-    bits it keeps; one below 2^-16 would leave j fewer than prec - 16, so w
-    is taken again, once, with as many more bits as it lost, from the same
-    t: no second exp while those bits stay under the ones t was taken at.
+    At the scale r_parts returns, over prec + 64 bits, b keeps more than
+    prec + 20 bits: |b| > 2^-41 at d <= 2000.
     Returns (zs, ss, js), one value each per argument: the complex
     conjugates of zs and ss are the other h roots of R and S
     (reconstruct_int_poly with conjugates=True).
@@ -76,22 +70,11 @@ def heegner_values(xs, prec: int):
     w_bits = prec + 64
     zs, ss, js = [], [], []
     for x in xs:
-        extra = 0
-        while True:
-            bits, t, (f14, f23) = jacobi_parts(x, (5,), ((1, 4), (2, 3)), prec + extra)
-            one = 1 << bits
-            r = fixed_div(fixed_mul(t, f14, bits), f23, bits)
-            b = fixed_pow(r, 5, bits)
-            br, bi = fixed_mul(b, (b[0] + 11 * one, b[1]), bits)
-            num = (one - br, -bi)  # 1 - 11 b - b^2
-            lost = bits - max(map(abs, num)).bit_length()
-            if extra or lost <= 16:
-                break
-            extra = lost
+        bits, r, b, num = r_parts(x, prec)
         c, j = j_from_c(num, b, w_bits)
         rr, ri = fixed_mul(r, r, bits)
         zs.append((-11 * (1 << w_bits) - c[0], -c[1]))
-        ss.append(fixed_div((rr - one, ri), r, w_bits))
+        ss.append(fixed_div((rr - (1 << bits), ri), r, w_bits))
         js.append(j)
     return zs, ss, js
 
@@ -99,7 +82,7 @@ def heegner_values(xs, prec: int):
 def _heegner_roots(args):
     """t = e^(2 pi i w/25) for the Heegner argument w of each HeegnerArg,
     taken from the form's integers; no exp is taken until a sum asks for one."""
-    return [arg.root(25) for arg in args]
+    return [arg.root() for arg in args]
 
 
 def compute_z_values(args, prec: int):

@@ -165,30 +165,28 @@ def _every_argument_up_to_500():
             yield from n_system(cd, choose_v(d, cd.f)[0])
 
 
-def _root_is_exp(arg, k, bits):
-    """arg.root(k) at bits is within 2^-(bits - 2) of mpmath.exp(2 pi i w/k)
+def _root_is_exp(arg, bits):
+    """arg.root() at bits is within 2^-(bits - 2) of mpmath.exp(2 pi i w/25)
     taken at twice the bits."""
-    x = arg.root(k).at(bits)
+    x = arg.root().at(bits)
     with mp.workprec(2 * bits):
-        return abs(x - mpmath.exp(2j * mp.pi * _w(arg, 2 * bits) / k)) < mpf(2) ** (2 - bits)
+        return abs(x - mpmath.exp(2j * mp.pi * _w(arg, 2 * bits) / 25)) < mpf(2) ** (2 - bits)
 
 
 @pytest.mark.parametrize("prec", (53, 117, 128, 192, 512))
 def test_heegner_root_is_exp_of_the_complex_root_expression(prec):
-    # the root taken from the form's integers, as exp(-2 pi sqrt(d)/(2ak))
-    # times cos + i sin of -2 pi b_adj/(2ak), is e^(2 pi i w/k)
+    # the root taken from the form's integers, as exp(-2 pi sqrt(d)/(50a))
+    # times cos + i sin of -2 pi b_adj/(50a), is e^(2 pi i w/25)
     for d in (11, 24, 71, 119, 1991):
         cd = reduced_forms(d)
         for arg in n_system(cd, choose_v(d, cd.f)[0]):
-            for k in (5, 25):
-                assert _root_is_exp(arg, k, prec), (d, arg, k)
+            assert _root_is_exp(arg, prec), (d, arg)
 
 
 def test_heegner_root_is_exp_at_every_argument_up_to_500():
     count = 0
     for arg in _every_argument_up_to_500():
-        for k in (5, 25):
-            assert _root_is_exp(arg, k, 256), (arg, k)
+        assert _root_is_exp(arg, 256), arg
         count += 1
     assert count == 720
 
@@ -197,7 +195,7 @@ def test_heegner_root_takes_one_exp_at_the_widest_bits(monkeypatch):
     calls = []
     exp = hpnum.mpf_exp
     monkeypatch.setattr(hpnum, "mpf_exp", lambda *a: calls.append(a) or exp(*a))
-    x = n_system(reduced_forms(24), choose_v(24, 1)[0])[0].root(25)
+    x = n_system(reduced_forms(24), choose_v(24, 1)[0])[0].root()
     wide = x.at(300)
     assert x.at(200) is wide and x.at(300) is wide and len(calls) == 1
     assert x.at(301) is not wide and len(calls) == 2
@@ -210,6 +208,6 @@ def test_w_double_is_w_at_53_bits_at_every_argument_up_to_500():
     count = 0
     for arg in _every_argument_up_to_500():
         assert arg.w_double == complex(_w(arg, 53)), arg
-        assert arg.root(25).im == arg.w_double.imag
+        assert arg.root().im == arg.w_double.imag
         count += 1
     assert count == 720

@@ -18,10 +18,10 @@ from rrcf5.hpnum import (
     check_j_by_r,
     climb,
     eta,
-    eta_parts,
     j_from_c,
     j_from_tau,
     log2_one_plus_abs_j,
+    r_parts,
     reconstruct_int_poly,
     rr_r,
 )
@@ -173,8 +173,8 @@ def test_a_sum_at_its_noise_floor_is_retried_at_twice_the_loss(monkeypatch, im, 
 
 def test_one_exp_per_evaluation(monkeypatch):
     # Every q of an evaluation is a fixed-point power of one exp: eta and
-    # rr_r take one each, j_from_tau one, and check_j_by_r none of its own
-    # when its narrower sums follow j_from_tau's at the same root; at d = 71
+    # rr_r take one each, check_j_by_r one, and j_from_tau none of its own
+    # when its narrower sums follow the check's at the same root; at d = 71
     # the check's sums at q(w) = t^25 take one per Heegner argument, and
     # heegner_values' sums at q(w/5) = t^5 reuse it; a Heegner root takes
     # its exp as hpnum.mpf_exp from the form's integers.  At Im(tau) = 0.8
@@ -189,10 +189,10 @@ def test_one_exp_per_evaluation(monkeypatch):
         calls.clear()
         f(tau, PREC)
         assert len(calls) == 1, f.__name__
-    x = QRoot(tau, 5)
+    x = QRoot(tau, 25)
     calls.clear()
-    j = j_from_tau(x, PREC)
-    check_j_by_r(x, PREC)(j)
+    check = check_j_by_r(x, PREC)
+    check(j_from_tau(x, PREC))
     assert len(calls) == 1
     args = _heegner_args(71)[3]
     xs = _heegner_roots(args)
@@ -232,19 +232,20 @@ def test_r_satisfies_eta_quotient_identity():
 
 def _j(tau, prec):
     """j_from_tau at tau, to prec bits, as an mpc."""
-    return _to_mpc(j_from_tau(QRoot(tau, 5), prec), prec + 64)
+    return _to_mpc(j_from_tau(QRoot(tau, 25), prec), prec + 64)
 
 
 def test_c_from_r():
-    # c = (eta(tau/5)/eta(tau))^6 = (P_1/P_5)^6 / x = 1/r(tau/5)^5 - 11 - r(tau/5)^5,
-    # the quotient j_from_tau takes j = (c^2 + 10 c + 5)^3 / c from
+    # c = (1 - 11 b - b^2) / b from r = r(tau/5) and b = r^5 (r_parts) is
+    # (eta(tau/5)/eta(tau))^6, the quotient j_from_tau takes
+    # j = (c^2 + 10 c + 5)^3 / c from
     tau = mpc(0.11, 1.4)
-    bits, *parts = eta_parts(QRoot(tau, 5), (1, 5), PREC + 32)
-    x, P1, P5 = (_to_mpc(v, bits) for v in (parts[0], *parts[1]))
+    bits, *parts = r_parts(QRoot(tau, 25), PREC + 32)
+    r, b, num = (_to_mpc(v, bits) for v in parts)
     with mp.workprec(PREC + 32):
-        c = (P1 / P5) ** 6 / x
-        r5 = rr_r(tau / 5, PREC) ** 5
-        assert rel_close(c, 1 / r5 - 11 - r5, PREC - 24)
+        c = num / b
+        assert rel_close(r, rr_r(tau / 5, PREC), PREC - 24)
+        assert rel_close(c, (eta(tau / 5, PREC) / eta(tau, PREC)) ** 6, PREC - 24)
         assert rel_close(_j(tau, PREC), (c**2 + 10 * c + 5) ** 3 / c, PREC - 24)
 
 

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from hashlib import sha256
-from math import prod
+from math import ceil, prod
 
 import mpmath
 import pytest
@@ -20,13 +20,16 @@ from rrcf5.exactmath import (
     poly_discriminant,
 )
 from rrcf5.hpnum import (
+    GUARD_BITS,
     PrecisionError,
     PrecisionPolicy,
     _to_mpc,
     check_j_by_r,
     eta,
     j_from_tau,
+    log2_one_plus_abs_j,
     r_transformation_laws,
+    reconstruct_int_poly,
 )
 from rrcf5.pipeline import (
     COR42,
@@ -493,9 +496,9 @@ def test_j_check_rejects_class_poly_j_off_by_2_to_33_minus_prec():
     prec = 98
     cd = reduced_forms(24)
     for arg in n_system(cd, choose_v(24, cd.f)[0]):
-        x = arg.root(5)
-        j = j_from_tau(x, prec)
+        x = arg.root()
         check = check_j_by_r(x, prec)
+        j = j_from_tau(x, prec)
         check(j)
         check(_scaled(j, 31 - prec))
         with pytest.raises(PrecisionError, match="routes disagree"):
@@ -558,10 +561,45 @@ def test_run_pipeline_24_takes_one_exp_per_argument(monkeypatch):
 
 
 def test_class_poly_24_takes_one_exp_per_argument(monkeypatch):
-    # j_from_tau's sums take one exp per argument and the check's reuse it
+    # the check's sums take one exp per argument and j_from_tau's reuse it
     calls = _counting_exps(monkeypatch)
     assert class_poly(reduced_forms(24)) == tables.H_TABLE[24]
     assert calls == ["mpf_exp"] * 2
+
+
+def test_j_from_tau_is_the_j_of_heegner_values_bit_for_bit(monkeypatch):
+    # one route to j: at every argument of the tabulated d, at the sized
+    # first step, and at d = 1571's fifth argument at 605 bits, where the
+    # cancellation retry sums r(w/5) twice
+    cases = []
+    for d in tables.TABLE1_DS + tables.TABLE2_DS:
+        args = _heegner_args(d)[3]
+        bits = ceil(sum(log2_one_plus_abs_j(arg.w_double) for arg in args)) + GUARD_BITS
+        cases += [(arg, bits) for arg in args]
+    cases.append((_heegner_args(1571)[3][4], 605))
+    sums = []
+    jacobi_f = hpnum._jacobi_f
+    monkeypatch.setattr(hpnum, "_jacobi_f", lambda *a: sums.append(a) or jacobi_f(*a))
+    for arg, bits in cases:
+        sums.clear()
+        j = j_from_tau(arg.root(), bits)
+        assert j == heegner_values([arg.root()], bits)[2][0], (arg, bits)
+    assert len(cases) == 105 and len(sums) == 4
+
+
+@pytest.mark.parametrize("d", (239, 479))
+def test_class_poly_reconstructs_the_j_values_of_run_pipeline(monkeypatch, d):
+    # both ladders hand reconstruct_int_poly the same j-values, to the last
+    # bit, at the same steps, and so give the same H
+    seen = {classdata: [], pipeline: []}
+    for module, calls in seen.items():
+        def reconstruct(roots, prec, conjugates=False, calls=calls):
+            if not conjugates:
+                calls.append((prec, roots))
+            return reconstruct_int_poly(roots, prec, conjugates)
+        monkeypatch.setattr(module, "reconstruct_int_poly", reconstruct)
+    assert class_poly(reduced_forms(d)) == run_pipeline(d).H.coeffs
+    assert seen[classdata] == seen[pipeline] != []
 
 
 # sha256 of repr((H, R, S, Q, p, q) coefficient tuples + (precision_used,)):
