@@ -6,8 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt, sqrt
 
-from .hpnum import (HeegnerRoot, PrecisionPolicy, check_j_by_r, climb, j_from_tau,
-                    reconstruct_int_poly)
+from .hpnum import HeegnerRoot, PrecisionPolicy, climb, j_from_tau, reconstruct_int_poly
 
 
 class ClassDataError(ValueError):
@@ -202,14 +201,7 @@ def class_poly(cd: ClassData, policy: PrecisionPolicy | None = None):
     args = n_system(cd, v)
 
     def step(bits):
-        xs = [arg.root() for arg in args]
-        # the check's sums at q(w) = t^25 are the widest, so they take the
-        # one exp per argument that j_from_tau's sums then reuse
-        checks = [check_j_by_r(x, bits) for x in xs]
-        js = [j_from_tau(x, bits) for x in xs]
-        for check, j in zip(checks, js):
-            check(j)
-        return reconstruct_int_poly(js, bits)
+        return reconstruct_int_poly([j_from_tau(arg.root(), bits)[3] for arg in args], bits)
 
     return climb(policy, step, [arg.w_double for arg in args],
                  f"class polynomial for d={cd.d}")

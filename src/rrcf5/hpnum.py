@@ -27,13 +27,11 @@ complex w.  The same x is the prefactor, so in a quotient of eta values the
 prefactors cancel to an integer power of x.  A QRoot takes its one exp at
 the widest bits asked of it so far, and the caller that shares it between
 sums sets those bits by the order it sums in.  Both ladders, run_pipeline
-and class_poly, read j the one way, from r(w/5) at q(w/5) = t^5
-(r_parts), and make one root per Heegner argument at a step: the check of
-j through r(w) at q(w) = t^25 (check_j_by_r) sums the widest series and
-comes first, and r_parts reuses its exp.  Only a sum asking for wider bits
-than the root's, a cancellation retry mostly, takes the exp again.  Every
-public function sets its own working precision and restores the caller's
-on exit.
+(through heegner_values) and class_poly, make one root per Heegner
+argument at a step and read it through the checked evaluation j_from_tau,
+which sets that order.  Only a sum asking for wider bits than the root's,
+a cancellation retry mostly, takes the exp again.  Every public function
+sets its own working precision and restores the caller's on exit.
 """
 
 from __future__ import annotations
@@ -195,7 +193,8 @@ class QRoot:
     for rr_r, and 25 for the r(tau/5) of r_parts and its check.  The one exp
     is taken at the widest bits asked for so far and reused below them, so
     the q-series that share a root take it once when the widest of them is
-    summed first.  im is Im(tau) as a float, the series' term budget."""
+    summed first, as j_from_tau orders them.  im is Im(tau) as a float, the
+    series' term budget."""
 
     def __init__(self, tau, k: int):
         self.tau, self.k, self.im = tau, k, float(tau.imag)
@@ -403,9 +402,7 @@ def check_j_by_r(x: QRoot, prec: int):
     to relative 2^(32-prec): |j - N/D| <= 2^(32-prec) max(|j|, 1).  check
     raises PrecisionError if it fails.  r is read from x, with q = x^k and
     r^5 = q rho, rho = (f(-q, -q^4) / f(-q^2, -q^3))^5; those sums need no j,
-    so they are taken here, before check is made: at B bits and q(tau) they
-    are wider than the sums at q(tau/5) = x^5 that r_parts takes j from, so
-    both ladders make the check first and r_parts reuses x's exp.
+    so they are taken here, before check is made (j_from_tau makes it first).
     Multiplied through by |D| = |q| |D/q|, the bound reads
 
         |(j q)(D/q) - N| <= 2^(32-prec) max(|j q|, |q|) |D/q|,
@@ -445,14 +442,48 @@ def check_j_by_r(x: QRoot, prec: int):
 
 
 def j_from_tau(x: QRoot, prec: int):
-    """Modular j-invariant at w for the root x = e^(2 pi i w/25), as a pair
-    at scale 2^(prec + 64): j = (c^2 + 10 c + 5)^3 / c (j_from_c), with
-    c = num / b from r = r(w/5) (r_parts), the j of heegner_values.
-    check_j_by_r(x, prec) is the independent route to check it by; its
-    sums are wider than these, so taken first they take x's one exp.
+    """The checked evaluation at one Heegner argument w, for the root
+    x = e^(2 pi i w/25): (bits, r, c, j) with r = r(w/5) a pair at scale
+    2^bits (r_parts), and c = num / b and j = (c^2 + 10 c + 5)^3 / c pairs at
+    scale 2^(prec + 64) (j_from_c).  j must pass check_j_by_r(x, prec), the
+    independent route through r(w), or PrecisionError is raised.
+
+    The order of the sums is set here, for both ladders: the check's sums at
+    q(w) = t^25 are wider than r_parts' sums at q(w/5) = t^5, so they come
+    first and take x's one exp, which r_parts then reuses.
     """
-    _, _, b, num = r_parts(x, prec)
-    return j_from_c(num, b, prec + 64)[1]
+    check = check_j_by_r(x, prec)
+    bits, r, b, num = r_parts(x, prec)
+    c, j = j_from_c(num, b, prec + 64)
+    check(j)
+    return bits, r, c, j
+
+
+def heegner_values(xs, prec: int):
+    """z, s and j at each Heegner argument w, as pairs at scale 2^(prec + 64),
+    from the checked evaluation j_from_tau, which sets the order of the
+    sums, at the QRoot t = e^(2 pi i w/25) in xs for w.  With r = r(w/5) and
+    b = r^5 (Duke, Bull. AMS 42 (2005)):
+
+        s = -1 - eta(w/25)/eta(w) = r - 1/r,
+        c = (eta(w/5)/eta(w))^6 = (1 - 11 b - b^2) / b,   z = -11 - c,
+        j = (c^2 + 10 c + 5)^3 / c.
+
+    At the scale r_parts returns, over prec + 64 bits, b keeps more than
+    prec + 20 bits: |b| > 2^-41 at d <= 2000.
+    Returns (zs, ss, js), one value each per argument: the complex
+    conjugates of zs and ss are the other h roots of R and S
+    (reconstruct_int_poly with conjugates=True).
+    """
+    w_bits = prec + 64
+    zs, ss, js = [], [], []
+    for x in xs:
+        bits, r, c, j = j_from_tau(x, prec)
+        rr, ri = fixed_mul(r, r, bits)
+        zs.append((-11 * (1 << w_bits) - c[0], -c[1]))
+        ss.append(fixed_div((rr - (1 << bits), ri), r, w_bits))
+        js.append(j)
+    return zs, ss, js
 
 
 def reconstruct_int_poly(roots, prec: int, conjugates: bool = False):

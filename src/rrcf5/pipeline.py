@@ -19,17 +19,7 @@ from math import isqrt
 from .classdata import ClassDataError, check_discriminant, choose_v, n_system, reduced_forms
 from .exactmath import (ExactDomainError, Poly, binary_form, poly_compose_rational,
                         poly_discriminant, powers, sqrt5_size, times_sqrt5)
-from .hpnum import (
-    PrecisionError,
-    PrecisionPolicy,
-    check_j_by_r,
-    climb,
-    fixed_div,
-    fixed_mul,
-    j_from_c,
-    r_parts,
-    reconstruct_int_poly,
-)
+from .hpnum import PrecisionError, PrecisionPolicy, climb, heegner_values, reconstruct_int_poly
 
 
 class PipelineIntegrityError(RuntimeError):
@@ -50,35 +40,6 @@ J5Z_NUM, J5Z_DEN = A**3, -Poly((11, 1))
 J55Z_NUM, J55Z_DEN = B**3, -Poly((11, 1)) ** 5
 
 
-def heegner_values(xs, prec: int):
-    """z, s and j at each Heegner argument w, as pairs at scale 2^(prec + 64),
-    from r = r(w/5) of r_parts at the QRoot t = e^(2 pi i w/25) in xs for w.
-    Its sums at q(w/5) = t^5 read t's one exp, which a step takes first for
-    the wider sums at q(w) = t^25 of check_j_by_r.  With b = r^5 (Duke,
-    Bull. AMS 42 (2005)):
-
-        s = -1 - eta(w/25)/eta(w) = r - 1/r,
-        c = (eta(w/5)/eta(w))^6 = (1 - 11 b - b^2) / b,   z = -11 - c,
-        j = (c^2 + 10 c + 5)^3 / c   (j_from_c, as j_from_tau takes it).
-
-    At the scale r_parts returns, over prec + 64 bits, b keeps more than
-    prec + 20 bits: |b| > 2^-41 at d <= 2000.
-    Returns (zs, ss, js), one value each per argument: the complex
-    conjugates of zs and ss are the other h roots of R and S
-    (reconstruct_int_poly with conjugates=True).
-    """
-    w_bits = prec + 64
-    zs, ss, js = [], [], []
-    for x in xs:
-        bits, r, b, num = r_parts(x, prec)
-        c, j = j_from_c(num, b, w_bits)
-        rr, ri = fixed_mul(r, r, bits)
-        zs.append((-11 * (1 << w_bits) - c[0], -c[1]))
-        ss.append(fixed_div((rr - (1 << bits), ri), r, w_bits))
-        js.append(j)
-    return zs, ss, js
-
-
 def _heegner_roots(args):
     """t = e^(2 pi i w/25) for the Heegner argument w of each HeegnerArg,
     taken from the form's integers; no exp is taken until a sum asks for one."""
@@ -86,14 +47,18 @@ def _heegner_roots(args):
 
 
 def compute_z_values(args, prec: int):
-    """z(w) = -11 - (eta(w/5)/eta(w))^6 = b - 1/b, b = r(w/5)^5."""
+    """z(w) = -11 - (eta(w/5)/eta(w))^6 = b - 1/b, b = r(w/5)^5, from
+    heegner_values, so j is checked too.  The name stays, since
+    perfbench/tracer.py times pipeline.compute_z_values."""
     return heegner_values(_heegner_roots(args), prec)[0]
 
 
 def compute_s_values(args, prec: int):
-    """s(w) = -1 - eta(w/25)/eta(w) = r - 1/r, r = r(w/5).  Their
-    link z = phi(s) = s^5 + 5 s^3 + 5 s is proven by p | Q(x^5), as
-    x^5 - x^-5 = phi(x - 1/x)."""
+    """s(w) = -1 - eta(w/25)/eta(w) = r - 1/r, r = r(w/5), from
+    heegner_values, so j is checked too.  Their link
+    z = phi(s) = s^5 + 5 s^3 + 5 s is proven by p | Q(x^5), as
+    x^5 - x^-5 = phi(x - 1/x).  The name stays, since perfbench/tracer.py
+    times pipeline.compute_s_values."""
     return heegner_values(_heegner_roots(args), prec)[1]
 
 
@@ -333,21 +298,15 @@ def check_pipeline_d(d: int) -> None:
 
 def run_pipeline(d: int, policy: PrecisionPolicy | None = None) -> PipelineResult:
     """The whole tower for d.  H, R and S are reconstructed in one precision
-    ladder from the values of heegner_values; unless the policy names its
-    first step, climb sizes it from j at the Heegner arguments in double
-    precision."""
+    ladder from the checked values of heegner_values; unless the policy
+    names its first step, climb sizes it from j at the Heegner arguments in
+    double precision."""
     check_pipeline_d(d)
     cd, v, relaxed, args = _heegner_args(d)
     h = cd.h
 
     def step(bits):
-        xs = _heegner_roots(args)
-        # the check's sums at q(w) = t^25 are the widest, so they take the
-        # one exp per argument that heegner_values' sums then reuse
-        checks = [check_j_by_r(x, bits) for x in xs]
-        zs, ss, js = heegner_values(xs, bits)
-        for check, j in zip(checks, js):
-            check(j)
+        zs, ss, js = heegner_values(_heegner_roots(args), bits)
         H = Poly(reconstruct_int_poly(js, bits))
         R, S = (Poly(reconstruct_int_poly(roots, bits, conjugates=True)) for roots in (zs, ss))
         try:

@@ -18,6 +18,7 @@ from rrcf5.hpnum import (
     check_j_by_r,
     climb,
     eta,
+    heegner_values,
     j_from_c,
     j_from_tau,
     log2_one_plus_abs_j,
@@ -25,7 +26,7 @@ from rrcf5.hpnum import (
     reconstruct_int_poly,
     rr_r,
 )
-from rrcf5.pipeline import _heegner_args, _heegner_roots, heegner_values
+from rrcf5.pipeline import _heegner_args, _heegner_roots
 
 PREC = 256
 
@@ -173,13 +174,13 @@ def test_a_sum_at_its_noise_floor_is_retried_at_twice_the_loss(monkeypatch, im, 
 
 def test_one_exp_per_evaluation(monkeypatch):
     # Every q of an evaluation is a fixed-point power of one exp: eta and
-    # rr_r take one each, check_j_by_r one, and j_from_tau none of its own
-    # when its narrower sums follow the check's at the same root; at d = 71
-    # the check's sums at q(w) = t^25 take one per Heegner argument, and
-    # heegner_values' sums at q(w/5) = t^5 reuse it; a Heegner root takes
-    # its exp as hpnum.mpf_exp from the form's integers.  At Im(tau) = 0.8
-    # and at d = 71's arguments no sum needs the cancellation retry, which
-    # would take the exp again at wider bits.
+    # rr_r take one each, and so does j_from_tau, whose check's sums at
+    # q(w) = t^25 come first and whose r(w/5) sums at t^5 reuse the exp;
+    # heegner_values, which calls j_from_tau per root, takes one per Heegner
+    # argument at d = 71, and a Heegner root takes its exp as hpnum.mpf_exp
+    # from the form's integers.  At Im(tau) = 0.8 and at d = 71's arguments
+    # no sum needs the cancellation retry, which would take the exp again at
+    # wider bits.
     calls = []
     exp, mpf_exp = mpmath.exp, hpnum.mpf_exp
     monkeypatch.setattr(mpmath, "exp", lambda z: calls.append(z) or exp(z))
@@ -189,18 +190,13 @@ def test_one_exp_per_evaluation(monkeypatch):
         calls.clear()
         f(tau, PREC)
         assert len(calls) == 1, f.__name__
-    x = QRoot(tau, 25)
     calls.clear()
-    check = check_j_by_r(x, PREC)
-    check(j_from_tau(x, PREC))
+    j_from_tau(QRoot(tau, 25), PREC)
     assert len(calls) == 1
     args = _heegner_args(71)[3]
-    xs = _heegner_roots(args)
     calls.clear()
-    checks = [check_j_by_r(x, PREC) for x in xs]
+    heegner_values(_heegner_roots(args), PREC)
     assert len(calls) == len(args) == 7
-    heegner_values(xs, PREC)
-    assert len(calls) == 7 and len(checks) == 7
 
 
 def test_r_at_i_closed_form():
@@ -232,7 +228,7 @@ def test_r_satisfies_eta_quotient_identity():
 
 def _j(tau, prec):
     """j_from_tau at tau, to prec bits, as an mpc."""
-    return _to_mpc(j_from_tau(QRoot(tau, 25), prec), prec + 64)
+    return _to_mpc(j_from_tau(QRoot(tau, 25), prec)[3], prec + 64)
 
 
 def test_c_from_r():

@@ -274,6 +274,17 @@ def test_hpnum_stands_alone_and_src_finds_no_roots_numerically():
     assert found == {}
 
 
+def test_ladders_leave_the_step_order_to_hpnum():
+    # hpnum.j_from_tau alone builds the check of j, sums r(w/5) and checks j,
+    # so the order a ladder step sums in is written once, in hpnum
+    inner = {"check_j_by_r", "r_parts", "j_from_c", "fixed_mul", "fixed_div"}
+    for name in ("pipeline.py", "classdata.py"):
+        source = (PACKAGE_DIR / name).read_text()
+        imported = {alias.name for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert inner & (imported | referenced_names(source)) == set(), name
+
+
 def mpmath_imports(source):
     """Lines of source that import mpmath or anything from it."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))

@@ -26,6 +26,7 @@ from rrcf5.hpnum import (
     _to_mpc,
     check_j_by_r,
     eta,
+    heegner_values,
     j_from_tau,
     log2_one_plus_abs_j,
     r_transformation_laws,
@@ -48,7 +49,6 @@ from rrcf5.pipeline import (
     build_p_q,
     build_Q,
     disc_conjecture_check,
-    heegner_values,
     is_fixed_by,
     lift_through_x_minus_inv,
     pullback_at,
@@ -498,7 +498,7 @@ def test_j_check_rejects_class_poly_j_off_by_2_to_33_minus_prec():
     for arg in n_system(cd, choose_v(24, cd.f)[0]):
         x = arg.root()
         check = check_j_by_r(x, prec)
-        j = j_from_tau(x, prec)
+        j = j_from_tau(x, prec)[3]
         check(j)
         check(_scaled(j, 31 - prec))
         with pytest.raises(PrecisionError, match="routes disagree"):
@@ -508,16 +508,18 @@ def test_j_check_rejects_class_poly_j_off_by_2_to_33_minus_prec():
 def _ladder_with_scaled_j(monkeypatch, ladder, log2_rel):
     """run_pipeline(24) or class_poly at d = 24, at the one step of 98 bits
     its sizing gives, with every j of the step times 1 + 2^(log2_rel - prec)
-    before the check sees it."""
+    before the check sees it.  The j is scaled where hpnum.j_from_tau takes
+    it (j_from_c, at prec + 64 bits), the one place both ladders read it."""
+    j_from_c = hpnum.j_from_c
+
+    def scaled(num, den, bits):
+        c, j = j_from_c(num, den, bits)
+        return c, _scaled(j, log2_rel - (bits - 64))
+
+    monkeypatch.setattr(hpnum, "j_from_c", scaled)
     policy = PrecisionPolicy(max_bits=98)
     if ladder == "run_pipeline":
-        def values(xs, prec):
-            zs, ss, js = heegner_values(xs, prec)
-            return zs, ss, [_scaled(j, log2_rel - prec) for j in js]
-        monkeypatch.setattr(pipeline, "heegner_values", values)
         return run_pipeline(24, policy).H.coeffs
-    monkeypatch.setattr(classdata, "j_from_tau",
-                        lambda x, prec: _scaled(j_from_tau(x, prec), log2_rel - prec))
     return class_poly(reduced_forms(24), policy)
 
 
@@ -561,7 +563,8 @@ def test_run_pipeline_24_takes_one_exp_per_argument(monkeypatch):
 
 
 def test_class_poly_24_takes_one_exp_per_argument(monkeypatch):
-    # the check's sums take one exp per argument and j_from_tau's reuse it
+    # in j_from_tau the check's sums take one exp per argument and
+    # r_parts' reuse it
     calls = _counting_exps(monkeypatch)
     assert class_poly(reduced_forms(24)) == tables.H_TABLE[24]
     assert calls == ["mpf_exp"] * 2
@@ -570,7 +573,7 @@ def test_class_poly_24_takes_one_exp_per_argument(monkeypatch):
 def test_j_from_tau_is_the_j_of_heegner_values_bit_for_bit(monkeypatch):
     # one route to j: at every argument of the tabulated d, at the sized
     # first step, and at d = 1571's fifth argument at 605 bits, where the
-    # cancellation retry sums r(w/5) twice
+    # cancellation retry sums r(w/5) twice, after the check's one sum
     cases = []
     for d in tables.TABLE1_DS + tables.TABLE2_DS:
         args = _heegner_args(d)[3]
@@ -582,9 +585,9 @@ def test_j_from_tau_is_the_j_of_heegner_values_bit_for_bit(monkeypatch):
     monkeypatch.setattr(hpnum, "_jacobi_f", lambda *a: sums.append(a) or jacobi_f(*a))
     for arg, bits in cases:
         sums.clear()
-        j = j_from_tau(arg.root(), bits)
+        j = j_from_tau(arg.root(), bits)[3]
         assert j == heegner_values([arg.root()], bits)[2][0], (arg, bits)
-    assert len(cases) == 105 and len(sums) == 4
+    assert len(cases) == 105 and len(sums) == 6
 
 
 @pytest.mark.parametrize("d", (239, 479))
