@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 import mpmath
@@ -17,10 +18,10 @@ from mpmath import mp, mpc, mpf
 from . import tables
 from .classdata import choose_v, reduced_forms
 from .exactmath import (CycloElem, ExactDomainError, Poly, RatFunc, binary_form, golden_unit,
-                        golden_unit_conj, lift_to_cyclo, poly_compose_rational,
-                        poly_resultant, powers, sqrt5_size, times_sqrt5)
+                        lift_to_cyclo, poly_compose_rational, poly_resultant, powers,
+                        sqrt5_size, times_sqrt5)
 from .hpnum import eta, r_transformation_laws, rr_r
-from .pipeline import J5_DEN, J5_NUM, J55_DEN, J55_NUM
+from .pipeline import J5_DEN, J5_NUM, J55_DEN, J55_NUM, TAU, pullback_at
 from .pipeline import J5Z_DEN, J5Z_NUM, J55Z_DEN, J55Z_NUM
 
 
@@ -330,10 +331,6 @@ def det_D_identity():
 # ---------------------------------------------------------------------------
 
 
-def _lift_rf(num: Poly, den: Poly) -> RatFunc:
-    return RatFunc(lift_to_cyclo(num), lift_to_cyclo(den))
-
-
 def verify_j_forms() -> bool:
     """Both j-invariant rational functions of b collapse to the forms in
     z = b - 1/b that run_pipeline composes H with."""
@@ -343,28 +340,58 @@ def verify_j_forms() -> bool:
     return ok5 and ok55
 
 
+def _compose(m, n):
+    """The matrix product m n, the map m after n, of maps (a, b, c, d) with
+    entries in Z[sqrt5] as pairs (x, y) = x + y sqrt5."""
+    def dot(x, y, u, v):
+        (p, q), (r, s) = times_sqrt5(x, y), times_sqrt5(u, v)
+        return p + r, q + s
+    a, b, c, d = m
+    e, f, g, h = n
+    return dot(a, e, b, g), dot(a, f, b, h), dot(c, e, d, g), dot(c, f, d, h)
+
+
+def _same_map(m, n):
+    """m and n are the same Moebius map: m is not zero and is proportional
+    to n, that is every cross product m_i n_j - m_j n_i is zero."""
+    return any(map(any, m)) and all(times_sqrt5(x, v) == times_sqrt5(y, u)
+                                    for (x, u), (y, v) in combinations(zip(m, n), 2))
+
+
 def tau_and_isogeny_checks():
-    """Exact checks on the involution tau(b) = (-b + eps^5)/(eps^5 b + 1):
-    (i) j5(tau(b)) = j55(b); (ii) tau is an involution; (iii) phi(tau(b)) =
-    1/(eps^5 b); (iv) the isogeny X-map has poles exactly at {0, -b1};
-    (v) the two closed forms of phi(b) agree.  Returns a dict of booleans."""
-    a = CycloElem.sqrt5()
-    eps1, epsbar1 = golden_unit()**5, golden_unit_conj()**5
-    tau = RatFunc(Poly((eps1, -1)), Poly((1, eps1)))
+    """Exact checks on the involution tau(b) = (-b + eps^5)/(eps^5 b + 1)
+    (pipeline.TAU, cleared by 2): (i) j5(tau(b)) = j55(b); (ii) tau is an
+    involution; (iii) phi(tau(b)) = 1/(eps^5 b); (iv) the isogeny X-map has
+    poles exactly at {0, -b1}; (v) the two closed forms of phi(b) agree.
+    Returns a dict of booleans.
 
-    j5 = _lift_rf(J5_NUM, J5_DEN)
-    j55 = _lift_rf(J55_NUM, J55_DEN)
+    (ii), (iii) and (v) are identities of Moebius maps, proven on their
+    matrices over Z[sqrt5] by matrix products (_compose) and projective
+    equality (_same_map).  (i) reads
+    J5_NUM|TAU J55_DEN = J55_NUM J5_DEN|TAU, both pullbacks read as forms
+    of degree 12, proven at the one point z0 = 2^s as in
+    pipeline.is_fixed_by: with M = max(nu(a) + nu(b), nu(c) + nu(d)) = 28
+    and l(P) the sum of |p_k|, every coordinate of every coefficient of the
+    difference is at most B = M^12 (l(J5_NUM) l(J55_DEN) + l(J5_DEN)
+    l(J55_NUM)), and 2^s > B."""
+    e5 = TAU[1]  # 2 eps^5
+    minus_e5bar = -e5[0], e5[1]  # -2 epsbar^5
     out = {}
-    out["j5_tau_is_j55"] = j5.substitute(tau) == j55
+    ell = [sum(map(abs, P.coeffs)) for P in (J5_NUM, J5_DEN, J55_NUM, J55_DEN)]
+    nu = sqrt5_size
+    M = max(nu(TAU[0]) + nu(TAU[1]), nu(TAU[2]) + nu(TAU[3]))
+    z0 = 1 << (M**12 * (ell[0] * ell[3] + ell[1] * ell[2])).bit_length()
+    lhs = (x * J55_DEN(z0) for x in pullback_at(J5_NUM, 12, TAU, z0))
+    rhs = (J55_NUM(z0) * x for x in pullback_at(J5_DEN, 12, TAU, z0))
+    out["j5_tau_is_j55"] = tuple(lhs) == tuple(rhs)
 
-    x = RatFunc(Poly((0, 1)))
-    out["tau_involution"] = tau.substitute(tau) == x
+    out["tau_involution"] = _same_map(_compose(TAU, TAU), ((1, 0), (0, 0), (0, 0), (1, 0)))
 
-    phi = RatFunc(Poly((-epsbar1, 1)), Poly((eps1, -1)))
-    out["phi_tau"] = phi.substitute(tau) == RatFunc(Poly((1,)), Poly((0, eps1)))
+    phi = ((2, 0), minus_e5bar, (-2, 0), e5)  # (b - epsbar^5)/(eps^5 - b)
+    out["phi_tau"] = _same_map(_compose(phi, TAU), ((0, 0), (2, 0), e5, (0, 0)))
 
-    phi_other = RatFunc(Poly((5 * a + 11, 2)), Poly((5 * a - 11, -2)))
-    out["phi_two_forms"] = phi == phi_other
+    phi_other = ((2, 0), (11, 5), (-2, 0), (-11, 5))
+    out["phi_two_forms"] = _same_map(phi, phi_other)
 
     # isogeny X-coordinate: numerator in x with Poly-in-b1 coefficients
     b1 = Poly.x()

@@ -48,12 +48,13 @@ class _Powers(dict):
 
 def binary_form(cs, N, D, mul):
     """sum_k cs[k] N^k D^(n-k), n = len(cs) - 1 >= 0, on ring elements given
-    as coordinate tuples that add coordinatewise and multiply by mul, taken
-    by halves: cs splits at mid into lo and hi, and the sum is
-    lo(N, D) D^(n+1-mid) + hi(N, D) N^mid, down to single coefficients.
-    The halves at one depth have lengths that differ by at most 1, so each
-    power of N and D is squared once (powers), and the products are
-    balanced, where big-integer multiplication is fastest."""
+    as tuples of integer coordinates that add coordinatewise and multiply by
+    mul: pairs on Z[sqrt5] (times_sqrt5) or power-basis numerators on
+    Z[zeta_5] (_mul4).  It is taken by halves: cs splits at mid into lo and
+    hi, and the sum is lo(N, D) D^(n+1-mid) + hi(N, D) N^mid, down to single
+    coefficients.  The halves at one depth have lengths that differ by at
+    most 1, so each power of N and D is squared once (powers), and the
+    products are balanced, where big-integer multiplication is fastest."""
     return _halves(cs, 0, len(cs), powers(N, mul), powers(D, mul), mul)
 
 
@@ -246,10 +247,8 @@ def _fold(conv):
 
 
 def _mul4(a, b):
-    """Power-basis numerators of the product of two elements given by their
-    4 power-basis numerators.  The entries may be ints or packed polynomials
-    (see _pack): the convolution and the fold are sums of products either
-    way."""
+    """Power-basis numerators of the product of two elements of Z[zeta_5]
+    given by their 4 power-basis numerators: the convolution, then _fold."""
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
     return _fold((a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
@@ -273,11 +272,6 @@ def _cyclo(nums, den):
 def golden_unit():
     """epsilon = (-1 + sqrt(5))/2, a fundamental unit of Q(sqrt(5))."""
     return (CycloElem.sqrt5() - 1) * Fraction(1, 2)
-
-
-def golden_unit_conj():
-    """epsilon-bar = (-1 - sqrt(5))/2."""
-    return (-CycloElem.sqrt5() - 1) * Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -321,113 +315,8 @@ def _over_cyclo(coeffs):
     return CycloElem in types and types <= {int, Fraction, CycloElem}
 
 
-def _numerators(coeffs):
-    """(the 4 power-basis columns of integer numerators, common positive
-    denominator) of coefficients that are ints, Fractions or CycloElems."""
-    den = _ilcm(*(c.den if isinstance(c, CycloElem) else c.denominator for c in coeffs))
-    rows = []
-    for c in coeffs:
-        if isinstance(c, CycloElem):
-            m = den // c.den
-            rows.append(c.nums if m == 1 else tuple(x * m for x in c.nums))
-        else:
-            rows.append((c.numerator * (den // c.denominator), 0, 0, 0))
-    return (list(zip(*rows)) if rows else [()] * 4), den
-
-
-def _stride(bound):
-    """Bytes per power of x for packed numerators in [-bound, bound]: the
-    bound's bits and a sign bit."""
-    return (bound.bit_length() + 8) // 8
-
-
-def _offset(count, kb):
-    """count digits 2^(8*kb-1) at a stride of kb bytes."""
-    return int.from_bytes((1 << (8 * kb - 1)).to_bytes(kb, "little") * count, "little")
-
-
-def _pack(cols, kb):
-    """The 4 ints sum_k cols[i][k] 2^(8*kb*k), i = 0..3, of the numerator
-    columns of a polynomial over Q(zeta_5), lowest power first.
-
-    Digits are stored offset by half = 2^(8*kb-1), so each lies in
-    [0, 2^(8*kb)) and to_bytes/from_bytes convert all of them at once.
-    Packing is a ring map, so sums and _mul4 products of packed values are
-    the packed sums and products; _unpack reads a value back when each of
-    its numerators lies in [-half, half).
-    """
-    count = len(cols[0])
-    if not count:
-        return (0, 0, 0, 0)
-    half = 1 << (8 * kb - 1)
-    size = count * kb
-    raw = b"".join([(x + half).to_bytes(kb, "little") for col in cols for x in col])
-    off = _offset(count, kb)
-    return tuple(int.from_bytes(raw[i:i + size], "little") - off
-                 for i in range(0, 4 * size, size))
-
-
-def _unpack(packed, kb, count, den):
-    """The first count coefficients, as CycloElems over den, of a value
-    packed at kb bytes per power."""
-    half = 1 << (8 * kb - 1)
-    off, size = _offset(count, kb), count * kb
-    raw = b"".join([(x + off).to_bytes(size, "little") for x in packed])
-    digits = [int.from_bytes(raw[i:i + kb], "little") - half for i in range(0, 4 * size, kb)]
-    cols = [digits[i:i + count] for i in range(0, 4 * count, count)]
-    return [_cyclo(row, den) for row in zip(*cols)]
-
-
-def _kronecker_mul(a, b):
-    """Coefficients of the product of two coefficient tuples over Q(zeta_5),
-    by Kronecker substitution: _mul4 on the two packed operands.
-
-    A numerator of the product is a sum of at most 7 * min(len a, len b)
-    products of a numerator of a and one of b (7 pairs of zeta-powers fold
-    into the coordinate of zeta^3), which bounds it and sets the stride.
-    """
-    ca, da = _numerators(a)
-    cb, db = _numerators(b)
-    bound = (7 * min(len(a), len(b)) * max(max(map(abs, c)) for c in ca)
-             * max(max(map(abs, c)) for c in cb))
-    kb = _stride(bound)
-    return _unpack(_mul4(_pack(ca, kb), _pack(cb, kb)), kb, len(a) + len(b) - 1, da * db)
-
-
-def _norm(cols):
-    """||cols||, the sum of the absolute values of the numerators."""
-    return sum(sum(map(abs, c)) for c in cols)
-
-
-def _compose_packed(H, num, den, h):
-    """poly_compose_rational over Q(zeta_5), as binary_form on packed values
-    (see _pack), unpacked once.
-
-    With d the common denominator of num and den, N = d num and E = d den
-    are integral and den^h H(num/den) = sum_k H_k N^k E^(h-k) / d^h.  Since
-    ||ab|| <= 4 ||a|| ||b|| (the fold adds the zeta^4 numerators into all
-    four coordinates), every numerator of the sum is at most
-    4^h sum_k ||H_k|| ||N||^k ||E||^(h-k).  That bound on the result sets the
-    stride, and intermediate values are never unpacked.  A constant H_k packs
-    to its own four numerators.
-    """
-    cols, dH = _numerators(H.coeffs)
-    H_rows = list(zip(*cols))
-    cols, d = _numerators(num.coeffs + den.coeffs)
-    split = len(num.coeffs)
-    N_cols, E_cols = [c[:split] for c in cols], [c[split:] for c in cols]
-    nN, nE = _norm(N_cols), _norm(E_cols)
-    norms = [sum(map(abs, row)) for row in H_rows]
-    bound = 4**h * sum(c * nN**k * nE ** (h - k) for k, c in enumerate(norms))
-    # the inputs must fit the stride too
-    kb = _stride(max(bound, nN, nE, *norms))
-    N, E = _pack(N_cols, kb), _pack(E_cols, kb)
-    n = H.degree
-    acc = binary_form(H_rows, N, E, _mul4)
-    if h > n:
-        acc = _mul4(acc, powers(E, _mul4)(h - n))
-    count = 1 + h * (max(len(num.coeffs), len(den.coeffs)) - 1)
-    return Poly(_unpack(acc, kb, count, dH * d**h))
+def _as_cyclo(value):
+    return value if isinstance(value, CycloElem) else CycloElem.from_rational(value)
 
 
 class Poly:
@@ -519,10 +408,11 @@ class Poly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Poly()
+        out = _times(self.coeffs, _terms(other.coeffs), len(self.coeffs) + len(other.coeffs) - 1)
         if _over_cyclo(self.coeffs + other.coeffs):
-            return Poly(_kronecker_mul(self.coeffs, other.coeffs))
-        return Poly(_times(self.coeffs, _terms(other.coeffs),
-                           len(self.coeffs) + len(other.coeffs) - 1))
+            # a sum of int products over Q(zeta_5) is a CycloElem too
+            out = map(_as_cyclo, out)
+        return Poly(out)
 
     __rmul__ = __mul__
 
@@ -701,14 +591,13 @@ def poly_compose_rational(H, num, den, h):
 
     Returns sum_k H_k * num^k * den^(h-k); integral whenever H, num and den
     are.  Every homogenised composition in the package goes through here.
-    H has scalar coefficients; a bivariate H is refused.  Over Q(zeta_5)
-    (the test Poly.__mul__ makes, on the coefficients of H, num and den) the
-    sum is _compose_packed's: binary_form on packed big integers, each
-    coefficient unpacked once as a CycloElem in lowest terms.  Otherwise it
-    is homogeneous Horner on coefficient lists, n = deg H: acc = H_n, then
+    H has scalar coefficients; a bivariate H is refused.  The sum is
+    homogeneous Horner on coefficient lists, n = deg H: acc = H_n, then
     acc = acc * num + H_k * den^(n-k) for k = n-1..0, and finally
     acc * den^(h-n).  The powers of den are made once, and no Poly is built
-    until the result.
+    until the result.  Over Q(zeta_5) (the test Poly.__mul__ makes, on the
+    coefficients of H, num and den) every coefficient of the result is a
+    CycloElem.
     """
     if h < H.degree:
         raise ExactDomainError("h must be at least deg H")
@@ -716,8 +605,6 @@ def poly_compose_rational(H, num, den, h):
         raise ExactDomainError("H must have scalar coefficients")
     if H.is_zero():
         return Poly()
-    if _over_cyclo([*H.coeffs, *num.coeffs, *den.coeffs]):
-        return _compose_packed(H, num, den, h)
     # Horner, not binary_form: on schoolbook products the halves cost more
     # than Horner's products by the short num (z_plane_checks runs here)
     hs, n, dd = H.coeffs, H.degree, den.degree
@@ -736,6 +623,8 @@ def poly_compose_rational(H, num, den, h):
                 acc[i] += e * hs[k]
     if h > n:
         acc = _times(acc, den_pows[h - n], len(acc) + (h - n) * dd)
+    if _over_cyclo([*H.coeffs, *num.coeffs, *den.coeffs]):
+        acc = map(_as_cyclo, acc)
     return Poly(acc)
 
 
@@ -817,10 +706,6 @@ class RatFunc:
 # ---------------------------------------------------------------------------
 # Moebius maps
 # ---------------------------------------------------------------------------
-
-
-def _as_cyclo(value):
-    return value if isinstance(value, CycloElem) else CycloElem.from_rational(value)
 
 
 # t = 2 + 2 cos(2 pi k/n) = (x + y sqrt5)/2 -> n, k prime to n, at every
@@ -910,10 +795,52 @@ def moebius_act_on_poly(M, p):
 
     Coefficients are lifted to Q(zeta_5).  The monic result is a canonical
     projective representative; the action is then a right group action up to
-    scalars.
+    scalars.  The package decides stabilizer membership by in_stabilizer;
+    this exact pullback is the tests' reference for it, and its name stays
+    since perfbench/tracer.py times exactmath.moebius_act_on_poly.
     """
     if p.is_zero():
         raise ExactDomainError("cannot act on the zero polynomial")
     p = p.map_coeffs(_as_cyclo)
     # nonzero, since p is and M is invertible
     return poly_compose_rational(p, Poly((M.b, M.a)), Poly((M.d, M.c)), p.degree).monic()
+
+
+def in_stabilizer(M, p) -> bool:
+    """p|M = lam p for some lam, for a Moebius map M = (a, b, c, d) and an
+    integer polynomial p of degree n >= 0, proven at the one point z0 = 2^s.
+
+    The entries are scaled by the lcm of their denominators into Z[zeta_5],
+    which leaves the map alone.  p|M(z) = sum_k p_k (az+b)^k (cz+d)^(n-k)
+    has leading coefficient lead = sum_k p_k a^k c^(n-k), so p|M = lam p
+    exactly when p_n p|M = lead p, with lam = lead / p_n; lead = 0 means
+    deg p|M < n, and p|M is not a multiple of p.
+
+    Why one point is enough: with ||x|| the sum of the absolute values of
+    the power-basis coordinates of x, extended to polynomials by the sum
+    over coefficients, ||xy|| <= 4 ||x|| ||y|| (_fold adds the zeta^4
+    coordinate into all four).  So (az+b)^k (cz+d)^(n-k) has norm at most
+    4^(n-1) M^n, M = max(||a|| + ||b||, ||c|| + ||d||), and every
+    coordinate of every coefficient of p_n p|M - lead p is at most
+    B = (|p_n| + L) L 4^(n-1) M^n, L = sum_k |p_k|.  Take s with 2^s > B.
+    Each coordinate of p_n p|M(z0) - lead p(z0) is an integer polynomial in
+    z0 with coefficients of modulus below z0; if it is not zero, its value
+    is z0^j (f_j + z0 g(z0)) for its lowest nonzero coefficient f_j, which
+    z0 cannot divide.  p|M(z0) is binary_form on (a z0 + b, c z0 + d), and
+    lead is binary_form on (a, c)."""
+    if p.is_zero():
+        raise ExactDomainError("the zero polynomial has no stabilizer")
+    scale = _ilcm(*(e.den for e in M.entries()))
+    a, b, c, d = (tuple(x * (scale // e.den) for x in e.nums) for e in M.entries())
+    cs = p.int_coeffs()
+    rows = [(pk, 0, 0, 0) for pk in cs]
+    lead = binary_form(rows, a, c, _mul4)
+    if not any(lead):
+        return False
+    n, L = p.degree, sum(map(abs, cs))
+    size = [sum(map(abs, x)) for x in (a, b, c, d)]
+    s = ((abs(cs[-1]) + L) * L * 4 ** max(n - 1, 0)
+         * max(size[0] + size[1], size[2] + size[3]) ** n).bit_length()
+    N, D = (tuple((x << s) + y for x, y in zip(u, v)) for u, v in ((a, b), (c, d)))
+    Pz = sum(pk << (k * s) for k, pk in enumerate(cs))
+    return all(cs[-1] * x == y * Pz for x, y in zip(binary_form(rows, N, D, _mul4), lead))

@@ -20,8 +20,8 @@ from .exactmath import (
     ExactDomainError,
     MoebiusMap,
     Poly,
+    in_stabilizer,
     lift_to_cyclo,
-    moebius_act_on_poly,
     poly_discriminant,
     poly_resultant,
 )
@@ -129,13 +129,12 @@ def unwitnessed(elements, p: Poly) -> list:
 
 def orbit_and_stabilizer(p: Poly, group: tuple, Gd5: Poly):
     """(orbit size, stabilizer) of the integer polynomial p, which must divide
-    Gd5 over Z.  The exact pullback over Q(zeta_5) decides each unwitnessed
-    map; the others are not in the stabilizer.  The orbit size is the index."""
+    Gd5 over Z.  in_stabilizer decides each unwitnessed map at one point over
+    Z[zeta_5]; the others are not in the stabilizer.  The orbit size is the
+    index."""
     if not p.divides(Gd5):
         raise IcosaError("p does not divide G_d(x^5)")
-    base = lift_to_cyclo(p).monic()  # the identity's pullback
-    stabilizer = frozenset(m for m in unwitnessed(group, p)
-                           if moebius_act_on_poly(m, p) == base)
+    stabilizer = frozenset(m for m in unwitnessed(group, p) if in_stabilizer(m, p))
     return len(group) // len(stabilizer), stabilizer
 
 

@@ -112,9 +112,13 @@ def z_plane_checks(H: Poly, R: Poly):
 
 
 # Moebius maps z -> (az + b)/(cz + d) as (a, b, c, d), each entry a pair (x, y)
-# = x + y sqrt5: T, with r(-1/tau) = T(r(tau)), and Cor. 4.2's (-11z + 4)/(z + 11)
+# = x + y sqrt5: T, with r(-1/tau) = T(r(tau)), Cor. 4.2's (-11z + 4)/(z + 11),
+# and the involution tau(b) = (eps^5 - b)/(eps^5 b + 1), eps = (-1 + sqrt5)/2,
+# cleared by 2: 2 eps^5 = (-1 + sqrt5)^5 / 16 = -11 + 5 sqrt5
 T = ((-1, -1), (2, 0), (2, 0), (1, 1))
 COR42 = ((-11, 0), (4, 0), (1, 0), (11, 0))
+_TWO_EPS5 = tuple(x >> 4 for x in powers((-1, 1), times_sqrt5)(5))
+TAU = ((-2, 0), _TWO_EPS5, _TWO_EPS5, (2, 0))
 
 
 def pullback_at(P: Poly, n: int, m, z: int):

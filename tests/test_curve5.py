@@ -271,6 +271,15 @@ def test_tau_and_isogeny():
     assert all(checks.values()), checks
 
 
+def test_j5_tau_check_rejects_a_perturbed_j55(monkeypatch):
+    cs = list(curve5.J55_NUM.coeffs)
+    cs[7] += 1
+    monkeypatch.setattr(curve5, "J55_NUM", Poly(cs))
+    checks = tau_and_isogeny_checks()
+    assert not checks["j5_tau_is_j55"]
+    assert all(v for k, v in checks.items() if k != "j5_tau_is_j55")
+
+
 def test_j_forms_agree():
     assert verify_j_forms()
 

@@ -16,7 +16,7 @@ from rrcf5.exactmath import (
     RatFunc,
     binary_form,
     golden_unit,
-    golden_unit_conj,
+    in_stabilizer,
     lift_to_cyclo,
     moebius_act_on_poly,
     poly_compose_rational,
@@ -53,7 +53,7 @@ def test_sqrt5_squares_to_five():
 
 def test_golden_unit_relations():
     eps = golden_unit()
-    epsbar = golden_unit_conj()
+    epsbar = -1 - eps
     assert eps * epsbar == -1
     assert eps + epsbar == -1
     # epsilon satisfies x^2 + x - 1 = 0
@@ -354,7 +354,7 @@ def test_poly_add_copies_the_longer_tail():
     assert (p - q).coeffs[1:] == p.coeffs[1:]
 
 
-# ------------------- Poly products over Q(zeta_5): one big-integer product
+# ------------------------- Poly products over Q(zeta_5): CycloElem coefficients
 
 
 def schoolbook_product(a, b):
@@ -398,9 +398,8 @@ def test_cyclo_poly_product_matches_schoolbook(a, b, elem, i):
 
 
 def test_cyclo_poly_product_attains_the_digit_bound():
-    # all coordinates +-M with one sign: the middle product digit is
-    # min(len a, len b) * phi * M^2, the bound the digit width is sized from;
-    # M runs through every bit length mod 8
+    # products of large coefficients, all coordinates +-M with one sign, for
+    # M of 40 bit lengths
     for e in range(1, 41):
         M = 2**e - 1
         for sign in (1, -1):
@@ -548,16 +547,15 @@ def test_compose_rational_over_Z_and_Q_multiplies_no_Poly(monkeypatch, ring):
 
 @pytest.mark.parametrize("bits", range(1, 42))
 def test_compose_rational_unpacks_coefficients_at_the_stride_edge(bits):
-    # Over Q(zeta_5) the stride of the packed coefficients is sized from a
-    # bound on the result; bits runs over 5 byte boundaries, so some case
-    # fills the top byte of every stride.
+    # Over Q(zeta_5) a coefficient of every bit length up to 41, of either
+    # sign, comes back unchanged as a CycloElem.
     top, one = 2**bits - 1, Poly((1,))
     for sign in (1, -1):
         c = CycloElem((0, 0, sign * top, 0))
-        # h = 0: the result is H_0 = c, and its numerator +-top is the bound
+        # h = 0: the result is H_0 = c
         assert poly_compose_rational(Poly((c,)), one, one, 0).coeffs == (c,)
-        # h = 1: c x at x = u - 1 is -c + c u, 3 bits below the bound, with
-        # a value of each sign below the top coefficient
+        # h = 1: c x at x = u - 1 is -c + c u, with a value of each sign
+        # below the top coefficient
         assert poly_compose_rational(Poly((0, c)), Poly((-1, 1)), one, 1).coeffs == (-c, c)
 
 
@@ -764,6 +762,22 @@ def test_moebius_poly_action_is_antihomomorphic():
     lhs = moebius_act_on_poly(B, moebius_act_on_poly(A, p))
     rhs = moebius_act_on_poly(A * B, p)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("cs, entries, fixed", [
+    ((0, 1, 1), (0, 1, 1, 0), False),               # lead 0: x^2 + x -> 1 + x
+    ((1, 0, 1), (0, -1, 1, 0), True),               # x^2 + 1 under -1/z
+    ((0, 0, 1), (Fraction(1, 2), 0, 0, 3), True),   # x^2 under z/6
+    ((1, 0, 1), (Fraction(1, 2), 0, 0, 3), False),
+    ((-2, 0, 0, 0, 0, 1), (CycloElem.zeta(), 0, 0, 1), True),  # x^5 - 2 under zeta z
+    ((1, 1, 1, 1, 1), (CycloElem.zeta(), 0, 0, 1), False),
+    ((7,), (1, 2, 3, 4), True),                     # a constant is fixed by every map
+])
+def test_in_stabilizer_matches_the_monic_pullback(cs, entries, fixed):
+    p, m = Poly(cs), MoebiusMap(*entries)
+    assert in_stabilizer(m, p) == (moebius_act_on_poly(m, p) == lift_to_cyclo(p).monic()) == fixed
+    with pytest.raises(ExactDomainError):
+        in_stabilizer(m, Poly())
 
 
 def test_lift_to_cyclo():

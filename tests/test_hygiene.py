@@ -13,6 +13,8 @@ import importlib
 from pathlib import Path
 
 import rrcf5
+from rrcf5 import curve5, exactmath, icosa, pipeline, tables
+from rrcf5.exactmath import CycloElem, Poly
 
 PACKAGE_DIR = Path(rrcf5.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -283,6 +285,31 @@ def test_ladders_leave_the_step_order_to_hpnum():
         imported = {alias.name for node in ast.walk(ast.parse(source))
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
         assert inner & (imported | referenced_names(source)) == set(), name
+
+
+def test_tau_checks_and_the_stabilizer_compose_nothing_over_q_zeta5(monkeypatch):
+    # both are proven at one point on integer coordinates, so neither makes
+    # a composition over Q(zeta_5) or an exact pullback
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            polys = [a for a in args if isinstance(a, Poly)]
+            if name == "moebius_act_on_poly" or any(
+                    isinstance(c, CycloElem) for a in polys for c in a.coeffs):
+                calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    for name in ("poly_compose_rational", "moebius_act_on_poly"):
+        wrapped = counting(name, getattr(exactmath, name))
+        for module in (exactmath, curve5, icosa, pipeline):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    curve5.tau_and_isogeny_checks()
+    p = Poly(tables.P_TABLE[11])
+    icosa.orbit_and_stabilizer(p, icosa.generate_g60(), pipeline.build_F_G(Poly(tables.H_TABLE[11])))
+    assert calls == []
 
 
 def mpmath_imports(source):

@@ -13,6 +13,7 @@ from rrcf5.exactmath import (
     ExactDomainError,
     MoebiusMap,
     Poly,
+    in_stabilizer,
     lift_to_cyclo,
     moebius_act_on_poly,
     poly_compose_rational,
@@ -207,6 +208,8 @@ def test_orbit_and_stabilizer(d, g60):
     orbit, stab = reference_orbit_and_stabilizer(p, g60, Gx5)
     assert (len(orbit), stab) == (15, expected_stabilizer())
     assert orbit_and_stabilizer(p, g60, Gx5) == (15, expected_stabilizer())
+    # the one-point test agrees with the monic pullback on all 60 maps
+    assert {m for m in g60 if in_stabilizer(m, p)} == stab
 
 
 @pytest.mark.parametrize("bump, stab_expected", [
@@ -221,6 +224,7 @@ def test_perturbed_p_matches_the_exact_route(bump, stab_expected, g60):
     orbit, stab = reference_orbit_and_stabilizer(p, g60)
     assert orbit_and_stabilizer(p, g60, p) == (len(orbit), stab)
     assert stab == stab_expected
+    assert {m for m in g60 if in_stabilizer(m, p)} == stab
 
 
 def test_orbit_rejects_wrong_target(g60):

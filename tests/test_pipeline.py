@@ -27,8 +27,10 @@ from rrcf5.hpnum import (
     check_j_by_r,
     eta,
     heegner_values,
+    j_from_c,
     j_from_tau,
     log2_one_plus_abs_j,
+    r_parts,
     r_transformation_laws,
     reconstruct_int_poly,
 )
@@ -453,15 +455,13 @@ _ETA_CASES[1571] = (605, slice(4, 5))
 @pytest.mark.parametrize("d", _ETA_CASES)
 def test_heegner_values_match_the_eta_quotients(d):
     # The values from r(w/5) must equal the quotients of eta values taken
-    # one by one, and j must pass the check through r, both read from one
-    # root per argument in the order a step takes them.
+    # one by one; heegner_values raises unless each j passes the check
+    # through r, read from the same root.
     prec, picked = _ETA_CASES[d]
     args = _heegner_args(d)[3][picked]
-    xs = _heegner_roots(args)
-    checks = [check_j_by_r(x, prec) for x in xs]
-    zs, ss, js = heegner_values(xs, prec)
+    zs, ss, js = heegner_values(_heegner_roots(args), prec)
     assert len(zs) == len(ss) == len(js) == len(args)
-    for arg, check, z, s, j in zip(args, checks, zs, ss, js):
+    for arg, z, s, j in zip(args, zs, ss, js):
         with mp.workprec(prec + 64):
             w = mpc(-arg.b_adj, mp.sqrt(arg.d)) / (2 * arg.form.a)
             e1, e5, e25 = (eta(w / k, prec + 32) for k in (1, 5, 25))
@@ -469,7 +469,6 @@ def test_heegner_values_match_the_eta_quotients(d):
             for got, want in ((z, -11 - c), (s, -1 - e25 / e1),
                               (j, (c**2 + 10 * c + 5) ** 3 / c)):
                 assert rel_close(_to_mpc(got, prec + 64), want, prec - 16)
-        check(j)
 
 
 def _scaled(j, log2_rel):
@@ -481,10 +480,12 @@ def _scaled(j, log2_rel):
 def test_j_check_rejects_j_off_by_2_to_33_minus_prec(d, prec):
     # At each step's own bits the check lets a j through that is off by
     # relative 2^(31 - prec) and stops one off by 2^(33 - prec), on either
-    # side of its 2^(32 - prec) bound.
-    xs = _heegner_roots(_heegner_args(d)[3])
-    checks = [check_j_by_r(x, prec) for x in xs]
-    for check, j in zip(checks, heegner_values(xs, prec)[2]):
+    # side of its 2^(32 - prec) bound.  j is the one j_from_tau takes, from
+    # r_parts and j_from_c, so each check is built once.
+    for x in _heegner_roots(_heegner_args(d)[3]):
+        check = check_j_by_r(x, prec)
+        _, _, b, num = r_parts(x, prec)
+        j = j_from_c(num, b, prec + 64)[1]
         check(j)
         check(_scaled(j, 31 - prec))
         with pytest.raises(PrecisionError, match="routes disagree"):
